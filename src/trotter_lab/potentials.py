@@ -26,6 +26,9 @@ from .errors import ResourceLimitError, ToleranceNotMetError
 # Absolute slop tolerated on domain checks; protects against roundoff in
 # sample-point generation (s + k*(t-s)/n can land 1 ulp outside [0, 1]).
 _DOMAIN_SLOP = 1e-12
+# Pair x breakpoint elements per block of the piece-count left-sum kernel;
+# larger blocks raise peak memory without running faster.
+_PIECE_BLOCK = 500_000
 
 
 def _as_domain_array(t) -> tuple[np.ndarray, bool]:
@@ -45,6 +48,37 @@ def _as_domain_array(t) -> tuple[np.ndarray, bool]:
     if lo < 0.0 or hi > 1.0:
         arr = np.clip(arr, 0.0, 1.0)
     return arr, scalar
+
+
+def _check_endpoints(t: np.ndarray, s: np.ndarray) -> None:
+    """Reject NaN or out-of-domain window endpoints in exact left-sum kernels."""
+    _as_domain_array(t)
+    _as_domain_array(s)
+
+
+def _samples_left_of(b: np.ndarray, t: np.ndarray, s: np.ndarray,
+                     n: int) -> np.ndarray:
+    """#{k < n : s + (t-s)*(k/n) < b} for column pairs t >= s and row b.
+
+    Starts from ceil((b-s)/h) and steps it by one until the sample points,
+    computed with the sampled kernel's own expression, straddle b.  The
+    points are non-decreasing in k, so the count then matches the sampled
+    kernel's right-open convention bit for bit.
+    """
+    w = t - s
+    h = w / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = np.clip(np.ceil((b - s) / h), 0, n)
+    # h == 0 puts every sample at s; rows with t < s (h < 0) start at 0 or
+    # n, never move in the loop, and are resampled by the caller
+    k = np.where(h > 0, est, np.where(s < b, n, 0)).astype(np.int64)
+    while True:
+        down = (k > 0) & (s + w * ((k - 1) / n) >= b)
+        up = (k < n) & (s + w * (k / n) < b)
+        step = up.astype(np.int64) - down
+        if not step.any():
+            return k
+        k += step
 
 
 @dataclass(frozen=True)
@@ -100,6 +134,30 @@ class Potential:
             out = self._antiderivative_quad(arr, tol)
         return float(out[0]) if scalar else out
 
+    def left_sum_kernel(self, n: int) -> str:
+        """Which kernel `left_sums` runs at n: "closed-form", "piece-count"
+        or "sampled"."""
+        return "sampled"
+
+    def left_sums(self, t: np.ndarray, s: np.ndarray, n: int,
+                  chunk: int = 4_000_000) -> np.ndarray:
+        """Left Riemann sums over the windows [s_i, t_i] on n equal steps.
+
+        ``t`` and ``s`` are matching 1-D float arrays.  This default samples
+        q at s + k*(t-s)/n for k = 0..n-1, holding about ``chunk`` points at
+        a time; families with an exact kernel override it, and tests keep
+        this loop as their reference.
+        """
+        out = np.empty(t.shape)
+        block = max(1, chunk // n)
+        frac = np.arange(n) / n
+        for i in range(0, len(t), block):
+            tt = t[i:i + block, None]
+            ss = s[i:i + block, None]
+            xi = ss + (tt - ss) * frac
+            out[i:i + block] = self(xi).mean(axis=1) * (tt[:, 0] - ss[:, 0])
+        return out
+
     def _eval(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -150,6 +208,13 @@ class Constant(Potential):
     def _antiderivative_exact(self, t):
         return self.c * t
 
+    def left_sum_kernel(self, n):
+        return "closed-form"
+
+    def left_sums(self, t, s, n, chunk=4_000_000):
+        _check_endpoints(t, s)
+        return self.c * (t - s)
+
     def params(self):
         return {"c": self.c}
 
@@ -174,6 +239,16 @@ class Linear(Potential):
 
     def _antiderivative_exact(self, t):
         return self.intercept * t + 0.5 * self.slope * t * t
+
+    def left_sum_kernel(self, n):
+        return "closed-form"
+
+    def left_sums(self, t, s, n, chunk=4_000_000):
+        """h * sum_k (intercept + slope*(s + k h)) with h = (t-s)/n."""
+        _check_endpoints(t, s)
+        h = (t - s) / n
+        return ((t - s) * (self.intercept + self.slope * s)
+                + self.slope * h * h * (n * (n - 1) / 2))
 
     def params(self):
         return {"slope": self.slope, "intercept": self.intercept}
@@ -223,6 +298,37 @@ class PiecewiseConstant(Potential):
         idx = self._piece_index(t)
         return self._cum[idx] + self._vals[idx] * (t - self._bp[idx])
 
+    def left_sum_kernel(self, n):
+        return ("piece-count" if self.internal_breakpoint_count < n
+                else "sampled")
+
+    def left_sums(self, t, s, n, chunk=4_000_000):
+        """Counts the samples at or right of each of the K interior
+        breakpoints b, in O(K) per window when K < n.
+
+        The sum is (n v_0 + sum_b (n - k_b) dv_b) / n * (t - s) with k_b the
+        samples left of b and dv_b the jump at b, which for integer-valued
+        steps is bit-equal to the sampled mean.  Windows with t < s, whose
+        samples run right to left, are sampled.
+        """
+        if self.left_sum_kernel(n) == "sampled":
+            return super().left_sums(t, s, n, chunk)
+        _check_endpoints(t, s)
+        bp = self._bp[1:-1]
+        jumps = np.diff(self._vals)
+        out = np.empty(t.shape)
+        block = max(1, _PIECE_BLOCK // max(1, len(bp)))
+        for i in range(0, len(t), block):
+            tt = t[i:i + block, None]
+            ss = s[i:i + block, None]
+            k = _samples_left_of(bp, tt, ss, n)
+            total = n * self._vals[0] + ((n - k) * jumps).sum(axis=1)
+            out[i:i + block] = total / n * (tt[:, 0] - ss[:, 0])
+        back = t < s
+        if back.any():
+            out[back] = super().left_sums(t[back], s[back], n, chunk)
+        return out
+
     def params(self):
         return {"breakpoints": [str(b) for b in self.breakpoints],
                 "values": list(self.values)}
@@ -264,6 +370,34 @@ class HolderWeierstrass(Potential):
         for a, w in zip(self._amps, self._freqs):
             acc += a * np.sin(w * t) / w
         return acc / (2.0 * self._m)
+
+    def left_sum_kernel(self, n):
+        return "closed-form"
+
+    def left_sums(self, t, s, n, chunk=4_000_000):
+        """Sums each level in closed form with the Dirichlet kernel
+
+            sum_k cos(w(s + k h)) = sin(n th)/sin(th) * cos(w s + (n-1) th)
+
+        with th = w h / 2.  Angles are kept in units of pi: for w = pi 2^j,
+        th/pi = 2^{j-1} h is an exact ldexp.  Shifting it by an integer
+        leaves the sum unchanged, so only its offset d in [-1/2, 1/2] from
+        the nearest integer enters; sin(pi n d)/sin(pi d) stays accurate to
+        a few ulps of n near resonance and is n at resonance (d == 0).
+        """
+        _check_endpoints(t, s)
+        h = (t - s) / n
+        acc = np.zeros_like(h)
+        for j, a in enumerate(self._amps, start=1):
+            d = np.ldexp(h, j - 1)
+            d -= np.rint(d)
+            resonant = d == 0.0
+            safe = np.where(resonant, 0.5, d)
+            ratio = np.where(resonant, float(n),
+                             np.sin(np.pi * n * safe) / np.sin(np.pi * safe))
+            phase = np.fmod(np.ldexp(s, j), 2.0) + (n - 1) * d
+            acc += a * ratio * np.cos(np.pi * phase)
+        return (t - s) * (self._m + acc / n) / (2.0 * self._m)
 
     def params(self):
         return {"beta": self.beta, "levels": self.levels}

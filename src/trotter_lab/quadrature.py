@@ -4,6 +4,11 @@ The central object is the pointwise error R_n(t, s) between the exact
 integral of q over [s, t] and its left-endpoint Riemann sum on n equal
 subintervals.  Everything here is pure; batch variants operate on arrays
 of (t, s) pairs so searches can be vectorized.
+
+Left sums come from each family's `Potential.left_sums`: closed forms for
+Constant, Linear and HolderWeierstrass, per-piece sample counts for step
+potentials (PiecewiseConstant, CantorIndicator) with fewer interior
+breakpoints than n, and sampling q at the n points otherwise.
 """
 
 from __future__ import annotations
@@ -49,9 +54,10 @@ def integrate(q: Potential, pt: DeltaPair) -> float:
 
 def left_darboux_sums(q: Potential, t, s, n: int,
                       chunk: int = 4_000_000) -> np.ndarray:
-    """Left Riemann sums for arrays of pairs, chunked to bound memory.
+    """Left Riemann sums for arrays of pairs, by the family's kernel.
 
     Sample k of pair i sits at s[i] + k*(t[i]-s[i])/n for k = 0..n-1.
+    ``chunk`` bounds the points a sampling kernel holds at once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -59,15 +65,7 @@ def left_darboux_sums(q: Potential, t, s, n: int,
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if t.shape != s.shape:
         raise ValueError("t and s must have matching shapes")
-    out = np.empty(t.shape)
-    block = max(1, chunk // n)
-    frac = np.arange(n) / n
-    for i in range(0, len(t), block):
-        tt = t[i:i + block, None]
-        ss = s[i:i + block, None]
-        xi = ss + (tt - ss) * frac
-        out[i:i + block] = q(xi).mean(axis=1) * (tt[:, 0] - ss[:, 0])
-    return out
+    return q.left_sums(t, s, n, chunk=chunk)
 
 
 def left_darboux_sum(q: Potential, pt: DeltaPair, n: int) -> float:

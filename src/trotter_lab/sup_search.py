@@ -50,13 +50,19 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchTrace:
-    """Summary of how a search arrived at its value."""
+    """Summary of how a search arrived at its value.
+
+    ``kernel`` names the left-sum kernel the search ran (see
+    Potential.left_sum_kernel); it stays out of the rendered string, which
+    reports carry.
+    """
 
     level_best: tuple[float, ...]
     evals: int
     certified: bool
     hints_probed: int
     budget_hit: bool = False
+    kernel: str = "sampled"
 
     def __str__(self):
         lv = ">".join(f"{v:.6g}" for v in self.level_best)
@@ -171,7 +177,7 @@ def sup_riemann_error(q: Potential, n: int,
             lower_op_norm=math.exp(-q.sup_norm) * r,
             upper_op_norm=upper,
             method=SearchTrace(tuple(level_best), evals, upper is not None,
-                               len(hints), budget_hit))
+                               len(hints), budget_hit, q.left_sum_kernel(n)))
 
     def probe(ts, ss):
         nonlocal evals

@@ -1,0 +1,186 @@
+"""Exact left-sum kernels against the sampled loop and an mpmath reference.
+
+`Potential.left_sums` on the base class is the sampled reference: it
+evaluates q at s + (t-s)*(k/n).  Constant, Linear and HolderWeierstrass sum
+in closed form; PiecewiseConstant and CantorIndicator count samples per
+piece once their interior breakpoints are fewer than n.
+"""
+
+import math
+from fractions import Fraction
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import trotter_lab as tl
+from trotter_lab.potentials import Potential
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+unit = st.floats(min_value=0.0, max_value=1.0)
+steps = st.integers(min_value=1, max_value=2048)
+
+STEPS = (tl.PiecewiseConstant([0.0, 0.25, 0.5, 1.0], [1.0, 0.0, 2.0]),
+         tl.PiecewiseConstant([Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                               Fraction(1)], [1.0, 0.0, 2.0]),
+         tl.PiecewiseConstant([0.0, 0.3, 0.7, 1.0], [0.3, 1.7, 0.1]))
+
+
+def sampled(q, t, s, n):
+    t, s = np.atleast_1d(t).astype(float), np.atleast_1d(s).astype(float)
+    return Potential.left_sums(q, t, s, n)
+
+
+def kernel(q, t, s, n):
+    return tl.left_darboux_sums(q, t, s, n)
+
+
+def mp_left_sum(q, t, s, n):
+    """Left sum of a HolderWeierstrass over exact float endpoints, 40 digits."""
+    with mpmath.workdps(40):
+        lo, hi = mpmath.mpf(s), mpmath.mpf(t)
+        h = (hi - lo) / n
+        amps = [mpmath.mpf(float(a)) for a in q._amps]
+        total = mpmath.mpf(0)
+        for k in range(n):
+            x = lo + k * h
+            total += sum(a * mpmath.cospi(2 ** j * x)
+                         for j, a in enumerate(amps, start=1))
+        m = mpmath.fsum(amps)
+        return float(h * (n * m + total) / (2 * m))
+
+
+def test_kernel_selection():
+    q3, _ = tl.build_cantor(3)
+    assert tl.Constant(2.0).left_sum_kernel(4) == "closed-form"
+    assert tl.Linear().left_sum_kernel(4) == "closed-form"
+    assert tl.build_weierstrass(0.5, 10).left_sum_kernel(4) == "closed-form"
+    assert tl.build_tent_train([1.0, 0.5]).left_sum_kernel(4096) == "sampled"
+    assert q3.internal_breakpoint_count == 16
+    assert q3.left_sum_kernel(16) == "sampled"
+    assert q3.left_sum_kernel(17) == "piece-count"
+
+
+@PROPERTY
+@given(t=unit, s=unit, n=steps, c=st.floats(0.0, 10.0),
+       slope=st.floats(-2.0, 2.0))
+def test_affine_matches_sampled(t, s, n, c, slope):
+    for q in (tl.Constant(c), tl.Linear(slope, max(0.0, -slope))):
+        assert abs(kernel(q, t, s, n)[0] - sampled(q, t, s, n)[0]) <= 1e-12
+
+
+@PROPERTY
+@given(t=unit, s=unit, n=steps, beta=st.floats(0.05, 0.95),
+       levels=st.integers(1, 12))
+def test_weierstrass_matches_sampled(t, s, n, beta, levels):
+    q = tl.build_weierstrass(beta, levels)
+    assert abs(kernel(q, t, s, n)[0] - sampled(q, t, s, n)[0]) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(t=unit, s=unit, n=st.integers(1, 64))
+def test_weierstrass_matches_mpmath_at_24_levels(t, s, n):
+    # past ~20 levels the sampled loop drifts with the phase roundoff
+    q = tl.build_weierstrass(0.5, 24)
+    assert abs(kernel(q, t, s, n)[0] - mp_left_sum(q, t, s, n)) <= 1e-12
+
+
+@pytest.mark.parametrize("t, s, n", [
+    (1.0, 1e-9, 8),       # 2^{j-1} h within 1e-6 of an integer for j > 3
+    (1.0, 1e-9, 512),
+    (0.75, 0.25, 4),      # 2^{j-1} h an exact integer for j >= 4
+    (0.5, 0.25, 1024),
+    # t - s = 0.375 (1 + 1e-12): large near-integer 2^{j-1} h, full mantissa
+    (0.37858658930054934, 0.0035865893001743032, 3),
+])
+@pytest.mark.parametrize("levels", [10, 24])
+def test_weierstrass_resonant_windows(t, s, n, levels):
+    q = tl.build_weierstrass(0.5, levels)
+    assert abs(kernel(q, t, s, n)[0] - mp_left_sum(q, t, s, n)) <= 1e-12
+
+
+@PROPERTY
+@given(t=unit, s=unit, n=steps, which=st.integers(0, len(STEPS) - 1))
+def test_steps_match_sampled(t, s, n, which):
+    q = STEPS[which]
+    assert abs(kernel(q, t, s, n)[0] - sampled(q, t, s, n)[0]) <= 1e-12
+
+
+@PROPERTY
+@given(t=unit, s=unit, n=steps, depth=st.integers(1, 6))
+def test_cantor_matches_sampled_exactly(t, s, n, depth):
+    q, _ = tl.build_cantor(depth)
+    assert kernel(q, t, s, n)[0] == sampled(q, t, s, n)[0]
+
+
+def _aligned_windows(q):
+    bps = [float(b) for b in q.breakpoints]
+    pairs = [(hi, lo) for lo in bps for hi in bps if lo <= hi]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 17, 64, 1000])
+def test_breakpoint_aligned_windows_are_exact(n):
+    for q in STEPS[:2] + (tl.build_cantor(3)[0],):
+        t, s = _aligned_windows(q)
+        assert np.array_equal(kernel(q, t, s, n), sampled(q, t, s, n))
+
+
+@pytest.mark.parametrize("n", [41, 42, 100, 240, 1000])
+def test_lattice_windows_are_exact(n):
+    # ceil((b-s)/h) misses the sampled count here for some pairs, e.g.
+    # (t, s, b) = (8/63, 0, 1/42) at n = 240
+    q = tl.PiecewiseConstant([Fraction(k, 42) for k in range(43)],
+                             [float(k % 3) for k in range(42)])
+    i, j = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
+    s = (i / 63).ravel()
+    t = np.minimum(1.0, s + (j / 63).ravel())
+    assert np.array_equal(kernel(q, t, s, n), sampled(q, t, s, n))
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_cantor_dyadic_corners(depth):
+    q, _ = tl.build_cantor(depth)
+    k = q.internal_breakpoint_count
+    for m in range(1, depth + 3):
+        eps = 1.0 / (3.0 * 2.0 ** (2 * m + 2))
+        t, s = [1.0 - 0.5 * eps], [0.5 * eps]
+        for n in {2 ** m, k, k + 1, 2 * k}:
+            got = kernel(q, t, s, n)
+            assert np.array_equal(got, sampled(q, t, s, n))
+            if m <= depth and n == 2 ** m:
+                assert got[0] == 0.0
+
+
+def test_equal_endpoints_give_zero():
+    zoo = (tl.Constant(1.0), tl.Linear(0.5, 0.25), tl.build_weierstrass(0.3, 12),
+           tl.build_cantor(3)[0], tl.build_tent_train([1.0, 0.5]), *STEPS)
+    ends = [0.0, 0.25, 1.0 / 3.0, 0.5, 1.0]
+    for q in zoo:
+        for n in (1, 7, 4096):
+            got = kernel(q, ends, ends, n)
+            assert np.all(got == 0.0), (q, n)
+
+
+@pytest.mark.parametrize("n", [2, 16, 17, 100])
+def test_batch_bit_equal_to_scalar(n):
+    rng = np.random.default_rng(11)
+    s = rng.uniform(0.0, 1.0, 40)
+    t = rng.uniform(s, 1.0)
+    q3, _ = tl.build_cantor(3)
+    for q in (tl.Linear(0.5, 0.25), tl.build_weierstrass(0.5, 12), q3, *STEPS):
+        batch = kernel(q, t, s, n)
+        for i in range(len(t)):
+            assert batch[i] == kernel(q, [t[i]], [s[i]], n)[0], (q, n)
+
+
+@pytest.mark.parametrize("t, s", [
+    ([math.nan], [0.1]), ([0.5], [math.nan]), ([1.5], [0.1]), ([0.5], [-0.1])])
+def test_exact_kernels_reject_bad_endpoints(t, s):
+    for q in (tl.Constant(1.0), tl.Linear(), tl.build_weierstrass(0.5, 4),
+              tl.build_cantor(2)[0]):
+        with pytest.raises(ValueError):
+            kernel(q, t, s, 64)

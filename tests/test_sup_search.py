@@ -149,3 +149,15 @@ def test_trace_renders():
     rep = tl.sup_riemann_error(tl.Linear(), 4, SMALL)
     text = str(rep.method)
     assert "evals=" in text and "certified" in text
+
+
+def test_trace_names_kernel():
+    q3, _ = tl.build_cantor(3)   # 16 interior breakpoints
+    cases = [(tl.Linear(), 4, "closed-form"),
+             (tl.build_weierstrass(0.5, 6), 8, "closed-form"),
+             (tl.build_tent_train([1.0, 0.5]), 8, "sampled"),
+             (q3, 16, "sampled"), (q3, 17, "piece-count")]
+    for q, n, name in cases:
+        rep = tl.sup_riemann_error(q, n, SMALL)
+        assert rep.method.kernel == name
+        assert name not in str(rep.method)
