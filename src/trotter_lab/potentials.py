@@ -29,6 +29,9 @@ _DOMAIN_SLOP = 1e-12
 # Pair x breakpoint elements per block of the piece-count left-sum kernel;
 # larger blocks raise peak memory without running faster.
 _PIECE_BLOCK = 500_000
+# TentTrain tabulates its first levels on a dyadic node grid; 16 levels
+# take 2^17 + 1 nodes, about 3 MB for the three tables.
+_TENT_TABLE_LEVELS = 16
 
 
 def _as_domain_array(t) -> tuple[np.ndarray, bool]:
@@ -403,6 +406,26 @@ class HolderWeierstrass(Potential):
         return {"beta": self.beta, "levels": self.levels}
 
 
+def _add_tent_values(acc: np.ndarray, t: np.ndarray, levels) -> np.ndarray:
+    """Add sum_j a_j tri(frac(2^j t)) over (j, a_j) in ``levels`` to acc."""
+    for j, a in levels:
+        z = np.ldexp(t, j)          # 2^j * t, exact scaling
+        u = z - np.floor(z)
+        acc += a * (1.0 - np.abs(2.0 * u - 1.0))
+    return acc
+
+
+def _add_tent_integrals(acc: np.ndarray, t: np.ndarray, levels) -> np.ndarray:
+    """Add the integrals from 0 to t of the tents in ``levels`` to acc."""
+    for j, a in levels:
+        z = np.ldexp(t, j)
+        k = np.floor(z)
+        u = z - k
+        tent_int = np.where(u <= 0.5, u * u, 2.0 * u - u * u - 0.5)
+        acc += a * np.ldexp(0.5 * k + tent_int, -j)
+    return acc
+
+
 class TentTrain(Potential):
     """Superposition of periodic tents vanishing on dyadic grids.
 
@@ -410,6 +433,10 @@ class TentTrain(Potential):
     a tent of height a_j and period 2^{-j} that is zero at every k/2^j.
     Left Darboux sums on the dyadic grid of step 2^{-m} therefore miss
     every level j >= m entirely, which is the point of the family.
+
+    Evaluation reads node tables for the first min(L, 16) levels: one
+    lookup and one linear (or, for the antiderivative, quadratic) cell term
+    per point, instead of one pass per level.
     """
 
     kind = "TentTrain"
@@ -423,24 +450,46 @@ class TentTrain(Potential):
         lip = sum(a * 2.0 ** (j + 1) for j, a in enumerate(amps, start=1))
         super().__init__(sup_norm=sum(amps), exact_integrable=True,
                          holder_meta=HolderCertificate(1.0, lip))
+        # Levels 1..J kink only on the nodes k/2^(J+1), between which q is
+        # linear and its integral quadratic.  Tabulate q and the integral at
+        # the nodes with the per-level formulas, so both are bit-exact there;
+        # levels above J are added per level on top of the table.
+        levels = list(enumerate(amps, start=1))
+        table_levels = min(self.levels, _TENT_TABLE_LEVELS)
+        self._table_bits = table_levels + 1
+        self._tail = levels[table_levels:]
+        nodes = np.ldexp(np.arange(2.0 ** self._table_bits + 1),
+                         -self._table_bits)
+        head = levels[:table_levels]
+        self._node_q = _add_tent_values(np.zeros_like(nodes), nodes, head)
+        # dq[-1] = 0 so that t = 1 reads the last node with offset 0
+        self._node_dq = np.append(np.diff(self._node_q), 0.0)
+        self._node_int = _add_tent_integrals(np.zeros_like(nodes), nodes,
+                                             head)
+
+    def _cell(self, t):
+        """Node index i and offset u in [0, 1) with t = (i + u) / 2^(J+1)."""
+        z = np.ldexp(t, self._table_bits)
+        i = np.floor(z)
+        z -= i
+        return i.astype(np.intp), z
 
     def _eval(self, t):
-        acc = np.zeros_like(t)
-        for j, a in enumerate(self.amplitudes, start=1):
-            z = np.ldexp(t, j)          # 2^j * t, exact scaling
-            u = z - np.floor(z)
-            acc += a * (1.0 - np.abs(2.0 * u - 1.0))
-        return acc
+        i, u = self._cell(t)
+        acc = np.take(self._node_dq, i)
+        acc *= u
+        acc += np.take(self._node_q, i)
+        return _add_tent_values(acc, t, self._tail)
 
     def _antiderivative_exact(self, t):
-        acc = np.zeros_like(t)
-        for j, a in enumerate(self.amplitudes, start=1):
-            z = np.ldexp(t, j)
-            k = np.floor(z)
-            u = z - k
-            tent_int = np.where(u <= 0.5, u * u, 2.0 * u - u * u - 0.5)
-            acc += a * np.ldexp(0.5 * k + tent_int, -j)
-        return acc
+        i, u = self._cell(t)
+        cell = np.take(self._node_dq, i)
+        cell *= 0.5 * u
+        cell += np.take(self._node_q, i)
+        cell *= u
+        acc = np.take(self._node_int, i)
+        acc += np.ldexp(cell, -self._table_bits)
+        return _add_tent_integrals(acc, t, self._tail)
 
     def params(self):
         return {"amplitudes": list(self.amplitudes)}

@@ -28,6 +28,14 @@ def test_expm_validation():
         tl.expm(np.diag([300.0, 0.0]))
 
 
+def test_expm_cap_is_on_the_two_norm():
+    # ||diag(150, 150)||_F = 212 > 200 = cap, but its 2-norm is 150
+    got = tl.expm(np.diag([150.0, 150.0]), norm_cap=200.0)
+    assert np.allclose(np.diag(got), [math.exp(150.0)] * 2, rtol=1e-12)
+    with pytest.raises(OverflowError):
+        tl.expm(np.diag([250.0, 1.0]), norm_cap=200.0)
+
+
 def test_spectral_norm_known_values():
     assert tl.spectral_norm(np.diag([3.0, -1.0])) == pytest.approx(3.0, abs=1e-10)
     assert tl.spectral_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0, abs=1e-10)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trotter_lab as tl
 from trotter_lab.potentials import CallablePotential
@@ -195,6 +197,69 @@ def test_tent_validation():
         tl.build_tent_train([1.0, 0.5], levels=3)
     with pytest.raises(ValueError):
         tl.build_tent_train([1.0, -0.5])
+
+
+# Tent trains around the 16-level node table: levels above 16 are added per
+# level on top of it.
+TENT_LEVELS = (1, 6, 12, 16, 17, 20)
+TENTS = {L: tl.build_tent_train([1.0 / j for j in range(1, L + 1)])
+         for L in TENT_LEVELS}
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+def tent_per_level(amps, t):
+    """q(t) as one pass per level: the tent-train definition."""
+    acc = np.zeros_like(t)
+    for j, a in enumerate(amps, start=1):
+        z = np.ldexp(t, j)
+        u = z - np.floor(z)
+        acc += a * (1.0 - np.abs(2.0 * u - 1.0))
+    return acc
+
+
+def tent_integral_per_level(amps, t):
+    """Integral of q from 0 to t, one closed-form pass per level."""
+    acc = np.zeros_like(t)
+    for j, a in enumerate(amps, start=1):
+        z = np.ldexp(t, j)
+        k = np.floor(z)
+        u = z - k
+        tent_int = np.where(u <= 0.5, u * u, 2.0 * u - u * u - 0.5)
+        acc += a * np.ldexp(0.5 * k + tent_int, -j)
+    return acc
+
+
+@PROPERTY
+@given(x=st.floats(0.0, 1.0), level=st.sampled_from(TENT_LEVELS))
+def test_tent_table_matches_per_level(x, level):
+    q = TENTS[level]
+    t = np.array([x])
+    assert abs(q(x) - tent_per_level(q.amplitudes, t)[0]) <= 1e-13
+    assert (abs(q.antiderivative(x) - tent_integral_per_level(q.amplitudes, t)[0])
+            <= 1e-13)
+
+
+@pytest.mark.parametrize("level", TENT_LEVELS)
+def test_tent_table_bit_exact_at_nodes(level):
+    q = TENTS[level]
+    bits = min(level, 16) + 1
+    nodes = np.ldexp(np.arange(2.0 ** bits + 1), -bits)
+    assert nodes[0] == 0.0 and nodes[-1] == 1.0
+    assert np.array_equal(q(nodes), tent_per_level(q.amplitudes, nodes))
+    assert np.array_equal(q.antiderivative(nodes),
+                          tent_integral_per_level(q.amplitudes, nodes))
+
+
+@PROPERTY
+@given(t=st.floats(0.0, 1.0), s=st.floats(0.0, 1.0),
+       n=st.integers(1, 2048), level=st.sampled_from(TENT_LEVELS))
+def test_tent_left_sums_match_brute_force(t, s, n, level):
+    q = TENTS[level]
+    xs = s + (t - s) * (np.arange(n) / n)
+    want = tent_per_level(q.amplitudes, xs).sum() * (t - s) / n
+    got = tl.left_darboux_sums(q, np.array([t]), np.array([s]), n)[0]
+    assert abs(got - want) <= 1e-12
 
 
 def test_antiderivative_examples():
