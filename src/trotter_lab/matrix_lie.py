@@ -36,13 +36,15 @@ def spectral_norm(M, tol: float = _NORM_TOL, max_iter: int = 10000) -> float:
     v /= np.linalg.norm(v)
     lam_prev = 0.0
     lam = 0.0
+    w = H @ v
     for _ in range(max_iter):
-        w = H @ v
-        nw = np.linalg.norm(w)
+        nw = math.sqrt(np.vdot(w, w).real)
         if nw == 0.0:
             return 0.0
         v = w / nw
-        lam = float(np.real(v.conj() @ (H @ v)))
+        # H v is both this step's Rayleigh quotient and the next iterate
+        w = H @ v
+        lam = float(np.vdot(v, w).real)
         if abs(lam - lam_prev) <= tol * max(abs(lam), 1.0):
             break
         lam_prev = lam

@@ -9,6 +9,11 @@ Value convention at jumps: a piecewise potential takes the value of the
 piece on [a, b) at its left endpoint, and the value of the last piece at
 t = 1.  This pins an everywhere-defined representative; it differs from
 the underlying a.e. class only on the finite breakpoint set.
+
+Step potentials find the piece of a point in a table over the 2^16 dyadic
+cells [c/2^16, (c+1)/2^16); only points in the cells that a breakpoint
+splits fall back to a binary search (``searchsorted``) over the
+breakpoints, so the result is the same as searching every point.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ _PIECE_BLOCK = 500_000
 # TentTrain tabulates its first levels on a dyadic node grid; 16 levels
 # take 2^17 + 1 nodes, about 3 MB for the three tables.
 _TENT_TABLE_LEVELS = 16
+# PiecewiseConstant tabulates the piece of each of 2^16 dyadic cells, 512 kB
+# of indices.
+_STEP_TABLE_BITS = 16
 
 
 def _as_domain_array(t) -> tuple[np.ndarray, bool]:
@@ -40,10 +48,11 @@ def _as_domain_array(t) -> tuple[np.ndarray, bool]:
     scalar = arr.ndim == 0
     if scalar:
         arr = arr.reshape(1)
-    if np.any(np.isnan(arr)):
-        raise ValueError("potential argument is NaN")
     lo = arr.min(initial=0.0)
     hi = arr.max(initial=1.0)
+    # min and max propagate NaN, so no separate isnan pass is needed
+    if lo != lo or hi != hi:
+        raise ValueError("potential argument is NaN")
     if lo < -_DOMAIN_SLOP or hi > 1.0 + _DOMAIN_SLOP:
         raise ValueError(
             f"potential argument outside [0, 1]: range [{lo}, {hi}]"
@@ -283,6 +292,15 @@ class PiecewiseConstant(Potential):
         self._vals = np.array(vals)
         widths = np.diff(self._bp)
         self._cum = np.concatenate(([0.0], np.cumsum(self._vals * widths)))
+        # Piece of each dyadic cell, or -1 where a breakpoint splits it; the
+        # piece index is monotone in t, so a cell whose two ends share a
+        # piece holds no breakpoint.  The last entry is the piece of t = 1.
+        edges = np.ldexp(np.arange(2.0 ** _STEP_TABLE_BITS + 1),
+                         -_STEP_TABLE_BITS)
+        first = self._search_piece(edges[:-1])
+        last = self._search_piece(np.nextafter(edges[1:], 0.0))
+        self._cell_piece = np.append(np.where(first == last, first, -1),
+                                     len(vals) - 1)
         super().__init__(sup_norm=max(vals), exact_integrable=True)
 
     @property
@@ -290,12 +308,22 @@ class PiecewiseConstant(Potential):
         """Number of jump locations strictly inside (0, 1)."""
         return len(self.breakpoints) - 2
 
-    def _piece_index(self, t):
+    def _search_piece(self, t):
         idx = np.searchsorted(self._bp, t, side="right") - 1
         return np.clip(idx, 0, len(self._vals) - 1)
 
+    def _piece_index(self, t):
+        """Piece of each t in [0, 1]: a cell-table read, with a binary
+        search only for the points in cells that a breakpoint splits."""
+        idx = np.take(self._cell_piece,
+                      np.ldexp(t, _STEP_TABLE_BITS).astype(np.intp))
+        mixed = idx < 0
+        if mixed.any():
+            idx[mixed] = self._search_piece(t[mixed])
+        return idx
+
     def _eval(self, t):
-        return self._vals[self._piece_index(t)]
+        return np.take(self._vals, self._piece_index(t))
 
     def _antiderivative_exact(self, t):
         idx = self._piece_index(t)

@@ -158,7 +158,7 @@ def _per_tau_exact(q: PiecewiseConstant, tau: float, n: int) -> tuple[float, flo
     segment |e^{-I(t)} - e^{-S}| is monotone, hence the sup over t is
     attained at a segment endpoint (one-sided).
     """
-    bp = np.array([float(b) for b in q.breakpoints])
+    bp = q._bp
     offsets = tau - np.arange(n + 1) * (tau / n)
     ev = (bp[None, :] + offsets[:, None]).ravel()
     ev = ev[(ev > tau) & (ev < 1.0)]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import trotter_lab as tl
 from trotter_lab.potentials import Potential
+from trotter_lab.sup_search import SearchConfig, default_hints
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -153,6 +154,27 @@ def test_cantor_dyadic_corners(depth):
             assert np.array_equal(got, sampled(q, t, s, n))
             if m <= depth and n == 2 ** m:
                 assert got[0] == 0.0
+
+
+def test_cantor_depth_10_sampled_sums_match_search_oracle():
+    # K = 1320 >= n, so these sums sample q, which reads its cell table
+    q, _ = tl.build_cantor(10)
+    bp = np.array([float(b) for b in q.breakpoints])
+    vals = np.array(q.values)
+    rng = np.random.default_rng(4)
+    s = rng.uniform(0.0, 1.0, 200)
+    t = rng.uniform(s, 1.0)
+    for m in range(1, 11):
+        n = 2 ** m
+        assert q.left_sum_kernel(n) == "sampled"
+        hints = default_hints(q, n, SearchConfig().s_min)
+        tt = np.concatenate((t, [p.t for p in hints]))
+        ss = np.concatenate((s, [p.s for p in hints]))
+        xi = ss[:, None] + (tt - ss)[:, None] * (np.arange(n) / n)
+        idx = np.clip(np.searchsorted(bp, xi, side="right") - 1,
+                      0, len(vals) - 1)
+        want = vals[idx].mean(axis=1) * (tt - ss)
+        assert np.array_equal(kernel(q, tt, ss, n), want), m
 
 
 def test_equal_endpoints_give_zero():

@@ -36,6 +36,20 @@ def test_domain_error(bad):
         tl.Linear()(bad)
 
 
+@pytest.mark.parametrize("neighbour", [0.5, 1.5])
+def test_nan_is_named_in_long_arrays(neighbour):
+    # NaN is caught through min/max, before the range check
+    x = np.linspace(0.0, 1.0, 100_001)
+    x[50_000] = np.nan
+    x[50_001] = neighbour
+    for q in (tl.Linear(), tl.build_cantor(3)[0],
+              tl.build_tent_train([1.0, 0.5])):
+        with pytest.raises(ValueError, match="NaN"):
+            q(x)
+        with pytest.raises(ValueError, match="NaN"):
+            q.antiderivative(x)
+
+
 def test_scalar_vs_array_eval():
     q = tl.build_weierstrass(0.5, 4)
     ts = np.linspace(0.0, 1.0, 17)
@@ -260,6 +274,57 @@ def test_tent_left_sums_match_brute_force(t, s, n, level):
     want = tent_per_level(q.amplitudes, xs).sum() * (t - s) / n
     got = tl.left_darboux_sums(q, np.array([t]), np.array([s]), n)[0]
     assert abs(got - want) <= 1e-12
+
+
+# Step potentials read their piece from a table over the cells
+# [c/2^16, (c+1)/2^16); these are checked against a plain binary search.
+CELL_BITS = 16
+STEP_POTENTIALS = {
+    "thirds": tl.PiecewiseConstant(
+        [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
+        [1.0, 0.0, 2.0]),
+    "sevenths": tl.PiecewiseConstant([Fraction(k, 7) for k in range(8)],
+                                     [0.5, 3.0, 0.0, 1.0, 2.5, 0.25, 4.0]),
+    **{f"cantor{d}": tl.build_cantor(d)[0] for d in range(1, 11)},
+    # more pieces than cells: nearly every cell falls back to the search
+    "70000": tl.PiecewiseConstant([Fraction(k, 70_000) for k in range(70_001)],
+                                  [float(k % 5) for k in range(70_000)]),
+}
+
+
+def step_oracle(q, x):
+    """q(x) and its antiderivative via searchsorted over the breakpoints."""
+    bp = np.array([float(b) for b in q.breakpoints])
+    vals = np.array(q.values)
+    cum = np.concatenate(([0.0], np.cumsum(vals * np.diff(bp))))
+    idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, len(vals) - 1)
+    return vals[idx], cum[idx] + vals[idx] * (x - bp[idx])
+
+
+def assert_step_matches_oracle(q, x):
+    want_q, want_int = step_oracle(q, x)
+    assert np.array_equal(q(x), want_q)
+    assert np.array_equal(q.antiderivative(x), want_int)
+    assert q(x[0]) == want_q[0]
+    assert q.antiderivative(x[0]) == want_int[0]
+
+
+@PROPERTY
+@given(xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       name=st.sampled_from(sorted(STEP_POTENTIALS)))
+def test_step_table_matches_search(xs, name):
+    assert_step_matches_oracle(STEP_POTENTIALS[name], np.array(xs))
+
+
+@pytest.mark.parametrize("name", sorted(STEP_POTENTIALS))
+def test_step_table_at_breakpoints_and_cell_edges(name):
+    q = STEP_POTENTIALS[name]
+    bp = np.array([float(b) for b in q.breakpoints])
+    edges = np.ldexp(np.arange(2.0 ** CELL_BITS + 1), -CELL_BITS)
+    x = np.concatenate((bp, np.nextafter(bp, 0.0), np.nextafter(bp, 1.0),
+                        edges, np.nextafter(edges, 0.0), [0.0, 1.0]))
+    x = x[(x >= 0.0) & (x <= 1.0)]
+    assert_step_matches_oracle(q, x)
 
 
 def test_antiderivative_examples():
