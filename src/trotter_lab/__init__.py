@@ -19,8 +19,7 @@ from .quadrature import (DeltaPair, PropagatorGap, integrate,
                          left_darboux_sum, left_darboux_sums, propagators,
                          riemann_error, riemann_errors)
 from .sup_search import (RiemannReport, SearchConfig, SearchTrace,
-                         certified_upper_bound, sup_riemann_error,
-                         trotter_error_sandwich)
+                         sup_riemann_error, trotter_error_sandwich)
 from .semigroup import (GridFunction, apply_exact, apply_mult_semigroup,
                         apply_shift, apply_trotter, operator_norm_oracle,
                         per_tau_operator_norm, strong_convergence_curve)
@@ -41,7 +40,7 @@ __all__ = [
     "DeltaPair", "PropagatorGap", "integrate", "left_darboux_sum",
     "left_darboux_sums", "riemann_error", "riemann_errors", "propagators",
     "SearchConfig", "SearchTrace", "RiemannReport", "sup_riemann_error",
-    "trotter_error_sandwich", "certified_upper_bound",
+    "trotter_error_sandwich",
     "GridFunction", "apply_shift", "apply_mult_semigroup", "apply_exact",
     "apply_trotter", "per_tau_operator_norm", "operator_norm_oracle",
     "strong_convergence_curve",

@@ -10,8 +10,8 @@ the generated_at timestamp (CSV: first comment line; JSON: meta field).
 Exit codes: 0 success, 2 argument/spec errors, 3 search budget exhausted
 (a partial report is still written, flagged in the meta).
 
-The environment variable TROTTER_LAB_THREADS caps worker threads for the
-sweeps (default 1).
+Potential shorthands are text syntax over `potentials.from_spec`, so the
+CLI and spec files accept the same kind names and aliases.
 """
 
 from __future__ import annotations
@@ -21,23 +21,18 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
-from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
 from .errors import BudgetExceededError, TrotterLabError
 from .matrix_lie import lie_error, random_matrix_pair, spectral_norm, telescoping_residual
-from .potentials import Potential, build_cantor, build_tent_train, build_weierstrass, from_spec
-from .quadrature import DeltaPair
+from .potentials import Potential, build_cantor, from_spec
 from .rates import fit_loglog, holder_bound_check
 from .semigroup import (GridFunction, operator_norm_oracle,
-                        _per_tau_norm_argmax, per_tau_operator_norm,
-                        strong_convergence_curve)
+                        _per_tau_norm_argmax, strong_convergence_curve)
 from .sup_search import SearchConfig, sup_riemann_error, trotter_error_sandwich
 
 COLUMNS = ("command", "potential", "n", "value", "lower", "upper",
@@ -96,51 +91,28 @@ def parse_potential(text: str, args=None) -> Potential:
     Shorthands: 'constant[:c=1]', 'linear[:slope=1,intercept=0]',
     'weier:beta=0.5,levels=12', 'cantor:depth=3', 'tent:harmonic=12',
     'tent:amplitudes=1+0.5+0.25', 'pw:breakpoints=0+1/2+1,values=1+0'.
-    Missing weier/cantor/tent parameters fall back to --beta, --levels,
-    --depth when those flags are present.
+    The name is any kind from_spec accepts; 'harmonic=L' means the
+    amplitudes 1/j for j = 1..L.  Missing beta/levels/depth/harmonic
+    parameters fall back to --beta, --levels, --depth and --levels when
+    those flags are present.
     """
     text = text.strip()
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
             return from_spec(json.load(fh))
     name, _, rest = text.partition(":")
-    name = name.strip().lower()
-    kv = _parse_kv(rest)
-
-    def fallback(key, flag, default=None):
-        if key in kv:
-            return kv[key]
-        if args is not None and getattr(args, flag, None) is not None:
-            return getattr(args, flag)
-        if default is not None:
-            return default
-        raise ValueError(f"potential {name!r} needs {key}= or --{flag}")
-
-    if name == "constant":
-        return from_spec({"kind": "constant", "params": {"c": float(kv.get("c", 1.0))}})
-    if name == "linear":
-        return from_spec({"kind": "linear", "params": {
-            "slope": float(kv.get("slope", 1.0)),
-            "intercept": float(kv.get("intercept", 0.0))}})
-    if name in ("weier", "weierstrass"):
-        return build_weierstrass(float(fallback("beta", "beta")),
-                                 int(fallback("levels", "levels")))
-    if name in ("cantor", "cantorindicator"):
-        return build_cantor(int(fallback("depth", "depth")))[0]
-    if name in ("tent", "tenttrain"):
-        if "amplitudes" in kv:
-            amps = [float(a) for a in kv["amplitudes"].split("+")]
-        else:
-            levels = int(fallback("harmonic", "levels"))
-            amps = [1.0 / j for j in range(1, levels + 1)]
-        return build_tent_train(amps)
-    if name in ("pw", "piecewise"):
-        bps = [Fraction(b) for b in kv["breakpoints"].split("+")]
-        vals = [float(v) for v in kv["values"].split("+")]
-        return from_spec({"kind": "piecewise_constant",
-                          "params": {"breakpoints": [str(b) for b in bps],
-                                     "values": vals}})
-    raise ValueError(f"unknown potential shorthand {name!r}")
+    params: dict = _parse_kv(rest)
+    for key, flag in (("beta", "beta"), ("levels", "levels"),
+                      ("depth", "depth"), ("harmonic", "levels")):
+        if key not in params and getattr(args, flag, None) is not None:
+            params[key] = getattr(args, flag)
+    for key in ("amplitudes", "breakpoints", "values"):  # '+' lists
+        if key in params:
+            params[key] = params[key].split("+")
+    if "harmonic" in params and "amplitudes" not in params:
+        levels = int(params["harmonic"])
+        params["amplitudes"] = [1.0 / j for j in range(1, levels + 1)]
+    return from_spec({"kind": name.strip(), "params": params})
 
 
 # ---------------------------------------------------------------- output
@@ -181,24 +153,9 @@ def write_report(path: str | None, fmt: str, meta: dict, rows: list[dict]) -> No
             fh.write(text)
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("TROTTER_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
-def _search_config(args, hints=()) -> SearchConfig:
+def _search_config(args) -> SearchConfig:
     return SearchConfig(coarse_grid=args.grid, refine_levels=args.refine,
-                        hint_points=tuple(hints), max_evals=args.max_evals)
+                        max_evals=args.max_evals)
 
 
 # ---------------------------------------------------------------- commands
@@ -214,17 +171,14 @@ def cmd_rates(args) -> int:
 
     reports = []
     exhausted = False
-    if args.max_evals is None:
-        reports = _parallel_map(lambda n: sup_riemann_error(q, n, cfg), ns)
-    else:
-        # budget accounting is per search; stop the sweep at first exhaustion
-        for n in ns:
-            try:
-                reports.append(sup_riemann_error(q, n, cfg))
-            except BudgetExceededError as exc:
-                reports.append(exc.partial)
-                exhausted = True
-                break
+    # budget accounting is per search; stop the sweep at first exhaustion
+    for n in ns:
+        try:
+            reports.append(sup_riemann_error(q, n, cfg))
+        except BudgetExceededError as exc:
+            reports.append(exc.partial)
+            exhausted = True
+            break
 
     check = holder_bound_check(q, reports) if q.holder_meta else None
     for i, rep in enumerate(reports):
@@ -267,8 +221,7 @@ def cmd_cantor(args) -> int:
     exhausted = False
     for m in ms:
         n = 2 ** m
-        eps = 1.0 / (3.0 * 2.0 ** (2 * m + 2))
-        floor = float(cons.complement_measure) - 2.0 * eps
+        floor = float(cons.complement_measure) - 2.0 * q.corner_width(m)
         try:
             rep = sup_riemann_error(q, n, cfg)
         except BudgetExceededError as exc:
@@ -307,12 +260,13 @@ def cmd_oracle(args) -> int:
     taus = [j / args.tau_grid for j in range(1, args.tau_grid + 1)]
     rows: list[dict] = []
 
-    def tau_sweep(n: int) -> tuple[float, float]:
-        vals = [(per_tau_operator_norm(q, tau, n), tau) for tau in taus]
-        return max(vals)
+    def tau_sweep(n: int) -> tuple[float, float, float]:
+        # (norm, tau, t*) at the largest norm, ties to the larger tau
+        return max((norm, tau, t_star) for tau in taus
+                   for norm, t_star in [_per_tau_norm_argmax(q, tau, n)])
 
-    for n, (symbol_max, tau_star) in zip(ns, _parallel_map(tau_sweep, ns)):
-        _, t_star = _per_tau_norm_argmax(q, tau_star, n)
+    for n in ns:
+        symbol_max, tau_star, t_star = tau_sweep(n)
         lower, upper = trotter_error_sandwich(q, n, cfg)
         contained = lower - 1e-3 <= symbol_max <= upper + 1e-3
         rows.append(_row("oracle/symbol", label, n, symbol_max, lower, upper,

@@ -4,6 +4,9 @@ Each potential knows how to evaluate itself at scalar or array arguments,
 carries a certified upper bound on its sup norm, and exposes an exact
 antiderivative whenever one exists in closed form.  Discontinuous families
 keep exact rational breakpoints so that downstream quadrature is exact.
+The family rules that the search and the semigroup read are methods:
+the certified left-sum error bound, corner hints and step breakpoints.
+``from_spec`` resolves every kind name and alias through one table.
 
 Value convention at jumps: a piecewise potential takes the value of the
 piece on [a, b) at its left endpoint, and the value of the last piece at
@@ -18,7 +21,6 @@ breakpoints, so the result is the same as searching every point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -34,6 +36,8 @@ _DOMAIN_SLOP = 1e-12
 # Pair x breakpoint elements per block of the piece-count left-sum kernel;
 # larger blocks raise peak memory without running faster.
 _PIECE_BLOCK = 500_000
+# Sample points per block of the sampled left-sum kernel.
+_SAMPLE_CHUNK = 4_000_000
 # TentTrain tabulates its first levels on a dyadic node grid; 16 levels
 # take 2^17 + 1 nodes, about 3 MB for the three tables.
 _TENT_TABLE_LEVELS = 16
@@ -106,6 +110,10 @@ class HolderCertificate:
         if self.constant < 0.0:
             raise ValueError("Holder constant must be >= 0")
 
+    def error_bound(self, n: int) -> float:
+        """L / n^beta >= L (t-s)^{1+beta} / n^beta, any n-step left-sum error."""
+        return self.constant / float(n) ** self.beta
+
 
 class Potential:
     """A bounded measurable q: [0, 1] -> [0, inf).
@@ -115,9 +123,12 @@ class Potential:
         sup_norm: a valid upper bound for ess sup |q|.
         exact_integrable: True when the antiderivative has a closed form.
         holder_meta: optional HolderCertificate.
+        step_breakpoints: float breakpoints 0 = b_0 < ... < b_K = 1 of a
+            step function, or None for every other family.
     """
 
     kind: str = "Abstract"
+    step_breakpoints: np.ndarray | None = None
 
     def __init__(self, sup_norm: float, exact_integrable: bool,
                  holder_meta: HolderCertificate | None = None):
@@ -146,22 +157,33 @@ class Potential:
             out = self._antiderivative_quad(arr, tol)
         return float(out[0]) if scalar else out
 
+    def certified_upper_bound(self, n: int) -> float | None:
+        """A proven ceiling on every n-step left-sum error, or None; by
+        default the Holder bound L / n^beta."""
+        if self.holder_meta is None:
+            return None
+        return self.holder_meta.error_bound(n)
+
+    def corner_hints(self) -> list[tuple[float, float]]:
+        """Windows (t, s) known to nearly maximize the left-sum error, which
+        a sup search probes first; none by default."""
+        return []
+
     def left_sum_kernel(self, n: int) -> str:
         """Which kernel `left_sums` runs at n: "closed-form", "piece-count"
         or "sampled"."""
         return "sampled"
 
-    def left_sums(self, t: np.ndarray, s: np.ndarray, n: int,
-                  chunk: int = 4_000_000) -> np.ndarray:
+    def left_sums(self, t: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
         """Left Riemann sums over the windows [s_i, t_i] on n equal steps.
 
         ``t`` and ``s`` are matching 1-D float arrays.  This default samples
-        q at s + k*(t-s)/n for k = 0..n-1, holding about ``chunk`` points at
-        a time; families with an exact kernel override it, and tests keep
-        this loop as their reference.
+        q at s + k*(t-s)/n for k = 0..n-1, holding about ``_SAMPLE_CHUNK``
+        points at a time; families with an exact kernel override it, and
+        tests keep this loop as their reference.
         """
         out = np.empty(t.shape)
-        block = max(1, chunk // n)
+        block = max(1, _SAMPLE_CHUNK // n)
         frac = np.arange(n) / n
         for i in range(0, len(t), block):
             tt = t[i:i + block, None]
@@ -223,7 +245,7 @@ class Constant(Potential):
     def left_sum_kernel(self, n):
         return "closed-form"
 
-    def left_sums(self, t, s, n, chunk=4_000_000):
+    def left_sums(self, t, s, n):
         _check_endpoints(t, s)
         return self.c * (t - s)
 
@@ -252,10 +274,15 @@ class Linear(Potential):
     def _antiderivative_exact(self, t):
         return self.intercept * t + 0.5 * self.slope * t * t
 
+    def certified_upper_bound(self, n):
+        """The left-sum error is exactly slope (t-s)^2 / (2n), whose sup over
+        the triangle is |slope| / (2n), below the Lipschitz bound."""
+        return abs(self.slope) / (2.0 * n)
+
     def left_sum_kernel(self, n):
         return "closed-form"
 
-    def left_sums(self, t, s, n, chunk=4_000_000):
+    def left_sums(self, t, s, n):
         """h * sum_k (intercept + slope*(s + k h)) with h = (t-s)/n."""
         _check_endpoints(t, s)
         h = (t - s) / n
@@ -288,9 +315,9 @@ class PiecewiseConstant(Potential):
             raise ValueError("piece values must be >= 0")
         self.breakpoints = bps
         self.values = vals
-        self._bp = np.array([float(b) for b in bps])
+        self.step_breakpoints = np.array([float(b) for b in bps])
         self._vals = np.array(vals)
-        widths = np.diff(self._bp)
+        widths = np.diff(self.step_breakpoints)
         self._cum = np.concatenate(([0.0], np.cumsum(self._vals * widths)))
         # Piece of each dyadic cell, or -1 where a breakpoint splits it; the
         # piece index is monotone in t, so a cell whose two ends share a
@@ -309,7 +336,7 @@ class PiecewiseConstant(Potential):
         return len(self.breakpoints) - 2
 
     def _search_piece(self, t):
-        idx = np.searchsorted(self._bp, t, side="right") - 1
+        idx = np.searchsorted(self.step_breakpoints, t, side="right") - 1
         return np.clip(idx, 0, len(self._vals) - 1)
 
     def _piece_index(self, t):
@@ -327,13 +354,19 @@ class PiecewiseConstant(Potential):
 
     def _antiderivative_exact(self, t):
         idx = self._piece_index(t)
-        return self._cum[idx] + self._vals[idx] * (t - self._bp[idx])
+        return (self._cum[idx]
+                + self._vals[idx] * (t - self.step_breakpoints[idx]))
+
+    def certified_upper_bound(self, n):
+        """Only steps holding one of the K jumps err, each by at most
+        (t-s)/n * sup_norm: sup_norm * min(1, K/n) in all."""
+        return self.sup_norm * min(1.0, self.internal_breakpoint_count / n)
 
     def left_sum_kernel(self, n):
         return ("piece-count" if self.internal_breakpoint_count < n
                 else "sampled")
 
-    def left_sums(self, t, s, n, chunk=4_000_000):
+    def left_sums(self, t, s, n):
         """Counts the samples at or right of each of the K interior
         breakpoints b, in O(K) per window when K < n.
 
@@ -343,9 +376,9 @@ class PiecewiseConstant(Potential):
         samples run right to left, are sampled.
         """
         if self.left_sum_kernel(n) == "sampled":
-            return super().left_sums(t, s, n, chunk)
+            return super().left_sums(t, s, n)
         _check_endpoints(t, s)
-        bp = self._bp[1:-1]
+        bp = self.step_breakpoints[1:-1]
         jumps = np.diff(self._vals)
         out = np.empty(t.shape)
         block = max(1, _PIECE_BLOCK // max(1, len(bp)))
@@ -357,7 +390,7 @@ class PiecewiseConstant(Potential):
             out[i:i + block] = total / n * (tt[:, 0] - ss[:, 0])
         back = t < s
         if back.any():
-            out[back] = super().left_sums(t[back], s[back], n, chunk)
+            out[back] = super().left_sums(t[back], s[back], n)
         return out
 
     def params(self):
@@ -405,7 +438,7 @@ class HolderWeierstrass(Potential):
     def left_sum_kernel(self, n):
         return "closed-form"
 
-    def left_sums(self, t, s, n, chunk=4_000_000):
+    def left_sums(self, t, s, n):
         """Sums each level in closed form with the Dirichlet kernel
 
             sum_k cos(w(s + k h)) = sin(n th)/sin(th) * cos(w s + (n-1) th)
@@ -579,6 +612,17 @@ class CantorIndicator(PiecewiseConstant):
         # indicator range is {0, 1}; the generic bound max(values) == 1
         self.sup_norm = 1.0
 
+    @staticmethod
+    def corner_width(m: int) -> float:
+        """eps_m = 1/(3*4^{m+1}): the left sums of step 2^{-m} over the
+        window (eps_m/2, 1 - eps_m/2) vanish identically."""
+        return 1.0 / (3.0 * 2.0 ** (2 * m + 2))
+
+    def corner_hints(self):
+        """The windows (1 - eps_m/2, eps_m/2) for m = 1..depth."""
+        return [(1.0 - 0.5 * eps, 0.5 * eps)
+                for eps in map(self.corner_width, range(1, self.depth + 1))]
+
     def params(self):
         return {"depth": self.depth}
 
@@ -687,33 +731,60 @@ def build_tent_train(amplitudes: Sequence[float],
     return TentTrain(amps)
 
 
-_SPEC_KINDS = {
-    "constant": lambda p: Constant(float(p.get("c", 1.0))),
-    "linear": lambda p: Linear(float(p.get("slope", 1.0)),
-                               float(p.get("intercept", 0.0))),
-    "piecewiseconstant": lambda p: PiecewiseConstant(
-        [Fraction(str(b)) for b in p["breakpoints"]], p["values"]),
-    "holderweierstrass": lambda p: build_weierstrass(
-        float(p["beta"]), int(p["levels"])),
-    "weierstrass": lambda p: build_weierstrass(
-        float(p["beta"]), int(p["levels"])),
-    "tenttrain": lambda p: build_tent_train(
-        [float(a) for a in p["amplitudes"]]),
-    "cantorindicator": lambda p: build_cantor(int(p["depth"]))[0],
-    "cantor": lambda p: build_cantor(int(p["depth"]))[0],
-}
+# The only table of potential kind names: every name and alias that
+# from_spec (and so the CLI) accepts, lower case without '_' or '-'.  Each
+# constructor reads its parameters through from_spec's ``param``.
+_SPEC_KINDS = {alias: build for aliases, build in (
+    (("constant",), lambda param: Constant(param("c", float, 1.0))),
+    (("linear",), lambda param: Linear(param("slope", float, 1.0),
+                                       param("intercept", float, 0.0))),
+    (("piecewiseconstant", "piecewise", "pw"),
+     lambda param: PiecewiseConstant(
+         param("breakpoints", lambda b: Fraction(str(b)), many=True),
+         param("values", float, many=True))),
+    (("holderweierstrass", "weierstrass", "weier"),
+     lambda param: build_weierstrass(param("beta", float),
+                                     param("levels", int))),
+    (("tenttrain", "tent"),
+     lambda param: build_tent_train(param("amplitudes", float, many=True))),
+    (("cantorindicator", "cantor"),
+     lambda param: build_cantor(param("depth", int))[0]),
+) for alias in aliases}
 
 
 def from_spec(spec: dict) -> Potential:
-    """Resolve a {"kind": ..., "params": {...}} description to a Potential."""
+    """Resolve a {"kind": ..., "params": {...}} description to a Potential.
+
+    A missing required parameter, or one that does not convert, raises a
+    ValueError naming the kind and the parameter.
+    """
     try:
         kind = str(spec["kind"])
     except (KeyError, TypeError):
         raise ValueError("potential spec needs a 'kind' key") from None
-    key = kind.replace("_", "").replace("-", "").lower()
-    if key not in _SPEC_KINDS:
+    build = _SPEC_KINDS.get(kind.replace("_", "").replace("-", "").lower())
+    if build is None:
         raise ValueError(f"unknown potential kind {kind!r}")
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("'params' must be a mapping")
-    return _SPEC_KINDS[key](params)
+
+    def param(key, conv, default=None, many=False):
+        """params[key] through conv (itemwise for a list when many)."""
+        if key not in params:
+            if default is None:
+                raise ValueError(
+                    f"potential kind {kind!r} needs parameter {key!r}")
+            return default
+        value = params[key]
+        try:
+            if not many:
+                return conv(value)
+            if not isinstance(value, (list, tuple)):
+                raise TypeError(f"expected a list, got {value!r}")
+            return [conv(v) for v in value]
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ValueError(f"potential kind {kind!r}: bad parameter "
+                             f"{key!r} ({exc})") from None
+
+    return build(param)

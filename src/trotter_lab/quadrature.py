@@ -52,12 +52,10 @@ def integrate(q: Potential, pt: DeltaPair) -> float:
     return max(0.0, float(val))
 
 
-def left_darboux_sums(q: Potential, t, s, n: int,
-                      chunk: int = 4_000_000) -> np.ndarray:
+def left_darboux_sums(q: Potential, t, s, n: int) -> np.ndarray:
     """Left Riemann sums for arrays of pairs, by the family's kernel.
 
     Sample k of pair i sits at s[i] + k*(t[i]-s[i])/n for k = 0..n-1.
-    ``chunk`` bounds the points a sampling kernel holds at once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -65,7 +63,7 @@ def left_darboux_sums(q: Potential, t, s, n: int,
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if t.shape != s.shape:
         raise ValueError("t and s must have matching shapes")
-    return q.left_sums(t, s, n, chunk=chunk)
+    return q.left_sums(t, s, n)
 
 
 def left_darboux_sum(q: Potential, pt: DeltaPair, n: int) -> float:
@@ -73,13 +71,12 @@ def left_darboux_sum(q: Potential, pt: DeltaPair, n: int) -> float:
     return float(left_darboux_sums(q, [pt.t], [pt.s], n)[0])
 
 
-def riemann_errors(q: Potential, t, s, n: int,
-                   chunk: int = 4_000_000) -> np.ndarray:
+def riemann_errors(q: Potential, t, s, n: int) -> np.ndarray:
     """|integral - left sum| for arrays of pairs."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
     integrals = q.antiderivative(t) - q.antiderivative(s)
-    sums = left_darboux_sums(q, t, s, n, chunk=chunk)
+    sums = left_darboux_sums(q, t, s, n)
     return np.abs(integrals - sums)
 
 

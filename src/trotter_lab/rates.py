@@ -122,11 +122,10 @@ def holder_bound_check(q: Potential,
     """Check every searched value against the certificate bound."""
     if q.holder_meta is None:
         raise ValueError("potential carries no Holder certificate")
-    cert = q.holder_meta
     margins = []
     violations = []
     for rep in reports:
-        bound = cert.constant / float(rep.n) ** cert.beta
+        bound = q.holder_meta.error_bound(rep.n)
         margin = bound - rep.r_n
         margins.append((rep.n, margin))
         if margin < 0.0:

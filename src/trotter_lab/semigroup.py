@@ -13,18 +13,22 @@ independent lower bound on the same norm.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridResolutionWarning
-from .potentials import PiecewiseConstant, Potential
+from .potentials import Potential
 from .quadrature import left_darboux_sums
 
 # tau*m farther than this from an integer triggers a rounding warning
 _ROUND_TOL = 1e-9
+# Symbol grid search over t in [tau, 1]: points of the first grid, rounds
+# of refinement around its 8 best points, and points per refined cell.
+_T_GRID = 4097
+_T_REFINE_LEVELS = 3
+_T_REFINE_FACTOR = 8
 
 
 def _nodes(m: int) -> np.ndarray:
@@ -149,7 +153,7 @@ def _symbol_gaps(q: Potential, tau: float, n: int, ts: np.ndarray) -> np.ndarray
     return np.abs(np.exp(-integ) - np.exp(-sums))
 
 
-def _per_tau_exact(q: PiecewiseConstant, tau: float, n: int) -> tuple[float, float]:
+def _per_tau_exact(q: Potential, tau: float, n: int) -> tuple[float, float]:
     """Exact symbol sup for step potentials.
 
     As t moves, the n sample points and the two integral endpoints all
@@ -158,7 +162,7 @@ def _per_tau_exact(q: PiecewiseConstant, tau: float, n: int) -> tuple[float, flo
     segment |e^{-I(t)} - e^{-S}| is monotone, hence the sup over t is
     attained at a segment endpoint (one-sided).
     """
-    bp = q._bp
+    bp = q.step_breakpoints
     offsets = tau - np.arange(n + 1) * (tau / n)
     ev = (bp[None, :] + offsets[:, None]).ravel()
     ev = ev[(ev > tau) & (ev < 1.0)]
@@ -177,19 +181,16 @@ def _per_tau_exact(q: PiecewiseConstant, tau: float, n: int) -> tuple[float, flo
     return float(phi_right[i_r]), float(ev[i_r + 1])
 
 
-def _per_tau_grid(q: Potential, tau: float, n: int, t_grid: int,
-                  refine_levels: int, refine_factor: int) -> tuple[float, float]:
-    ts = np.linspace(tau, 1.0, t_grid)
+def _per_tau_grid(q: Potential, tau: float, n: int) -> tuple[float, float]:
+    ts = np.linspace(tau, 1.0, _T_GRID)
     vals = _symbol_gaps(q, tau, n, ts)
     best = float(vals.max())
     best_t = float(ts[int(np.argmax(vals))])
-    spacing = (1.0 - tau) / (t_grid - 1) if t_grid > 1 else 0.0
-    for _ in range(refine_levels):
-        if spacing <= 0.0:
-            break
+    spacing = (1.0 - tau) / (_T_GRID - 1)
+    for _ in range(_T_REFINE_LEVELS):
         seeds = ts[np.argsort(-vals)[:8]]
         pts = np.concatenate([
-            np.linspace(t0 - spacing, t0 + spacing, refine_factor + 1)
+            np.linspace(t0 - spacing, t0 + spacing, _T_REFINE_FACTOR + 1)
             for t0 in seeds])
         ts = np.clip(pts, tau, 1.0)
         vals = _symbol_gaps(q, tau, n, ts)
@@ -197,13 +198,13 @@ def _per_tau_grid(q: Potential, tau: float, n: int, t_grid: int,
         if cand > best:
             best = cand
             best_t = float(ts[int(np.argmax(vals))])
-        spacing = 2.0 * spacing / refine_factor
+        spacing = 2.0 * spacing / _T_REFINE_FACTOR
     return best, best_t
 
 
-def _per_tau_norm_argmax(q: Potential, tau: float, n: int, *,
-                         t_grid: int = 4097, refine_levels: int = 3,
-                         refine_factor: int = 8) -> tuple[float, float]:
+def _per_tau_norm_argmax(q: Potential, tau: float, n: int) -> tuple[float, float]:
+    """(symbol sup, its t) at one tau: the exact event decomposition for
+    step potentials, the refined grid otherwise."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     if n < 1:
@@ -211,9 +212,9 @@ def _per_tau_norm_argmax(q: Potential, tau: float, n: int, *,
     if tau == 0.0 or tau >= 1.0:
         # identity difference, or support shifted out of [0, 1]
         return 0.0, 1.0
-    if isinstance(q, PiecewiseConstant):
+    if q.step_breakpoints is not None:
         return _per_tau_exact(q, tau, n)
-    return _per_tau_grid(q, tau, n, t_grid, refine_levels, refine_factor)
+    return _per_tau_grid(q, tau, n)
 
 
 def per_tau_operator_norm(q: Potential, tau: float, n: int) -> float:

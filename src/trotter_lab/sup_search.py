@@ -7,19 +7,19 @@ is non-smooth (step potentials) or highly oscillatory (tent trains), so
 the search is a coarse lattice plus local refinement around the best
 cells, seeded with the analytically known near-maximizers of each family.
 Every reported value is an exact pointwise evaluation, hence a true lower
-bound; certified upper bounds are derived per family where structure
-allows.
+bound; the certified upper bound is each family's
+`Potential.certified_upper_bound`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .potentials import CantorIndicator, Linear, PiecewiseConstant, Potential
+from .potentials import Potential
 from .quadrature import DeltaPair, riemann_errors
 
 
@@ -111,9 +111,9 @@ def default_hints(q: Potential, n: int, s_min: float) -> list[DeltaPair]:
     """Analytic near-maximizers probed unconditionally.
 
     Always includes the long-window corner (1, s_min) plus a few
-    alignment-breaking offsets of order 1/n.  For Cantor indicators adds
-    the corner points (1 - eps_m/2, eps_m/2) with eps_m = 1/(3*4^{m+1}),
-    at which the dyadic left sums of step 2^{-m} vanish identically.
+    alignment-breaking offsets of order 1/n, then the family's own
+    ``corner_hints`` (for Cantor indicators, the windows on which the
+    dyadic left sums vanish identically).
     """
     pts = [DeltaPair(1.0, s_min)]
     for num in (1.0, 2.0):
@@ -123,34 +123,8 @@ def default_hints(q: Potential, n: int, s_min: float) -> list[DeltaPair]:
         t = 1.0 - num / (3.0 * n)
         if s_min < t:
             pts.append(DeltaPair(t, s_min))
-    if isinstance(q, CantorIndicator):
-        for m in range(1, q.depth + 1):
-            eps = 1.0 / (3.0 * 2.0 ** (2 * m + 2))
-            pts.append(DeltaPair(1.0 - 0.5 * eps, 0.5 * eps))
+    pts.extend(DeltaPair(t, s) for t, s in q.corner_hints())
     return pts
-
-
-def certified_upper_bound(q: Potential, n: int) -> float | None:
-    """Family-specific upper bound on the sup of the Riemann error.
-
-    Holder certificate (beta, L): every pointwise error is at most
-    L * (t-s)^{1+beta} / n^beta <= L / n^beta.
-    Piecewise-constant with K interior jumps: only subintervals containing
-    a jump contribute, each at most (t-s)/n * sup_norm, so the error is
-    at most sup_norm * min(1, K/n).
-    Linear: the left-sum error is exactly slope * (t-s)^2 / (2n), whose
-    sup over the triangle is slope / (2n).
-    """
-    bounds = []
-    if q.holder_meta is not None:
-        cert = q.holder_meta
-        bounds.append(cert.constant / float(n) ** cert.beta)
-    if isinstance(q, PiecewiseConstant):
-        k = q.internal_breakpoint_count
-        bounds.append(q.sup_norm * min(1.0, k / n))
-    if isinstance(q, Linear):
-        bounds.append(abs(q.slope) / (2.0 * n))
-    return min(bounds) if bounds else None
 
 
 def sup_riemann_error(q: Potential, n: int,
@@ -170,7 +144,7 @@ def sup_riemann_error(q: Potential, n: int,
     hints = default_hints(q, n, cfg.s_min) + list(cfg.hint_points)
 
     def make_report(budget_hit: bool) -> RiemannReport:
-        upper = certified_upper_bound(q, n)
+        upper = q.certified_upper_bound(n)
         r = max(tracker.value, 0.0)
         return RiemannReport(
             n=n, r_n=r, argmax=DeltaPair(tracker.t, tracker.s),

@@ -197,6 +197,23 @@ def test_exit_code_spec_error(tmp_path, capsys):
     assert code == 2  # weier needs beta/levels from kv or flags
 
 
+@pytest.mark.parametrize("potential, named", [
+    ({"kind": "weierstrass", "params": {"beta": 0.5}}, "'levels'"),
+    ({"kind": "cantor"}, "'depth'"),
+    ({"kind": "tent", "params": {"amplitudes": 5}}, "'amplitudes'"),
+    ("pw:values=1+0", "'breakpoints'"),
+])
+def test_exit_code_bad_potential_parameter(tmp_path, capsys, potential, named):
+    if isinstance(potential, dict):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(potential))
+        potential = f"@{spec}"
+    code = main(["rates", "--potential", potential, "--n", "8..16"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
 def test_exit_code_budget(tmp_path):
     out = tmp_path / "partial.csv"
     code = main(["rates", "--potential", "linear", "--n", "8..64",

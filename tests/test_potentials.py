@@ -389,6 +389,57 @@ def test_from_spec_unknown_kind():
         tl.from_spec({"kind": "mystery", "params": {}})
 
 
+# canonical kind and parameters for every name in the kind table
+SPEC_ALIASES = {
+    "constant": ("Constant", {"c": 2.0}),
+    "linear": ("Linear", {"slope": 0.5, "intercept": 0.25}),
+    "piecewiseconstant": ("PiecewiseConstant",
+                          {"breakpoints": ["0", "1/3", "1"], "values": [1, 0]}),
+    "piecewise": ("PiecewiseConstant",
+                  {"breakpoints": ["0", "1/3", "1"], "values": [1, 0]}),
+    "pw": ("PiecewiseConstant",
+           {"breakpoints": ["0", "1/3", "1"], "values": [1, 0]}),
+    "holderweierstrass": ("HolderWeierstrass", {"beta": 0.5, "levels": 6}),
+    "weierstrass": ("HolderWeierstrass", {"beta": 0.5, "levels": 6}),
+    "weier": ("HolderWeierstrass", {"beta": 0.5, "levels": 6}),
+    "tenttrain": ("TentTrain", {"amplitudes": [1.0, 0.5]}),
+    "tent": ("TentTrain", {"amplitudes": [1.0, 0.5]}),
+    "cantorindicator": ("CantorIndicator", {"depth": 3}),
+    "cantor": ("CantorIndicator", {"depth": 3}),
+}
+
+
+def test_spec_alias_table_is_covered():
+    from trotter_lab.potentials import _SPEC_KINDS
+    assert set(_SPEC_KINDS) == set(SPEC_ALIASES)
+
+
+@pytest.mark.parametrize("alias", sorted(SPEC_ALIASES))
+def test_spec_alias_matches_canonical_kind(alias):
+    kind, params = SPEC_ALIASES[alias]
+    q = tl.from_spec({"kind": alias, "params": params})
+    canonical = tl.from_spec({"kind": kind, "params": params})
+    assert q.kind == canonical.kind == kind
+    assert q.describe() == canonical.describe()
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"kind": "weierstrass", "params": {"beta": 0.5}}, "'levels'"),
+    ({"kind": "cantor"}, "'depth'"),
+    ({"kind": "pw", "params": {"values": [1, 0]}}, "'breakpoints'"),
+    ({"kind": "tent", "params": {"amplitudes": 5}}, "'amplitudes'"),
+    ({"kind": "tent", "params": {"amplitudes": ["x"]}}, "'amplitudes'"),
+    ({"kind": "pw", "params": {"breakpoints": ["0", "1/0", "1"],
+                               "values": [1, 0]}}, "'breakpoints'"),
+    ({"kind": "cantor", "params": {"depth": None}}, "'depth'"),
+])
+def test_from_spec_names_the_bad_parameter(spec, named):
+    with pytest.raises(ValueError) as exc:
+        tl.from_spec(spec)
+    assert named in str(exc.value)
+    assert repr(spec["kind"]) in str(exc.value)
+
+
 def test_nonnegative_and_sup_norm(zoo):
     rng = np.random.default_rng(3)
     ts = rng.uniform(0.0, 1.0, 100_000)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import trotter_lab as tl
+from trotter_lab.sup_search import default_hints
 
 SMALL = tl.SearchConfig(coarse_grid=32, refine_levels=2)
 
@@ -87,20 +88,47 @@ def test_holder_ceiling():
 
 
 def test_certified_upper_bound_values():
-    assert tl.certified_upper_bound(tl.Linear(), 10) == 0.05
+    assert tl.Linear().certified_upper_bound(10) == 0.05
     steps = tl.PiecewiseConstant([0.0, 0.25, 0.5, 1.0], [1.0, 0.0, 2.0])
-    assert tl.certified_upper_bound(steps, 8) == 2.0 * min(1.0, 2.0 / 8)
-    assert tl.certified_upper_bound(steps, 1) == 2.0
+    assert steps.certified_upper_bound(8) == 2.0 * min(1.0, 2.0 / 8)
+    assert steps.certified_upper_bound(1) == 2.0
     q3, _ = tl.build_cantor(3)
     k = q3.internal_breakpoint_count
-    assert tl.certified_upper_bound(q3, 100) == min(1.0, k / 100)
-    assert tl.certified_upper_bound(tl.Constant(2.0), 5) == 0.0
+    assert q3.certified_upper_bound(100) == min(1.0, k / 100)
+    assert tl.Constant(2.0).certified_upper_bound(5) == 0.0
+
+
+def test_holder_certificate_bound_is_shared():
+    q = tl.build_weierstrass(0.5, 10)
+    cert = q.holder_meta
+    for n in (1, 4, 64):
+        assert q.certified_upper_bound(n) == cert.constant / float(n) ** 0.5
+        assert cert.error_bound(n) == q.certified_upper_bound(n)
+    reps = [tl.sup_riemann_error(q, n, SMALL) for n in (4, 16)]
+    margins = tl.holder_bound_check(q, reps).margins
+    assert margins == tuple((r.n, cert.error_bound(r.n) - r.r_n) for r in reps)
+
+
+def test_family_hints_and_step_breakpoints():
+    q, _ = tl.build_cantor(3)
+    eps = [1.0 / (3.0 * 2.0 ** (2 * m + 2)) for m in (1, 2, 3)]
+    assert [q.corner_width(m) for m in (1, 2, 3)] == eps
+    assert q.corner_hints() == [(1.0 - 0.5 * e, 0.5 * e) for e in eps]
+    hints = default_hints(q, 8, 1e-9)
+    assert [(p.t, p.s) for p in hints[-3:]] == q.corner_hints()
+    assert np.array_equal(q.step_breakpoints,
+                          [float(b) for b in q.breakpoints])
+    for other in (tl.Linear(), tl.build_weierstrass(0.5, 4),
+                  tl.build_tent_train([1.0])):
+        assert other.corner_hints() == []
+        assert other.step_breakpoints is None
+        assert len(default_hints(other, 8, 1e-9)) == len(hints) - 3
 
 
 def test_no_certificate_for_plain_callable():
     from trotter_lab.potentials import CallablePotential
     q = CallablePotential(lambda t: t * 0.0 + 0.5, sup_norm=0.5)
-    assert tl.certified_upper_bound(q, 4) is None
+    assert q.certified_upper_bound(4) is None
     rep = tl.sup_riemann_error(q, 4, SMALL)
     assert rep.upper_op_norm is None
     assert not rep.method.certified
