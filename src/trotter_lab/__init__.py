@@ -9,12 +9,11 @@ norm of the difference to worst-case left-Riemann-sum errors of q.
 __version__ = "0.1.0"
 
 from .errors import (BudgetExceededError, GridResolutionWarning,
-                     ResourceLimitError, ToleranceNotMetError, TrotterLabError)
+                     ResourceLimitError, TrotterLabError)
 from .potentials import (CantorConstruction, CantorIndicator, Constant,
                          HolderCertificate, HolderWeierstrass, Linear,
                          PiecewiseConstant, Potential, TentTrain,
-                         build_cantor, build_tent_train, build_weierstrass,
-                         from_spec)
+                         build_cantor, build_tent_train, from_spec)
 from .quadrature import (DeltaPair, PropagatorGap, integrate,
                          left_darboux_sum, left_darboux_sums, propagators,
                          riemann_error, riemann_errors)
@@ -26,17 +25,16 @@ from .semigroup import (GridFunction, apply_exact, apply_mult_semigroup,
 from .matrix_lie import (expm, lie_error, random_matrix_pair, spectral_norm,
                          telescoping_residual)
 from .rates import (HolderCheck, RateFit, SlowConvergenceTable, fit_loglog,
-                    holder_bound_check, slow_convergence_check,
-                    tent_train_floor)
+                    holder_bound_check, slow_convergence_check)
 
 __all__ = [
     "__version__",
-    "TrotterLabError", "ToleranceNotMetError", "ResourceLimitError",
+    "TrotterLabError", "ResourceLimitError",
     "BudgetExceededError", "GridResolutionWarning",
     "Potential", "Constant", "Linear", "PiecewiseConstant",
     "HolderWeierstrass", "TentTrain", "CantorIndicator",
     "HolderCertificate", "CantorConstruction",
-    "build_cantor", "build_weierstrass", "build_tent_train", "from_spec",
+    "build_cantor", "build_tent_train", "from_spec",
     "DeltaPair", "PropagatorGap", "integrate", "left_darboux_sum",
     "left_darboux_sums", "riemann_error", "riemann_errors", "propagators",
     "SearchConfig", "SearchTrace", "RiemannReport", "sup_riemann_error",
@@ -47,5 +45,5 @@ __all__ = [
     "expm", "spectral_norm", "telescoping_residual", "lie_error",
     "random_matrix_pair",
     "RateFit", "fit_loglog", "HolderCheck", "holder_bound_check",
-    "SlowConvergenceTable", "slow_convergence_check", "tent_train_floor",
+    "SlowConvergenceTable", "slow_convergence_check",
 ]

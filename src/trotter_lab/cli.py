@@ -41,8 +41,20 @@ COLUMNS = ("command", "potential", "n", "value", "lower", "upper",
 
 # ---------------------------------------------------------------- parsing
 
+def _increasing(values: list[int], text: str) -> list[int]:
+    """values, checked to be non-empty, >= 1 and strictly increasing."""
+    if not values:
+        raise ValueError(f"{text!r} lists no values")
+    if values[0] < 1:
+        raise ValueError(f"{text!r}: values must be >= 1")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"{text!r}: values must strictly increase")
+    return values
+
+
 def parse_n_list(text: str) -> list[int]:
-    """Parse an n list: 'a..b' = powers of two from a to b, else commas."""
+    """Parse an n list: 'a..b' = powers of two from a to b, else a strictly
+    increasing comma list."""
     text = text.strip()
     if ".." in text:
         a_str, b_str = text.split("..", 1)
@@ -57,19 +69,32 @@ def parse_n_list(text: str) -> list[int]:
             out.append(n)
             n *= 2
         return out
-    out = [int(tok) for tok in text.split(",") if tok.strip()]
-    if not out:
-        raise ValueError("empty n list")
-    return out
+    return _increasing([int(tok) for tok in text.split(",") if tok.strip()],
+                       text)
 
 
 def parse_int_range(text: str) -> list[int]:
-    """Parse an inclusive integer range 'a..b' or a comma list."""
+    """Parse an inclusive integer range 'a..b' or a comma list; both must
+    be non-empty, >= 1 and strictly increasing."""
     text = text.strip()
     if ".." in text:
         a_str, b_str = text.split("..", 1)
-        return list(range(int(a_str), int(b_str) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = list(range(int(a_str), int(b_str) + 1))
+    else:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    return _increasing(values, text)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of counts that must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_kv(rest: str) -> dict[str, str]:
@@ -185,9 +210,9 @@ def cmd_rates(args) -> int:
         verdict = ""
         if check is not None:
             verdict = "HOLDER_OK" if check.margins[i][1] >= 0.0 else "HOLDER_VIOLATION"
-        upper = rep.upper_op_norm if rep.upper_op_norm is not None else rep.r_n
         rows.append(_row("rates", label, rep.n, rep.r_n, rep.lower_op_norm,
-                         upper, rep.argmax.t, rep.argmax.s, verdict))
+                         rep.upper_op_norm, rep.argmax.t, rep.argmax.s,
+                         verdict))
 
     points = [(rep.n, rep.r_n) for rep in reports]
     if len(points) >= 4:
@@ -228,9 +253,9 @@ def cmd_cantor(args) -> int:
             rep = exc.partial
             exhausted = True
         verdict = "FLOOR_OK" if rep.r_n >= floor else "FLOOR_MISS"
-        upper = rep.upper_op_norm if rep.upper_op_norm is not None else rep.r_n
         rows.append(_row("cantor", label, n, rep.r_n, rep.lower_op_norm,
-                         upper, rep.argmax.t, rep.argmax.s, verdict))
+                         rep.upper_op_norm, rep.argmax.t, rep.argmax.s,
+                         verdict))
         floors.append((n, rep.r_n, floor))
         if exhausted:
             break
@@ -373,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search refinement levels")
         p.add_argument("--max-evals", type=int, default=None,
                        help="probe budget for the sup search")
-        p.add_argument("--trials", type=int, default=8)
+        p.add_argument("--trials", type=_positive_int, default=8)
         p.add_argument("--output", default=None, help="file path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -391,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", default="4,16,64")
     p.add_argument("--m", default=None, help="oracle grid resolution (default 65536)")
-    p.add_argument("--tau-grid", type=int, default=256, dest="tau_grid")
+    p.add_argument("--tau-grid", type=_positive_int, default=256,
+                   dest="tau_grid")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("lie", help="matrix telescoping identity and O(1/n) rate")

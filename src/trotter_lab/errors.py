@@ -7,19 +7,6 @@ class TrotterLabError(Exception):
     """Base class for errors raised by this package."""
 
 
-class ToleranceNotMetError(TrotterLabError):
-    """Adaptive quadrature could not reach the requested absolute tolerance.
-
-    Carries the achieved error estimate so callers can decide whether the
-    looser result is still usable.
-    """
-
-    def __init__(self, message: str, *, requested: float, achieved: float):
-        super().__init__(message)
-        self.requested = requested
-        self.achieved = achieved
-
-
 class ResourceLimitError(TrotterLabError):
     """A construction would exceed a configured size cap."""
 

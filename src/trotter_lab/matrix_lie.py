@@ -1,10 +1,12 @@
 """Finite-dimensional splitting identities: telescoping sum and O(1/n) rate.
 
 Matrices are plain complex ndarrays.  The matrix exponential delegates to
-scipy's scaling-and-squaring Pade implementation behind a cap on the
-operator 2-norm; the Frobenius norm bounds the 2-norm from above, so the
-cap costs one cheap norm unless the Frobenius norm exceeds it.  The
-operator 2-norm is estimated by power iteration to a fixed tolerance.
+scipy's scaling-and-squaring Pade implementation behind a cap of 200 on
+the operator 2-norm; the Frobenius norm bounds the 2-norm from above, so
+the cap costs one cheap norm unless the Frobenius norm exceeds it.  scipy
+is imported on the first `expm` call, so importing the package does not
+load it.  The operator 2-norm is estimated by power iteration to a fixed
+tolerance.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 _NORM_TOL = 1e-10
+# expm refuses matrices whose operator 2-norm exceeds this
+_NORM_CAP = 200.0
 
 
 def _as_square(M) -> np.ndarray:
@@ -51,15 +54,17 @@ def spectral_norm(M, tol: float = _NORM_TOL, max_iter: int = 10000) -> float:
     return math.sqrt(max(lam, 0.0))
 
 
-def expm(M, norm_cap: float = 200.0) -> np.ndarray:
-    """e^M by scaling and squaring; refuses norms beyond ``norm_cap``."""
+def expm(M) -> np.ndarray:
+    """e^M by scaling and squaring; refuses norms beyond ``_NORM_CAP``."""
+    import scipy.linalg  # the only scipy use; kept off the import path
+
     A = _as_square(M)
     # ||A||_2 <= ||A||_F, so the power iteration only runs near the cap
-    if np.linalg.norm(A) > norm_cap:
+    if np.linalg.norm(A) > _NORM_CAP:
         nrm = spectral_norm(A)
-        if nrm > norm_cap:
+        if nrm > _NORM_CAP:
             raise OverflowError(
-                f"matrix norm {nrm:.3g} exceeds cap {norm_cap:.3g}")
+                f"matrix norm {nrm:.3g} exceeds cap {_NORM_CAP:.3g}")
     return scipy.linalg.expm(A)
 
 

@@ -1,11 +1,12 @@
 """Families of bounded non-negative potentials q on [0, 1].
 
 Each potential knows how to evaluate itself at scalar or array arguments,
-carries a certified upper bound on its sup norm, and exposes an exact
-antiderivative whenever one exists in closed form.  Discontinuous families
-keep exact rational breakpoints so that downstream quadrature is exact.
-The family rules that the search and the semigroup read are methods:
-the certified left-sum error bound, corner hints and step breakpoints.
+carries a certified upper bound on its sup norm, and has a closed-form
+antiderivative.  Discontinuous families keep exact rational breakpoints so
+that downstream quadrature is exact.  The family rules that the search,
+the semigroup and the rate checks read are methods: the certified
+left-sum error bound (every family has one), corner hints, the dyadic
+corner floor and step breakpoints.
 ``from_spec`` resolves every kind name and alias through one table.
 
 Value convention at jumps: a piecewise potential takes the value of the
@@ -23,12 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import ResourceLimitError, ToleranceNotMetError
+from .errors import ResourceLimitError
 
 # Absolute slop tolerated on domain checks; protects against roundoff in
 # sample-point generation (s + k*(t-s)/n can land 1 ulp outside [0, 1]).
@@ -44,6 +44,9 @@ _TENT_TABLE_LEVELS = 16
 # PiecewiseConstant tabulates the piece of each of 2^16 dyadic cells, 512 kB
 # of indices.
 _STEP_TABLE_BITS = 16
+# Cap on the raw interval count of a fat-Cantor construction; depth 18 is
+# the deepest under it.
+_CANTOR_MAX_PIECES = 1 << 20
 
 
 def _as_domain_array(t) -> tuple[np.ndarray, bool]:
@@ -121,7 +124,6 @@ class Potential:
     Attributes:
         kind: family tag, e.g. "Linear" or "CantorIndicator".
         sup_norm: a valid upper bound for ess sup |q|.
-        exact_integrable: True when the antiderivative has a closed form.
         holder_meta: optional HolderCertificate.
         step_breakpoints: float breakpoints 0 = b_0 < ... < b_K = 1 of a
             step function, or None for every other family.
@@ -130,12 +132,11 @@ class Potential:
     kind: str = "Abstract"
     step_breakpoints: np.ndarray | None = None
 
-    def __init__(self, sup_norm: float, exact_integrable: bool,
+    def __init__(self, sup_norm: float,
                  holder_meta: HolderCertificate | None = None):
         if sup_norm < 0.0:
             raise ValueError("sup_norm must be >= 0")
         self.sup_norm = float(sup_norm)
-        self.exact_integrable = bool(exact_integrable)
         self.holder_meta = holder_meta
 
     def __call__(self, t):
@@ -144,30 +145,27 @@ class Potential:
         out = self._eval(arr)
         return float(out[0]) if scalar else out
 
-    def antiderivative(self, t, tol: float = 1e-12):
-        """Return the running integral of q from 0 to t.
-
-        Uses the closed form when available, otherwise adaptive quadrature
-        to absolute tolerance ``tol``.
-        """
+    def antiderivative(self, t):
+        """Return the running integral of q from 0 to t, in closed form."""
         arr, scalar = _as_domain_array(t)
-        if self.exact_integrable:
-            out = self._antiderivative_exact(arr)
-        else:
-            out = self._antiderivative_quad(arr, tol)
+        out = self._antiderivative(arr)
         return float(out[0]) if scalar else out
 
-    def certified_upper_bound(self, n: int) -> float | None:
-        """A proven ceiling on every n-step left-sum error, or None; by
-        default the Holder bound L / n^beta."""
-        if self.holder_meta is None:
-            return None
+    def certified_upper_bound(self, n: int) -> float:
+        """A proven ceiling on every n-step left-sum error; by default the
+        Holder bound L / n^beta.  Families without a Holder certificate
+        override it."""
         return self.holder_meta.error_bound(n)
 
     def corner_hints(self) -> list[tuple[float, float]]:
         """Windows (t, s) known to nearly maximize the left-sum error, which
         a sup search probes first; none by default."""
         return []
+
+    def corner_floor(self, m: int) -> float | None:
+        """A proven lower bound on the left-sum error at the long-window
+        corner (1, 0+) for n = 2^m, or None when the family has none."""
+        return None
 
     def left_sum_kernel(self, n: int) -> str:
         """Which kernel `left_sums` runs at n: "closed-form", "piece-count"
@@ -195,22 +193,8 @@ class Potential:
     def _eval(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _antiderivative_exact(self, t: np.ndarray) -> np.ndarray:
+    def _antiderivative(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _antiderivative_quad(self, t: np.ndarray, tol: float) -> np.ndarray:
-        out = np.empty_like(t)
-        flat_t = t.reshape(-1)
-        flat_out = out.reshape(-1)
-        for i, ti in enumerate(flat_t):
-            val, err = quad(lambda y: self(float(y)), 0.0, float(ti),
-                            epsabs=tol, epsrel=0.0, limit=500)[:2]
-            if err > tol:
-                raise ToleranceNotMetError(
-                    f"quadrature reached abs error {err:.3e} > {tol:.3e}",
-                    requested=tol, achieved=float(err))
-            flat_out[i] = val
-        return out
 
     def params(self) -> dict:
         """Family-specific parameters, JSON-serializable."""
@@ -233,13 +217,12 @@ class Constant(Potential):
         if c < 0.0:
             raise ValueError("constant potential must be >= 0")
         self.c = float(c)
-        super().__init__(sup_norm=c, exact_integrable=True,
-                         holder_meta=HolderCertificate(1.0, 0.0))
+        super().__init__(sup_norm=c, holder_meta=HolderCertificate(1.0, 0.0))
 
     def _eval(self, t):
         return np.full_like(t, self.c)
 
-    def _antiderivative_exact(self, t):
+    def _antiderivative(self, t):
         return self.c * t
 
     def left_sum_kernel(self, n):
@@ -265,13 +248,13 @@ class Linear(Potential):
         self.slope = float(slope)
         self.intercept = float(intercept)
         hi = max(intercept, intercept + slope)
-        super().__init__(sup_norm=hi, exact_integrable=True,
+        super().__init__(sup_norm=hi,
                          holder_meta=HolderCertificate(1.0, abs(slope)))
 
     def _eval(self, t):
         return self.intercept + self.slope * t
 
-    def _antiderivative_exact(self, t):
+    def _antiderivative(self, t):
         return self.intercept * t + 0.5 * self.slope * t * t
 
     def certified_upper_bound(self, n):
@@ -328,7 +311,7 @@ class PiecewiseConstant(Potential):
         last = self._search_piece(np.nextafter(edges[1:], 0.0))
         self._cell_piece = np.append(np.where(first == last, first, -1),
                                      len(vals) - 1)
-        super().__init__(sup_norm=max(vals), exact_integrable=True)
+        super().__init__(sup_norm=max(vals))
 
     @property
     def internal_breakpoint_count(self) -> int:
@@ -352,7 +335,7 @@ class PiecewiseConstant(Potential):
     def _eval(self, t):
         return np.take(self._vals, self._piece_index(t))
 
-    def _antiderivative_exact(self, t):
+    def _antiderivative(self, t):
         idx = self._piece_index(t)
         return (self._cum[idx]
                 + self._vals[idx] * (t - self.step_breakpoints[idx]))
@@ -420,8 +403,7 @@ class HolderWeierstrass(Potential):
         self._m = float(self._amps.sum())
         # termwise: |cos a - cos b| <= min(2, |a-b|) <= 2^{1-beta}|a-b|^beta
         lip = (2.0 ** (1.0 - beta)) * (np.pi ** beta) * levels / (2.0 * self._m)
-        super().__init__(sup_norm=1.0, exact_integrable=True,
-                         holder_meta=HolderCertificate(beta, lip))
+        super().__init__(sup_norm=1.0, holder_meta=HolderCertificate(beta, lip))
 
     def _eval(self, t):
         acc = np.full_like(t, self._m)
@@ -429,7 +411,7 @@ class HolderWeierstrass(Potential):
             acc += a * np.cos(w * t)
         return acc / (2.0 * self._m)
 
-    def _antiderivative_exact(self, t):
+    def _antiderivative(self, t):
         acc = self._m * t
         for a, w in zip(self._amps, self._freqs):
             acc += a * np.sin(w * t) / w
@@ -509,7 +491,7 @@ class TentTrain(Potential):
         self.amplitudes = amps
         self.levels = len(amps)
         lip = sum(a * 2.0 ** (j + 1) for j, a in enumerate(amps, start=1))
-        super().__init__(sup_norm=sum(amps), exact_integrable=True,
+        super().__init__(sup_norm=sum(amps),
                          holder_meta=HolderCertificate(1.0, lip))
         # Levels 1..J kink only on the nodes k/2^(J+1), between which q is
         # linear and its integral quadratic.  Tabulate q and the integral at
@@ -542,7 +524,7 @@ class TentTrain(Potential):
         acc += np.take(self._node_q, i)
         return _add_tent_values(acc, t, self._tail)
 
-    def _antiderivative_exact(self, t):
+    def _antiderivative(self, t):
         i, u = self._cell(t)
         cell = np.take(self._node_dq, i)
         cell *= 0.5 * u
@@ -552,28 +534,18 @@ class TentTrain(Potential):
         acc += np.ldexp(cell, -self._table_bits)
         return _add_tent_integrals(acc, t, self._tail)
 
+    def corner_floor(self, m):
+        """Levels j >= m vanish at every dyadic sample, leaving half their
+        mass as error; levels j < m cost at most their variation spread
+        over the 2^m subintervals."""
+        amps = self.amplitudes
+        keep = 0.5 * sum(amps[m - 1:])
+        lost = sum(a * 2.0 ** (j - m + 1)
+                   for j, a in enumerate(amps[:m - 1], start=1))
+        return keep - lost
+
     def params(self):
         return {"amplitudes": list(self.amplitudes)}
-
-
-class CallablePotential(Potential):
-    """Adapter for an arbitrary non-negative callable; integrates adaptively."""
-
-    kind = "Callable"
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], sup_norm: float,
-                 holder_meta: HolderCertificate | None = None):
-        self._fn = fn
-        super().__init__(sup_norm=sup_norm, exact_integrable=False,
-                         holder_meta=holder_meta)
-
-    def _eval(self, t):
-        # tolerate callables that collapse 1-element arrays to scalars
-        out = np.asarray(self._fn(t), dtype=float)
-        return np.broadcast_to(out, t.shape).copy() if out.shape != t.shape else out
-
-    def params(self):
-        return {"sup_norm": self.sup_norm}
 
 
 @dataclass(frozen=True)
@@ -651,8 +623,7 @@ def _merge_open_intervals(ivs):
     return tuple((lo, hi) for lo, hi in merged)
 
 
-def build_cantor(depth: int, max_pieces: int = 1 << 20
-                 ) -> tuple[CantorIndicator, CantorConstruction]:
+def build_cantor(depth: int) -> tuple[CantorIndicator, CantorConstruction]:
     """Build the indicator of a positive-measure nowhere-dense set.
 
     Around every dyadic point k/2^n (n = 1..depth) an open interval of
@@ -661,8 +632,8 @@ def build_cantor(depth: int, max_pieces: int = 1 << 20
     measure >= 1/2 at every depth.  All arithmetic is exact rational.
 
     Args:
-        depth: number of removal levels, >= 1.
-        max_pieces: cap on the raw interval count before merging.
+        depth: number of removal levels, >= 1; the raw interval count
+            before merging is capped at ``_CANTOR_MAX_PIECES``.
 
     Returns:
         (potential, construction) where the potential is an exact
@@ -671,9 +642,9 @@ def build_cantor(depth: int, max_pieces: int = 1 << 20
     if depth < 1:
         raise ValueError("depth must be >= 1")
     raw_count = sum(2 ** n + 1 for n in range(1, depth + 1))
-    if raw_count > max_pieces:
-        raise ResourceLimitError(
-            f"depth {depth} needs {raw_count} intervals > cap {max_pieces}")
+    if raw_count > _CANTOR_MAX_PIECES:
+        raise ResourceLimitError(f"depth {depth} needs {raw_count} intervals"
+                                 f" > cap {_CANTOR_MAX_PIECES}")
 
     centers = tuple(
         tuple(Fraction(k, 2 ** n) for k in range(2 ** n + 1))
@@ -704,28 +675,14 @@ def build_cantor(depth: int, max_pieces: int = 1 << 20
     return q, construction
 
 
-def build_weierstrass(beta: float, levels: int) -> HolderWeierstrass:
-    """Holder-continuous potential of exponent beta with unit sup norm.
-
-    Args:
-        beta: Holder exponent in (0, 1).
-        levels: number of cosine layers, >= 1.
-    """
-    return HolderWeierstrass(beta, levels)
-
-
-def build_tent_train(amplitudes: Sequence[float],
-                     levels: int | None = None) -> TentTrain | Constant:
+def build_tent_train(amplitudes: Sequence[float]) -> TentTrain | Constant:
     """Continuous piecewise-linear demonstrator of slow convergence.
 
     Args:
         amplitudes: tent heights a_1..a_L, all > 0.  An empty list yields
             the zero potential.
-        levels: optional redundant count; must equal len(amplitudes).
     """
     amps = list(amplitudes)
-    if levels is not None and levels != len(amps):
-        raise ValueError("levels does not match len(amplitudes)")
     if not amps:
         return Constant(0.0)
     return TentTrain(amps)
@@ -743,7 +700,7 @@ _SPEC_KINDS = {alias: build for aliases, build in (
          param("breakpoints", lambda b: Fraction(str(b)), many=True),
          param("values", float, many=True))),
     (("holderweierstrass", "weierstrass", "weier"),
-     lambda param: build_weierstrass(param("beta", float),
+     lambda param: HolderWeierstrass(param("beta", float),
                                      param("levels", int))),
     (("tenttrain", "tent"),
      lambda param: build_tent_train(param("amplitudes", float, many=True))),

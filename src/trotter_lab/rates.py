@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .potentials import Potential, TentTrain
+from .potentials import Potential
 from .quadrature import DeltaPair, riemann_error
 from .sup_search import RiemannReport
 
@@ -25,6 +25,8 @@ ZERO_THRESHOLD = 1e-12
 NONCONV_FLOOR = 0.1
 RESIDUAL_CAP = 0.05
 SLOPE_FLAT = -0.05
+# The long-window corner where the dyadic cancellation argument applies.
+_CORNER = DeltaPair(1.0, 1e-9)
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def fit_loglog(points: Sequence[tuple[int, float]],
-               subsequence: Sequence[int] | None = None,
-               zero_threshold: float = ZERO_THRESHOLD,
-               floor: float = NONCONV_FLOOR,
-               residual_cap: float = RESIDUAL_CAP) -> RateFit:
+               subsequence: Sequence[int] | None = None) -> RateFit:
     """Classify a sweep of non-negative values against n.
 
     ``subsequence`` designates the n values used for the non-convergence
@@ -88,10 +87,10 @@ def fit_loglog(points: Sequence[tuple[int, float]],
         raise ValueError(f"subsequence entries {missing} not in the sweep")
     n_range = (ns[0], ns[-1])
 
-    if all(v <= zero_threshold for _, v in pts):
+    if all(v <= ZERO_THRESHOLD for _, v in pts):
         return RateFit(pts, 0.0, 0.0, "EXACT_ZERO", sub, 0.0, n_range)
 
-    usable = [(n, v) for n, v in pts if v > zero_threshold]
+    usable = [(n, v) for n, v in pts if v > ZERO_THRESHOLD]
     if len(usable) < 4:
         raise ValueError(f"only {len(usable)} usable points above threshold")
     x = np.log([n for n, _ in usable])
@@ -99,9 +98,9 @@ def fit_loglog(points: Sequence[tuple[int, float]],
     slope, ci, rms = _linear_fit(x, y)
 
     sub_values = [v for n, v in pts if n in sub]
-    if sub_values and min(sub_values) > floor:
+    if sub_values and min(sub_values) > NONCONV_FLOOR:
         verdict = "NON_CONVERGENT"
-    elif rms <= residual_cap and slope <= SLOPE_FLAT:
+    elif rms <= RESIDUAL_CAP and slope <= SLOPE_FLAT:
         verdict = "POLY_RATE"
     else:
         verdict = "SLOWER_THAN_POLY"
@@ -148,42 +147,25 @@ class SlowConvergenceTable:
         return self.ratios_increasing and self.bounds_hold
 
 
-def tent_train_floor(q: TentTrain, m: int) -> float:
-    """Analytic lower bound for the corner error at n = 2^m.
-
-    Levels j >= m vanish at every dyadic sample, leaving half their mass
-    as error; levels j < m cost at most their variation spread over the
-    2^m subintervals.
-    """
-    amps = q.amplitudes
-    keep = 0.5 * sum(amps[m - 1:])
-    lost = sum(a * 2.0 ** (j - m + 1) for j, a in enumerate(amps[:m - 1], start=1))
-    return keep - lost
-
-
 def slow_convergence_check(q: Potential,
-                           delta: Callable[[int], float] | None,
-                           ms: Sequence[int],
-                           s_min: float = 1e-9) -> SlowConvergenceTable:
+                           ms: Sequence[int]) -> SlowConvergenceTable:
     """Evaluate the slow-convergence demonstrator along n = 2^m.
 
-    The error is measured at the long-window corner (t, s) = (1, s_min),
-    the point where the dyadic cancellation argument applies; ratios are
-    taken against delta(n) (default 1/n).
+    The error is measured at ``_CORNER``, (t, s) = (1, 1e-9), and its ratio
+    is taken against delta_n = 1/n; families with a ``corner_floor`` also
+    get their margin over it.
     """
-    if delta is None:
-        delta = lambda n: 1.0 / n
     if any(m < 1 for m in ms):
         raise ValueError("ms must be positive")
     rows = []
     margins = []
-    corner = DeltaPair(1.0, s_min)
     for m in ms:
         n = 2 ** m
-        r = riemann_error(q, corner, n)
-        rows.append((m, r, r / delta(n)))
-        if isinstance(q, TentTrain):
-            margins.append((m, r - tent_train_floor(q, m)))
+        r = riemann_error(q, _CORNER, n)
+        rows.append((m, r, r * n))
+        floor = q.corner_floor(m)
+        if floor is not None:
+            margins.append((m, r - floor))
     ratios = [row[2] for row in rows]
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
     bounds_hold = all(mg >= 0.0 for _, mg in margins)

@@ -29,6 +29,8 @@ _ROUND_TOL = 1e-9
 _T_GRID = 4097
 _T_REFINE_LEVELS = 3
 _T_REFINE_FACTOR = 8
+# Cell widths of the indicator bumps the test-function oracle adds.
+_BUMP_WIDTHS = (1, 2, 4, 8, 16, 32, 64)
 
 
 def _nodes(m: int) -> np.ndarray:
@@ -227,13 +229,11 @@ def per_tau_operator_norm(q: Potential, tau: float, n: int) -> float:
 
 
 def operator_norm_oracle(q: Potential, tau: float, n: int, p: float,
-                         trials: int, seed: int, m: int = 65536,
-                         bump_widths: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
-                         ) -> float:
+                         trials: int, seed: int, m: int = 65536) -> float:
     """Independent lower bound on the same operator norm via test functions.
 
     Applies both operators on an m-point grid to ``trials`` seeded random
-    functions plus indicator bumps of the given cell widths placed so the
+    functions plus indicator bumps of ``_BUMP_WIDTHS`` cells placed so the
     damped window lands at the symbol's maximizer; returns the largest
     Rayleigh ratio.  The bump of width 1 realizes the discrete norm
     exactly, so the value approaches the symbol sup as m grows.
@@ -249,7 +249,7 @@ def operator_norm_oracle(q: Potential, tau: float, n: int, p: float,
     r = int(round(tau * m))
     i_out = min(m - 1, max(0, int(round(t_star * m - 0.5))))
     hi = i_out - r
-    for w in bump_widths:
+    for w in _BUMP_WIDTHS:
         lo = max(0, hi - w + 1)
         if hi >= lo >= 0:
             bump = np.zeros(m)

@@ -8,7 +8,7 @@ the search is a coarse lattice plus local refinement around the best
 cells, seeded with the analytically known near-maximizers of each family.
 Every reported value is an exact pointwise evaluation, hence a true lower
 bound; the certified upper bound is each family's
-`Potential.certified_upper_bound`.
+`Potential.certified_upper_bound`, which every family has.
 """
 
 from __future__ import annotations
@@ -22,6 +22,12 @@ from .errors import BudgetExceededError
 from .potentials import Potential
 from .quadrature import DeltaPair, riemann_errors
 
+# Each refinement round probes a (_REFINE_FACTOR + 1)^2 grid around each of
+# the _TOP_CELLS best points so far, with spacing 2/_REFINE_FACTOR of the
+# previous round's.
+_REFINE_FACTOR = 8
+_TOP_CELLS = 16
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -33,8 +39,6 @@ class SearchConfig:
 
     coarse_grid: int = 256
     refine_levels: int = 4
-    refine_factor: int = 8
-    top_cells: int = 16
     s_min: float = 1e-9
     hint_points: tuple[DeltaPair, ...] = ()
     max_evals: int | None = None
@@ -42,8 +46,6 @@ class SearchConfig:
     def __post_init__(self):
         if self.coarse_grid < 2:
             raise ValueError("coarse_grid must be >= 2")
-        if self.refine_factor < 2:
-            raise ValueError("refine_factor must be >= 2")
         if not 0.0 < self.s_min < 1.0:
             raise ValueError("s_min must lie in (0, 1)")
 
@@ -79,7 +81,7 @@ class RiemannReport:
     r_n: float
     argmax: DeltaPair
     lower_op_norm: float
-    upper_op_norm: float | None
+    upper_op_norm: float
     method: SearchTrace
 
 
@@ -132,7 +134,7 @@ def sup_riemann_error(q: Potential, n: int,
     """Multi-resolution search for the worst-case left-sum error.
 
     Probes hint points first, then a coarse lattice on the triangle, then
-    ``refine_levels`` rounds of local grids around the ``top_cells`` best
+    ``refine_levels`` rounds of local grids around the ``_TOP_CELLS`` best
     points so far.  Deterministic for a fixed config.
     """
     if n < 1:
@@ -144,13 +146,12 @@ def sup_riemann_error(q: Potential, n: int,
     hints = default_hints(q, n, cfg.s_min) + list(cfg.hint_points)
 
     def make_report(budget_hit: bool) -> RiemannReport:
-        upper = q.certified_upper_bound(n)
         r = max(tracker.value, 0.0)
         return RiemannReport(
             n=n, r_n=r, argmax=DeltaPair(tracker.t, tracker.s),
             lower_op_norm=math.exp(-q.sup_norm) * r,
-            upper_op_norm=upper,
-            method=SearchTrace(tuple(level_best), evals, upper is not None,
+            upper_op_norm=q.certified_upper_bound(n),
+            method=SearchTrace(tuple(level_best), evals, True,
                                len(hints), budget_hit, q.left_sum_kernel(n)))
 
     def probe(ts, ss):
@@ -177,9 +178,9 @@ def sup_riemann_error(q: Potential, n: int,
     spacing = (1.0 - cfg.s_min) / (cfg.coarse_grid - 1)
     for _ in range(cfg.refine_levels):
         order = np.lexsort((-ts, ss, -vals))
-        seeds = order[:cfg.top_cells]
+        seeds = order[:_TOP_CELLS]
         pts_t, pts_s = [], []
-        side = cfg.refine_factor + 1
+        side = _REFINE_FACTOR + 1
         for i in seeds:
             tlin = np.clip(np.linspace(ts[i] - spacing, ts[i] + spacing, side),
                            cfg.s_min, 1.0)
@@ -191,7 +192,7 @@ def sup_riemann_error(q: Potential, n: int,
             pts_s.append(sv[m])
         vals, ts, ss = probe(np.concatenate(pts_t), np.concatenate(pts_s))
         level_best.append(tracker.value)
-        spacing = 2.0 * spacing / cfg.refine_factor
+        spacing = 2.0 * spacing / _REFINE_FACTOR
 
     return make_report(False)
 
@@ -202,9 +203,7 @@ def trotter_error_sandwich(q: Potential, n: int,
     """Two-sided bracket for the sup-over-tau operator-norm splitting error.
 
     Lower end: e^{-sup_norm} times the search value (a true lower bound).
-    Upper end: the certified family bound when one exists, else the search
-    value itself, which is then only a heuristic estimate of the sup.
+    Upper end: the family's certified bound on the left-sum error.
     """
     rep = sup_riemann_error(q, n, cfg)
-    upper = rep.upper_op_norm if rep.upper_op_norm is not None else rep.r_n
-    return rep.lower_op_norm, upper
+    return rep.lower_op_norm, rep.upper_op_norm

@@ -32,7 +32,7 @@ def zoo():
         ("linear", tl.Linear()),
         ("affine", tl.Linear(slope=0.5, intercept=0.25)),
         ("steps", tl.PiecewiseConstant([0.0, 0.25, 0.5, 1.0], [1.0, 0.0, 2.0])),
-        ("weier", tl.build_weierstrass(0.5, 8)),
+        ("weier", tl.HolderWeierstrass(0.5, 8)),
         ("tent", tl.build_tent_train([1.0 / j for j in range(1, 7)])),
         ("cantor3", tl.build_cantor(3)[0]),
     ]

@@ -29,7 +29,7 @@ def _families():
         ("constant", tl.Constant(1.0)),
         ("linear", tl.Linear()),
         ("steps", tl.PiecewiseConstant([0.0, 0.25, 0.5, 1.0], [1.0, 0.0, 2.0])),
-        ("weier", tl.build_weierstrass(0.5, 8)),
+        ("weier", tl.HolderWeierstrass(0.5, 8)),
         ("tent", tl.build_tent_train([1.0 / j for j in range(1, 7)])),
         ("cantor3", tl.build_cantor(3)[0]),
     ]
@@ -62,7 +62,7 @@ def test_criterion_2_holder_rates():
     lin_fit = tl.fit_loglog([(rep.n, rep.r_n) for rep in lin_reports])
     lin_ok = rel <= 1e-6 and abs(lin_fit.slope + 1.0) <= 0.05
 
-    q = tl.build_weierstrass(0.5, 12)
+    q = tl.HolderWeierstrass(0.5, 12)
     wcfg = tl.SearchConfig(coarse_grid=128, refine_levels=2)
     reports = [tl.sup_riemann_error(q, n, wcfg) for n in ns]
     check = tl.holder_bound_check(q, reports)
@@ -152,7 +152,7 @@ def test_criterion_6_dichotomy():
 
 def test_criterion_7_slow_convergence():
     q = tl.build_tent_train([1.0 / j for j in range(1, 13)])
-    tab = tl.slow_convergence_check(q, None, list(range(2, 11)))
+    tab = tl.slow_convergence_check(q, list(range(2, 11)))
     ratios = [ratio for _, _, ratio in tab.rows]
     _verdict(7, "slow-convergence demonstrator", tab.passed,
              f"bounds hold={tab.bounds_hold}, ratio {ratios[0]:.1f}->{ratios[-1]:.1f} "

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import trotter_lab as tl
+from trotter_lab import cli
 from trotter_lab.cli import COLUMNS, main, parse_int_range, parse_n_list, parse_potential
 
 
@@ -45,6 +50,56 @@ def test_parse_n_list():
 def test_parse_int_range():
     assert parse_int_range("1..4") == [1, 2, 3, 4]
     assert parse_int_range("2,5") == [2, 5]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cantor", "--depth", "3", "--m", "5..3"], "'5..3' lists no values"),
+    (["cantor", "--depth", "3", "--m", "0..2"], "values must be >= 1"),
+    (["cantor", "--depth", "3", "--m", "2,1"], "values must strictly increase"),
+    (["rates", "--potential", "linear", "--n", "8,8,8,8"],
+     "values must strictly increase"),
+    (["rates", "--potential", "linear", "--n", "16,8"],
+     "values must strictly increase"),
+    (["rates", "--potential", "linear", "--n", "0,8"], "values must be >= 1"),
+    (["oracle", "--potential", "linear", "--n", ","], "lists no values"),
+])
+def test_exit_code_bad_list(tmp_path, capsys, monkeypatch, argv, message):
+    def no_search(*args):
+        raise AssertionError("a search ran before the list was checked")
+    monkeypatch.setattr(cli, "sup_riemann_error", no_search)
+    monkeypatch.setattr(cli, "trotter_error_sandwich", no_search)
+    out = tmp_path / "report.csv"
+    code = main(argv + ["--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle", "--potential", "linear", "--tau-grid", "0"], "--tau-grid"),
+    (["oracle", "--potential", "linear", "--trials", "0"], "--trials"),
+    (["lie", "--trials", "0"], "--trials"),
+    (["lie", "--trials", "-3"], "--trials"),
+])
+def test_exit_code_nonpositive_count(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(tl.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, trotter_lab.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_parse_potential_shorthands():

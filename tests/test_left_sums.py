@@ -58,7 +58,7 @@ def test_kernel_selection():
     q3, _ = tl.build_cantor(3)
     assert tl.Constant(2.0).left_sum_kernel(4) == "closed-form"
     assert tl.Linear().left_sum_kernel(4) == "closed-form"
-    assert tl.build_weierstrass(0.5, 10).left_sum_kernel(4) == "closed-form"
+    assert tl.HolderWeierstrass(0.5, 10).left_sum_kernel(4) == "closed-form"
     assert tl.build_tent_train([1.0, 0.5]).left_sum_kernel(4096) == "sampled"
     assert q3.internal_breakpoint_count == 16
     assert q3.left_sum_kernel(16) == "sampled"
@@ -77,7 +77,7 @@ def test_affine_matches_sampled(t, s, n, c, slope):
 @given(t=unit, s=unit, n=steps, beta=st.floats(0.05, 0.95),
        levels=st.integers(1, 12))
 def test_weierstrass_matches_sampled(t, s, n, beta, levels):
-    q = tl.build_weierstrass(beta, levels)
+    q = tl.HolderWeierstrass(beta, levels)
     assert abs(kernel(q, t, s, n)[0] - sampled(q, t, s, n)[0]) <= 1e-12
 
 
@@ -85,7 +85,7 @@ def test_weierstrass_matches_sampled(t, s, n, beta, levels):
 @given(t=unit, s=unit, n=st.integers(1, 64))
 def test_weierstrass_matches_mpmath_at_24_levels(t, s, n):
     # past ~20 levels the sampled loop drifts with the phase roundoff
-    q = tl.build_weierstrass(0.5, 24)
+    q = tl.HolderWeierstrass(0.5, 24)
     assert abs(kernel(q, t, s, n)[0] - mp_left_sum(q, t, s, n)) <= 1e-12
 
 
@@ -99,7 +99,7 @@ def test_weierstrass_matches_mpmath_at_24_levels(t, s, n):
 ])
 @pytest.mark.parametrize("levels", [10, 24])
 def test_weierstrass_resonant_windows(t, s, n, levels):
-    q = tl.build_weierstrass(0.5, levels)
+    q = tl.HolderWeierstrass(0.5, levels)
     assert abs(kernel(q, t, s, n)[0] - mp_left_sum(q, t, s, n)) <= 1e-12
 
 
@@ -178,7 +178,7 @@ def test_cantor_depth_10_sampled_sums_match_search_oracle():
 
 
 def test_equal_endpoints_give_zero():
-    zoo = (tl.Constant(1.0), tl.Linear(0.5, 0.25), tl.build_weierstrass(0.3, 12),
+    zoo = (tl.Constant(1.0), tl.Linear(0.5, 0.25), tl.HolderWeierstrass(0.3, 12),
            tl.build_cantor(3)[0], tl.build_tent_train([1.0, 0.5]), *STEPS)
     ends = [0.0, 0.25, 1.0 / 3.0, 0.5, 1.0]
     for q in zoo:
@@ -193,7 +193,7 @@ def test_batch_bit_equal_to_scalar(n):
     s = rng.uniform(0.0, 1.0, 40)
     t = rng.uniform(s, 1.0)
     q3, _ = tl.build_cantor(3)
-    for q in (tl.Linear(0.5, 0.25), tl.build_weierstrass(0.5, 12), q3, *STEPS):
+    for q in (tl.Linear(0.5, 0.25), tl.HolderWeierstrass(0.5, 12), q3, *STEPS):
         batch = kernel(q, t, s, n)
         for i in range(len(t)):
             assert batch[i] == kernel(q, [t[i]], [s[i]], n)[0], (q, n)
@@ -202,7 +202,7 @@ def test_batch_bit_equal_to_scalar(n):
 @pytest.mark.parametrize("t, s", [
     ([math.nan], [0.1]), ([0.5], [math.nan]), ([1.5], [0.1]), ([0.5], [-0.1])])
 def test_exact_kernels_reject_bad_endpoints(t, s):
-    for q in (tl.Constant(1.0), tl.Linear(), tl.build_weierstrass(0.5, 4),
+    for q in (tl.Constant(1.0), tl.Linear(), tl.HolderWeierstrass(0.5, 4),
               tl.build_cantor(2)[0]):
         with pytest.raises(ValueError):
             kernel(q, t, s, 64)

@@ -1,6 +1,5 @@
 """Potential families: exact measures, certificates, conventions."""
 
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trotter_lab as tl
-from trotter_lab.potentials import CallablePotential
 
 # Exact survivor measures of the truncated fat-Cantor construction,
 # cross-derived by independent rational interval merging.
@@ -51,7 +49,7 @@ def test_nan_is_named_in_long_arrays(neighbour):
 
 
 def test_scalar_vs_array_eval():
-    q = tl.build_weierstrass(0.5, 4)
+    q = tl.HolderWeierstrass(0.5, 4)
     ts = np.linspace(0.0, 1.0, 17)
     arr = q(ts)
     assert arr.shape == ts.shape
@@ -139,7 +137,7 @@ def test_cantor_sampling_property():
 
 def test_cantor_resource_error():
     with pytest.raises(tl.ResourceLimitError):
-        tl.build_cantor(26, max_pieces=10_000)
+        tl.build_cantor(26)
     with pytest.raises(ValueError):
         tl.build_cantor(0)
 
@@ -147,15 +145,15 @@ def test_cantor_resource_error():
 def test_weierstrass_range():
     grid = np.linspace(0.0, 1.0, 100_001)
     for beta in (0.3, 0.5, 0.9):
-        q = tl.build_weierstrass(beta, 6)
+        q = tl.HolderWeierstrass(beta, 6)
         vals = q(grid)
         assert vals.min() >= 0.0
         assert vals.max() <= 1.0
-    assert tl.build_weierstrass(0.5, 1)(0.0) == 1.0  # all cosines peak at 0
+    assert tl.HolderWeierstrass(0.5, 1)(0.0) == 1.0  # all cosines peak at 0
 
 
 def test_weierstrass_holder_quotient():
-    q = tl.build_weierstrass(0.5, 12)
+    q = tl.HolderWeierstrass(0.5, 12)
     cert = q.holder_meta
     assert cert is not None and cert.beta == 0.5
     rng = np.random.default_rng(7)
@@ -169,12 +167,12 @@ def test_weierstrass_holder_quotient():
 @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, -0.2])
 def test_weierstrass_beta_validation(beta):
     with pytest.raises(ValueError):
-        tl.build_weierstrass(beta, 3)
+        tl.HolderWeierstrass(beta, 3)
 
 
 def test_weierstrass_levels_validation():
     with pytest.raises(ValueError):
-        tl.build_weierstrass(0.5, 0)
+        tl.HolderWeierstrass(0.5, 0)
 
 
 def test_tent_geometry():
@@ -207,8 +205,6 @@ def test_tent_empty_amplitudes():
 
 
 def test_tent_validation():
-    with pytest.raises(ValueError):
-        tl.build_tent_train([1.0, 0.5], levels=3)
     with pytest.raises(ValueError):
         tl.build_tent_train([1.0, -0.5])
 
@@ -345,7 +341,7 @@ def test_antiderivative_monotone():
 @pytest.mark.parametrize("maker", [
     lambda: tl.Linear(),
     lambda: tl.Constant(2.0),
-    lambda: tl.build_weierstrass(0.5, 8),
+    lambda: tl.HolderWeierstrass(0.5, 8),
     lambda: tl.build_tent_train([1.0 / j for j in range(1, 6)]),
 ])
 def test_antiderivative_finite_difference(maker):
@@ -358,21 +354,6 @@ def test_antiderivative_finite_difference(maker):
     h = 1e-8
     fd = (q.antiderivative(ts + h) - q.antiderivative(ts - h)) / (2 * h)
     assert np.max(np.abs(fd - q(ts))) < 1e-6
-
-
-def test_callable_adaptive_quadrature():
-    q = CallablePotential(lambda t: t * t, sup_norm=1.0)
-    assert not q.exact_integrable
-    assert abs(q.antiderivative(1.0) - 1.0 / 3.0) < 1e-10
-
-
-def test_callable_tolerance_not_met():
-    q = CallablePotential(lambda t: np.exp(t), sup_norm=3.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy roundoff-warning path
-        with pytest.raises(tl.ToleranceNotMetError) as exc:
-            q.antiderivative(1.0, tol=1e-16)
-    assert exc.value.achieved > exc.value.requested
 
 
 def test_from_spec_roundtrip(zoo):

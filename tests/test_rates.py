@@ -113,7 +113,7 @@ def test_verdict_stability_under_point_removal():
 
 
 def test_holder_check_weierstrass():
-    q = tl.build_weierstrass(0.5, 8)
+    q = tl.HolderWeierstrass(0.5, 8)
     reports = [tl.sup_riemann_error(q, n, SMALL) for n in (4, 16, 64, 256)]
     check = tl.holder_bound_check(q, reports)
     assert check.passed
@@ -140,7 +140,7 @@ def test_holder_check_flags_violation():
     q = tl.Linear()
     fake = tl.RiemannReport(
         n=4, r_n=0.9, argmax=tl.DeltaPair(1.0, 1e-9),
-        lower_op_norm=0.3, upper_op_norm=None,
+        lower_op_norm=0.3, upper_op_norm=1.0,
         method=SearchTrace((0.9,), 1, False, 0))
     check = tl.holder_bound_check(q, [fake])
     assert not check.passed
@@ -150,13 +150,23 @@ def test_holder_check_flags_violation():
 def test_tent_floor_frozen_value():
     q = tl.build_tent_train([1.0 / j for j in range(1, 13)])
     want = 0.5 * sum(1.0 / j for j in range(2, 13)) - 1.0
-    assert abs(tl.tent_train_floor(q, 2) - want) < 1e-12
+    assert abs(q.corner_floor(2) - want) < 1e-12
     assert abs(want - 0.0516053391053391) < 1e-12
+
+
+def test_corner_floor_only_on_tents(zoo):
+    for name, q in zoo:
+        assert (q.corner_floor(3) is None) == (name != "tent"), name
+    q = tl.build_tent_train([1.0 / j for j in range(1, 13)])
+    tab = tl.slow_convergence_check(q, [2, 5])
+    assert tab.bound_margins == tuple(
+        (m, r - q.corner_floor(m)) for m, r, _ in tab.rows)
+    assert tl.slow_convergence_check(tl.Linear(), [2, 5]).bound_margins == ()
 
 
 def test_slow_convergence_table():
     q = tl.build_tent_train([1.0 / j for j in range(1, 13)])
-    tab = tl.slow_convergence_check(q, None, list(range(2, 11)))
+    tab = tl.slow_convergence_check(q, list(range(2, 11)))
     assert tab.passed
     assert tab.ratios_increasing and tab.bounds_hold
     ms = [m for m, _, _ in tab.rows]
@@ -170,7 +180,7 @@ def test_slow_convergence_table():
 
 def test_slow_convergence_single_tent():
     q = tl.build_tent_train([1.0])
-    tab = tl.slow_convergence_check(q, None, [1])
+    tab = tl.slow_convergence_check(q, [1])
     m, value, _ = tab.rows[0]
     assert m == 1
     assert value >= 0.5 - 1e-6  # a1/2 at the corner
@@ -178,14 +188,14 @@ def test_slow_convergence_single_tent():
 
 def test_slow_convergence_empty_train():
     q = tl.build_tent_train([])
-    tab = tl.slow_convergence_check(q, None, [1, 2, 3])
+    tab = tl.slow_convergence_check(q, [1, 2, 3])
     assert all(value <= 1e-12 for _, value, _ in tab.rows)
 
 
 def test_slow_convergence_validation():
     q = tl.build_tent_train([1.0, 0.5])
     with pytest.raises(ValueError):
-        tl.slow_convergence_check(q, None, [0, 1])
+        tl.slow_convergence_check(q, [0, 1])
 
 
 def test_decreasing_to_zero_reflection():
@@ -196,7 +206,7 @@ def test_decreasing_to_zero_reflection():
     assert all(b < a for a, b in zip(lin, lin[1:]))
     assert lin[-1] < 1e-3
 
-    q = tl.build_weierstrass(0.5, 8)
+    q = tl.HolderWeierstrass(0.5, 8)
     wei = [tl.sup_riemann_error(q, n, SMALL).r_n for n in ns]
     assert all(b < a for a, b in zip(wei, wei[1:]))
 

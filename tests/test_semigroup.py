@@ -99,7 +99,7 @@ def test_exact_constant_two_paths():
 
 
 def test_exact_semigroup_law():
-    q = tl.build_weierstrass(0.5, 6)
+    q = tl.HolderWeierstrass(0.5, 6)
     f = _smooth(4096)
     one = tl.apply_exact(q, 0.375, f)
     two = tl.apply_exact(q, 0.25, tl.apply_exact(q, 0.125, f))
@@ -163,7 +163,7 @@ def test_closed_form_agreement():
     # cover; continuous q tolerates arbitrary tau.
     cases = [
         (tl.Linear(), 0.25, 5),               # misaligned (1024*0.25/5)
-        (tl.build_weierstrass(0.5, 6), 0.25, 7),
+        (tl.HolderWeierstrass(0.5, 6), 0.25, 7),
         (tl.build_cantor(2)[0], 0.25, 4),      # aligned
         (tl.build_cantor(2)[0], 0.5, 16),      # aligned
     ]

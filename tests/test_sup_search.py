@@ -15,8 +15,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         tl.SearchConfig(coarse_grid=1)
     with pytest.raises(ValueError):
-        tl.SearchConfig(refine_factor=1)
-    with pytest.raises(ValueError):
         tl.SearchConfig(s_min=0.0)
 
 
@@ -64,7 +62,7 @@ def test_anytime_lower_bound(zoo):
 
 
 def test_refinement_monotone():
-    q = tl.build_weierstrass(0.5, 6)
+    q = tl.HolderWeierstrass(0.5, 6)
     rep = tl.sup_riemann_error(q, 37, tl.SearchConfig(coarse_grid=48, refine_levels=3))
     lv = rep.method.level_best
     assert len(lv) == 4  # coarse + 3 refinements
@@ -80,7 +78,7 @@ def test_certified_containment(zoo):
 
 
 def test_holder_ceiling():
-    q = tl.build_weierstrass(0.5, 10)
+    q = tl.HolderWeierstrass(0.5, 10)
     L = q.holder_meta.constant
     for n in (4, 16, 64, 256):
         rep = tl.sup_riemann_error(q, n, SMALL)
@@ -98,8 +96,17 @@ def test_certified_upper_bound_values():
     assert tl.Constant(2.0).certified_upper_bound(5) == 0.0
 
 
+def test_every_family_is_certified(zoo):
+    for name, q in zoo:
+        assert isinstance(q.certified_upper_bound(9), float), name
+        rep = tl.sup_riemann_error(q, 9, SMALL)
+        assert rep.method.certified, name
+        assert tl.trotter_error_sandwich(q, 9, SMALL) == (
+            rep.lower_op_norm, rep.upper_op_norm), name
+
+
 def test_holder_certificate_bound_is_shared():
-    q = tl.build_weierstrass(0.5, 10)
+    q = tl.HolderWeierstrass(0.5, 10)
     cert = q.holder_meta
     for n in (1, 4, 64):
         assert q.certified_upper_bound(n) == cert.constant / float(n) ** 0.5
@@ -118,23 +125,11 @@ def test_family_hints_and_step_breakpoints():
     assert [(p.t, p.s) for p in hints[-3:]] == q.corner_hints()
     assert np.array_equal(q.step_breakpoints,
                           [float(b) for b in q.breakpoints])
-    for other in (tl.Linear(), tl.build_weierstrass(0.5, 4),
+    for other in (tl.Linear(), tl.HolderWeierstrass(0.5, 4),
                   tl.build_tent_train([1.0])):
         assert other.corner_hints() == []
         assert other.step_breakpoints is None
         assert len(default_hints(other, 8, 1e-9)) == len(hints) - 3
-
-
-def test_no_certificate_for_plain_callable():
-    from trotter_lab.potentials import CallablePotential
-    q = CallablePotential(lambda t: t * 0.0 + 0.5, sup_norm=0.5)
-    assert q.certified_upper_bound(4) is None
-    rep = tl.sup_riemann_error(q, 4, SMALL)
-    assert rep.upper_op_norm is None
-    assert not rep.method.certified
-    # sandwich falls back to the heuristic search value
-    lo, up = tl.trotter_error_sandwich(q, 4, SMALL)
-    assert up == rep.r_n
 
 
 def test_budget_exceeded_before_any_probe():
@@ -159,7 +154,7 @@ def test_budget_partial_keeps_hint_value():
 
 
 def test_determinism():
-    q = tl.build_weierstrass(0.5, 8)
+    q = tl.HolderWeierstrass(0.5, 8)
     a = tl.sup_riemann_error(q, 23, SMALL)
     b = tl.sup_riemann_error(q, 23, SMALL)
     assert a == b
@@ -182,7 +177,7 @@ def test_trace_renders():
 def test_trace_names_kernel():
     q3, _ = tl.build_cantor(3)   # 16 interior breakpoints
     cases = [(tl.Linear(), 4, "closed-form"),
-             (tl.build_weierstrass(0.5, 6), 8, "closed-form"),
+             (tl.HolderWeierstrass(0.5, 6), 8, "closed-form"),
              (tl.build_tent_train([1.0, 0.5]), 8, "sampled"),
              (q3, 16, "sampled"), (q3, 17, "piece-count")]
     for q, n, name in cases:
