@@ -48,6 +48,11 @@ class SearchConfig:
             raise ValueError("coarse_grid must be >= 2")
         if not 0.0 < self.s_min < 1.0:
             raise ValueError("s_min must lie in (0, 1)")
+        if self.refine_levels < 0:
+            raise ValueError(
+                f"refine_levels must be >= 0, got {self.refine_levels}")
+        if self.max_evals is not None and self.max_evals < 1:
+            raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,32 @@ def test_parse_int_range():
     (["oracle", "--potential", "linear", "--n", ","], "lists no values"),
 ])
 def test_exit_code_bad_list(tmp_path, capsys, monkeypatch, argv, message):
+    _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv,
+                                   message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rates", "--potential", "linear", "--n", "8..64", "--refine", "-1"],
+     "refine_levels must be >= 0, got -1"),
+    (["rates", "--potential", "linear", "--n", "8..64", "--max-evals", "0"],
+     "max_evals must be >= 1, got 0"),
+    (["rates", "--potential", "linear", "--n", "8..64", "--max-evals", "-3"],
+     "max_evals must be >= 1, got -3"),
+    (["cantor", "--depth", "3", "--refine", "-2"],
+     "refine_levels must be >= 0, got -2"),
+    (["oracle", "--potential", "linear", "--max-evals", "0"],
+     "max_evals must be >= 1, got 0"),
+])
+def test_exit_code_bad_search_config(tmp_path, capsys, monkeypatch, argv,
+                                     message):
+    _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv,
+                                   message)
+
+
+def _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv,
+                                   message):
     def no_search(*args):
-        raise AssertionError("a search ran before the list was checked")
+        raise AssertionError("a search ran before the arguments were checked")
     monkeypatch.setattr(cli, "sup_riemann_error", no_search)
     monkeypatch.setattr(cli, "trotter_error_sandwich", no_search)
     out = tmp_path / "report.csv"

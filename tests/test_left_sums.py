@@ -7,6 +7,7 @@ piece once their interior breakpoints are fewer than n.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trotter_lab as tl
+from trotter_lab import potentials
 from trotter_lab.potentials import Potential
 from trotter_lab.sup_search import SearchConfig, default_hints
 
@@ -206,3 +208,47 @@ def test_exact_kernels_reject_bad_endpoints(t, s):
               tl.build_cantor(2)[0]):
         with pytest.raises(ValueError):
             kernel(q, t, s, 64)
+
+
+def _block_cases(n):
+    """(potential, n, interior breakpoints) for each kernel path at n."""
+    cantor, _ = tl.build_cantor(3)
+    k = cantor.internal_breakpoint_count
+    return [(tl.build_tent_train([1.0, 0.5, 0.25, 0.125]), n, 0),
+            (cantor, 1 + n % k, k),                 # K >= n: sampled
+            (cantor, k + n, k),                     # K < n: piece-count
+            (STEPS[1], 2 + n, 2)]                   # a pw step, piece-count
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(windows=st.lists(st.tuples(unit, unit), min_size=1, max_size=12),
+       n=steps)
+def test_block_size_does_not_change_left_sums(windows, n):
+    t = np.array([w[0] for w in windows])
+    s = np.array([w[1] for w in windows])
+    for q, n_q, k in _block_cases(n):
+        sums = []
+        # one row per block, three rows per block, the default
+        for chunk, piece in ((1, 1), (3 * n_q, 3 * max(1, k)),
+                             (potentials._SAMPLE_CHUNK,
+                              potentials._PIECE_BLOCK)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(potentials, "_SAMPLE_CHUNK", chunk)
+                mp.setattr(potentials, "_PIECE_BLOCK", piece)
+                sums.append(kernel(q, t, s, n_q))
+        assert sums[0].tobytes() == sums[1].tobytes() == sums[2].tobytes(), (
+            q, n_q)
+
+
+def test_sampled_kernel_holds_one_block():
+    # 1000 windows at n = 4096 are 32 MB of sample points; the kernel
+    # builds and reduces them one L2-sized block at a time
+    q = tl.build_tent_train([1.0, 0.5, 0.25])
+    s = np.linspace(0.0, 0.5, 1000)
+    tracemalloc.start()
+    try:
+        kernel(q, s + 0.5, s, 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import trotter_lab as tl
+from trotter_lab import semigroup
+from trotter_lab.semigroup import _shifted
 
 
 def _smooth(m, p=2.0):
@@ -133,6 +135,99 @@ def test_trotter_n1_closed_form():
     # single step: damp at the source point t - tau, then shift
     want[r:] = np.exp(-tau * q(ts[:m - r])) * f.samples[:m - r]
     assert np.max(np.abs(out.samples - want)) < 1e-15
+
+
+def _trotter_step_loop(q, tau, n, f):
+    """The step-by-step product: damp, then shift by the rounded step, n times."""
+    r = int(round((tau / n) * f.m))
+    damp = np.exp(-(tau / n) * q(f.nodes()))
+    g = f.samples
+    for _ in range(n):
+        g = _shifted(damp * g, r)
+    return g
+
+
+@pytest.mark.parametrize("m, tau, n", [
+    (512, 0.01, 64),    # r = 0: every step damps in place
+    (512, 1.5, 4),      # n r > m: the product is zero
+    (512, 1.0, 8),      # tau = 1, n r = m
+    (1000, 1.0, 3),     # tau = 1, n r = m - 1: one landing cell
+    (1024, 0.3, 7),     # misaligned tau: r = round(43.9) = 44
+    (1000, 0.37, 5),    # m not divisible by r = 74
+    (4096, 0.5, 64),
+])
+def test_trotter_bit_equal_to_step_loop(monkeypatch, zoo, m, tau, n):
+    rng = np.random.default_rng(m + n)
+    real = tl.GridFunction(rng.standard_normal(m))
+    cplx = _random_gf(rng, m)
+
+    def no_step_copies(*args):
+        raise AssertionError("apply_trotter shifted the grid once per step")
+
+    for name, q in zoo:
+        for f in (real, cplx):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = _trotter_step_loop(q, tau, n, f)
+                with monkeypatch.context() as mp:
+                    mp.setattr(semigroup, "_shifted", no_step_copies)
+                    got = tl.apply_trotter(q, tau, n, f).samples
+            assert got.tobytes() == want.tobytes(), (name, m, tau, n)
+
+
+def _per_tau_grid_per_seed(q, tau, n):
+    """The symbol grid search with one linspace per refinement seed."""
+    ts = np.linspace(tau, 1.0, semigroup._T_GRID)
+    vals = semigroup._symbol_gaps(q, tau, n, ts)
+    best = float(vals.max())
+    best_t = float(ts[int(np.argmax(vals))])
+    spacing = (1.0 - tau) / (semigroup._T_GRID - 1)
+    for _ in range(semigroup._T_REFINE_LEVELS):
+        seeds = ts[np.argsort(-vals)[:8]]
+        pts = np.concatenate([
+            np.linspace(t0 - spacing, t0 + spacing,
+                        semigroup._T_REFINE_FACTOR + 1)
+            for t0 in seeds])
+        ts = np.clip(pts, tau, 1.0)
+        vals = semigroup._symbol_gaps(q, tau, n, ts)
+        cand = float(vals.max())
+        if cand > best:
+            best = cand
+            best_t = float(ts[int(np.argmax(vals))])
+        spacing = 2.0 * spacing / semigroup._T_REFINE_FACTOR
+    return best, best_t
+
+
+def test_refinement_rows_bit_equal_to_linspace_per_seed(monkeypatch):
+    # a zero step in one row (the seed 1.0) must not move the other rows
+    seeds = np.array([1.0, 1e-4, 3.3e-4, 7e-4])
+    for spacing in (1e-17, 2.5e-4 / 3.0):
+        rows = np.linspace(seeds - spacing, seeds + spacing,
+                           semigroup._T_REFINE_FACTOR + 1, axis=1).ravel()
+        want = np.concatenate([
+            np.linspace(t0 - spacing, t0 + spacing,
+                        semigroup._T_REFINE_FACTOR + 1) for t0 in seeds])
+        assert rows.tobytes() == want.tobytes(), spacing
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linspace(*args, **kwargs)
+
+    linspace = np.linspace
+    cases = [(tl.Linear(), 0.3, 7), (tl.HolderWeierstrass(0.5, 8), 0.125, 16),
+             (tl.build_tent_train([1.0, 0.5, 0.25]), 1.0 / 3.0, 4),
+             (tl.Linear(0.5, 0.25), 0.999, 64)]
+    for q, tau, n in cases:
+        want = _per_tau_grid_per_seed(q, tau, n)
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "linspace", counted)
+            got = semigroup._per_tau_grid(q, tau, n)
+        assert got == want, (q, tau, n)
+        # the first grid, then one call per refinement round
+        assert len(calls) == 1 + semigroup._T_REFINE_LEVELS
 
 
 def test_trotter_subgrid_warning():

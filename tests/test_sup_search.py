@@ -16,6 +16,12 @@ def test_config_validation():
         tl.SearchConfig(coarse_grid=1)
     with pytest.raises(ValueError):
         tl.SearchConfig(s_min=0.0)
+    with pytest.raises(ValueError, match="got -1"):
+        tl.SearchConfig(refine_levels=-1)
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match=f"got {budget}"):
+            tl.SearchConfig(max_evals=budget)
+    tl.SearchConfig(refine_levels=0, max_evals=1)
 
 
 def test_invalid_n():
