@@ -8,7 +8,8 @@ are sorted by n.  Reports are deterministic for a fixed seed except for
 the generated_at timestamp (CSV: first comment line; JSON: meta field).
 
 Exit codes: 0 success, 2 argument/spec errors, 3 search budget exhausted
-(a partial report is still written, flagged in the meta).
+(every command but `lie` searches, and still writes the rows of the n values
+searched so far, flagged in the meta).  Warnings print as `warning: ...`.
 
 Potential shorthands are text syntax over `potentials.from_spec`, so the
 CLI and spec files accept the same kind names and aliases.
@@ -22,6 +23,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -33,7 +35,7 @@ from .potentials import Potential, build_cantor, from_spec
 from .rates import fit_loglog, holder_bound_check
 from .semigroup import (GridFunction, operator_norm_oracle,
                         _per_tau_norm_argmax, strong_convergence_curve)
-from .sup_search import SearchConfig, sup_riemann_error, trotter_error_sandwich
+from .sup_search import RiemannReport, SearchConfig, sup_riemann_error
 
 COLUMNS = ("command", "potential", "n", "value", "lower", "upper",
            "argmax_t", "argmax_s", "verdict")
@@ -183,6 +185,28 @@ def _search_config(args) -> SearchConfig:
                         max_evals=args.max_evals)
 
 
+def _searches(q: Potential, ns: list[int], cfg: SearchConfig
+              ) -> tuple[list[RiemannReport], bool]:
+    """(reports, exhausted): one search per n, each with its own budget, up
+    to the first exhausted one, whose partial report ends the list."""
+    reports = []
+    for n in ns:
+        try:
+            reports.append(sup_riemann_error(q, n, cfg))
+        except BudgetExceededError as exc:
+            reports.append(exc.partial)
+            return reports, True
+    return reports, False
+
+
+def _finish(args, meta: dict, rows: list[dict], exhausted: bool) -> int:
+    """Write the report, flagged if a search ran out of budget; exit code."""
+    if exhausted:
+        meta["budget_exhausted"] = True
+    write_report(args.output, args.format, meta, rows)
+    return 3 if exhausted else 0
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_rates(args) -> int:
@@ -194,17 +218,7 @@ def cmd_rates(args) -> int:
     meta = {"command": "rates", "potential": label, "n_list": ns,
             "seed": args.seed, "tool_version": __version__}
 
-    reports = []
-    exhausted = False
-    # budget accounting is per search; stop the sweep at first exhaustion
-    for n in ns:
-        try:
-            reports.append(sup_riemann_error(q, n, cfg))
-        except BudgetExceededError as exc:
-            reports.append(exc.partial)
-            exhausted = True
-            break
-
+    reports, exhausted = _searches(q, ns, cfg)
     check = holder_bound_check(q, reports) if q.holder_meta else None
     for i, rep in enumerate(reports):
         verdict = ""
@@ -221,10 +235,7 @@ def cmd_rates(args) -> int:
                          fit.slope - fit.slope_ci, fit.slope + fit.slope_ci,
                          verdict=fit.verdict_label))
         meta["verdict"] = fit.verdict_label
-    if exhausted:
-        meta["budget_exhausted"] = True
-    write_report(args.output, args.format, meta, rows)
-    return 3 if exhausted else 0
+    return _finish(args, meta, rows, exhausted)
 
 
 def cmd_cantor(args) -> int:
@@ -242,34 +253,21 @@ def cmd_cantor(args) -> int:
         meta["merged_open_set"] = [[str(lo), str(hi)]
                                    for lo, hi in cons.merged_open_set]
     rows: list[dict] = []
-    floors = []
-    exhausted = False
-    for m in ms:
-        n = 2 ** m
+    reports, exhausted = _searches(q, [2 ** m for m in ms], cfg)
+    for m, rep in zip(ms, reports):
         floor = float(cons.complement_measure) - 2.0 * q.corner_width(m)
-        try:
-            rep = sup_riemann_error(q, n, cfg)
-        except BudgetExceededError as exc:
-            rep = exc.partial
-            exhausted = True
         verdict = "FLOOR_OK" if rep.r_n >= floor else "FLOOR_MISS"
-        rows.append(_row("cantor", label, n, rep.r_n, rep.lower_op_norm,
+        rows.append(_row("cantor", label, rep.n, rep.r_n, rep.lower_op_norm,
                          rep.upper_op_norm, rep.argmax.t, rep.argmax.s,
                          verdict))
-        floors.append((n, rep.r_n, floor))
-        if exhausted:
-            break
 
-    if len(floors) >= 4:
-        fit = fit_loglog([(n, r) for n, r, _ in floors],
-                         subsequence=[n for n, _, _ in floors])
-        rows.append(_row("cantor/fit", label, 0, min(r for _, r, _ in floors),
+    if len(reports) >= 4:
+        fit = fit_loglog([(rep.n, rep.r_n) for rep in reports],
+                         subsequence=[rep.n for rep in reports])
+        rows.append(_row("cantor/fit", label, 0, min(rep.r_n for rep in reports),
                          verdict=fit.verdict_label))
         meta["verdict"] = fit.verdict_label
-    if exhausted:
-        meta["budget_exhausted"] = True
-    write_report(args.output, args.format, meta, rows)
-    return 3 if exhausted else 0
+    return _finish(args, meta, rows, exhausted)
 
 
 def cmd_oracle(args) -> int:
@@ -284,15 +282,13 @@ def cmd_oracle(args) -> int:
             "tool_version": __version__}
     taus = [j / args.tau_grid for j in range(1, args.tau_grid + 1)]
     rows: list[dict] = []
-
-    def tau_sweep(n: int) -> tuple[float, float, float]:
+    reports, exhausted = _searches(q, ns, cfg)
+    for rep in reports:
+        n, lower, upper = rep.n, rep.lower_op_norm, rep.upper_op_norm
         # (norm, tau, t*) at the largest norm, ties to the larger tau
-        return max((norm, tau, t_star) for tau in taus
-                   for norm, t_star in [_per_tau_norm_argmax(q, tau, n)])
-
-    for n in ns:
-        symbol_max, tau_star, t_star = tau_sweep(n)
-        lower, upper = trotter_error_sandwich(q, n, cfg)
+        symbol_max, tau_star, t_star = max(
+            (norm, tau, t_star) for tau in taus
+            for norm, t_star in [_per_tau_norm_argmax(q, tau, n)])
         contained = lower - 1e-3 <= symbol_max <= upper + 1e-3
         rows.append(_row("oracle/symbol", label, n, symbol_max, lower, upper,
                          tau_star, t_star,
@@ -304,8 +300,7 @@ def cmd_oracle(args) -> int:
         rows.append(_row("oracle/probe", label, n, probe, 0.95 * symbol_max,
                          symbol_max + slack, tau_star, None,
                          "REACHED" if reached else "SHORT"))
-    write_report(args.output, args.format, meta, rows)
-    return 0
+    return _finish(args, meta, rows, exhausted)
 
 
 def cmd_lie(args) -> int:
@@ -337,39 +332,55 @@ def cmd_lie(args) -> int:
                          fit.slope - fit.slope_ci, fit.slope + fit.slope_ci,
                          verdict=fit.verdict_label))
         meta["verdict"] = fit.verdict_label
-    write_report(args.output, args.format, meta, rows)
-    return 0
+    return _finish(args, meta, rows, False)
 
 
 def cmd_strong(args) -> int:
     q = parse_potential(args.potential, args)
     ns = parse_n_list(args.n)
     m = int(args.m) if args.m else 16384
-    tau = args.tau
     cfg = _search_config(args)
     label = q.describe()
-    meta = {"command": "strong", "potential": label, "tau": tau, "m": m,
+    meta = {"command": "strong", "potential": label, "tau": args.tau, "m": m,
             "p": args.p, "n_list": ns, "seed": args.seed,
             "tool_version": __version__}
     f = GridFunction.from_callable(lambda t: np.sin(np.pi * t) ** 2, m, args.p)
     rows: list[dict] = []
-    curve = strong_convergence_curve(q, f, tau, ns)
+    curve = strong_convergence_curve(q, f, args.tau, ns)
     for n, resid in curve:
         rows.append(_row("strong/residual", label, n, resid))
-    for n in ns:
-        if n & (n - 1) == 0:
-            lo, up = trotter_error_sandwich(q, n, cfg)
-            rows.append(_row("strong/norm-floor", label, n, lo, lo, up))
+    reports, exhausted = _searches(q, [n for n in ns if not n & (n - 1)], cfg)
+    for rep in reports:
+        rows.append(_row("strong/norm-floor", label, rep.n, rep.lower_op_norm,
+                         rep.lower_op_norm, rep.upper_op_norm))
     resids = [r for _, r in curve]
     decreasing = all(b <= a + 1e-3 for a, b in zip(resids, resids[1:]))
     rows.append(_row("strong/summary", label, 0, resids[-1],
                      verdict="DECREASING" if decreasing else "NOT_DECREASING"))
     meta["residual_decreasing"] = decreasing
-    write_report(args.output, args.format, meta, rows)
-    return 0
+    return _finish(args, meta, rows, exhausted)
 
 
 # ---------------------------------------------------------------- driver
+
+# Flags of more than one subcommand.  Each subcommand registers only those it
+# reads, plus --seed, --output and --format; any other is an argument error.
+_FLAGS = {
+    "--potential": dict(required=True,
+                        help="shorthand like linear, cantor:depth=3, "
+                             "weier:beta=0.5,levels=12, or @spec.json"),
+    "--depth": dict(type=int, help="Cantor construction depth"),
+    "--beta": dict(type=float, help="Holder exponent for weier shorthands"),
+    "--levels": dict(type=int, help="level count for weier/tent shorthands"),
+    "--p": dict(type=float, default=2.0, help="L^p exponent"),
+    "--grid": dict(type=int, default=256, help="coarse search grid per axis"),
+    "--refine": dict(type=int, default=4, help="search refinement levels"),
+    "--max-evals": dict(type=int, help="probe budget for the sup search"),
+    "--trials": dict(type=_positive_int, default=8),
+}
+_POTENTIAL = ("--potential", "--depth", "--beta", "--levels")
+_SEARCH = ("--grid", "--refine", "--max-evals")
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -379,73 +390,63 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, potential_required=True):
-        if potential_required:
-            p.add_argument("--potential", required=True,
-                           help="shorthand like linear, cantor:depth=3, "
-                                "weier:beta=0.5,levels=12, or @spec.json")
-        p.add_argument("--depth", type=int, default=None,
-                       help="Cantor construction depth")
-        p.add_argument("--beta", type=float, default=None,
-                       help="Holder exponent for weier shorthands")
-        p.add_argument("--levels", type=int, default=None,
-                       help="level count for weier/tent shorthands")
-        p.add_argument("--p", type=float, default=2.0, help="L^p exponent")
+    def command(name, func, help, flags):
+        # no prefix matching: rates would otherwise read --p as --potential
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--seed", type=int, default=1234)
-        p.add_argument("--grid", type=int, default=256,
-                       help="coarse search grid per axis")
-        p.add_argument("--refine", type=int, default=4,
-                       help="search refinement levels")
-        p.add_argument("--max-evals", type=int, default=None,
-                       help="probe budget for the sup search")
-        p.add_argument("--trials", type=_positive_int, default=8)
         p.add_argument("--output", default=None, help="file path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("rates", help="worst-case error sweep with rate fit")
-    common(p)
+    p = command("rates", cmd_rates, "worst-case error sweep with rate fit",
+                _POTENTIAL + _SEARCH)
     p.add_argument("--n", default="8..4096", help="n list, e.g. 8..4096 or 3,5,9")
-    p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser("cantor", help="counterexample floors along n = 2^m")
-    common(p, potential_required=False)
+    p = command("cantor", cmd_cantor, "counterexample floors along n = 2^m",
+                ("--depth",) + _SEARCH)
     p.add_argument("--m", default=None, help="level list, e.g. 1..6")
-    p.set_defaults(func=cmd_cantor)
 
-    p = sub.add_parser("oracle", help="symbol norm vs sandwich vs test functions")
-    common(p)
+    p = command("oracle", cmd_oracle,
+                "symbol norm vs sandwich vs test functions",
+                _POTENTIAL + ("--p",) + _SEARCH + ("--trials",))
     p.add_argument("--n", default="4,16,64")
     p.add_argument("--m", default=None, help="oracle grid resolution (default 65536)")
     p.add_argument("--tau-grid", type=_positive_int, default=256,
                    dest="tau_grid")
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("lie", help="matrix telescoping identity and O(1/n) rate")
-    common(p, potential_required=False)
+    p = command("lie", cmd_lie, "matrix telescoping identity and O(1/n) rate",
+                ("--trials",))
     p.add_argument("--n", default="16..4096")
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--norm-bound", type=float, default=2.0, dest="norm_bound")
-    p.set_defaults(func=cmd_lie)
 
-    p = sub.add_parser("strong", help="strong residuals vs operator-norm floor")
-    common(p)
+    p = command("strong", cmd_strong, "strong residuals vs operator-norm floor",
+                _POTENTIAL + ("--p",) + _SEARCH)
     p.add_argument("--n", default="2..256")
     p.add_argument("--m", default=None, help="grid resolution (default 16384)")
     p.add_argument("--tau", type=float, default=0.5)
-    p.set_defaults(func=cmd_strong)
     return ap
+
+
+def _print_warning(message, category, *location):
+    # no source location: stderr depends only on what was computed
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    shown = warnings.showwarning
+    warnings.showwarning = _print_warning
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (TrotterLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.showwarning = shown
 
 
 if __name__ == "__main__":

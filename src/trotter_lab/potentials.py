@@ -567,7 +567,6 @@ class CantorConstruction:
     """
 
     depth: int
-    centers: tuple[tuple[Fraction, ...], ...]
     intervals: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
     merged_open_set: tuple[tuple[Fraction, Fraction], ...]
     complement_measure: Fraction
@@ -653,15 +652,12 @@ def build_cantor(depth: int) -> tuple[CantorIndicator, CantorConstruction]:
         raise ResourceLimitError(f"depth {depth} needs {raw_count} intervals"
                                  f" > cap {_CANTOR_MAX_PIECES}")
 
-    centers = tuple(
-        tuple(Fraction(k, 2 ** n) for k in range(2 ** n + 1))
-        for n in range(1, depth + 1))
     levels = tuple(tuple(_cantor_level_intervals(n))
                    for n in range(1, depth + 1))
     merged = _merge_open_intervals(iv for lvl in levels for iv in lvl)
     open_measure = sum((hi - lo for lo, hi in merged), start=Fraction(0))
     construction = CantorConstruction(
-        depth=depth, centers=centers, intervals=levels,
+        depth=depth, intervals=levels,
         merged_open_set=merged, complement_measure=1 - open_measure)
 
     bps: list[Fraction] = [Fraction(0)]

@@ -11,8 +11,8 @@ array.  The difference of exact evolution and splitting is a
 multiplication operator composed with an isometric-up-to-cutoff shift, so
 its L^p norm equals the sup of a scalar symbol and is p-independent; the
 symbol sup is computed exactly for step potentials (event decomposition)
-and by a refined grid otherwise.  A test-function oracle provides an
-independent lower bound on the same norm.
+and otherwise by `sup_search._grid_refine` over t (s = t - tau).  A
+test-function oracle provides an independent lower bound on the same norm.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ import numpy as np
 from .errors import GridResolutionWarning
 from .potentials import Potential
 from .quadrature import left_darboux_sums
+from .sup_search import _best_first, _grid_refine
 
 # tau*m farther than this from an integer triggers a rounding warning
 _ROUND_TOL = 1e-9
-# Symbol grid search over t in [tau, 1]: points of the first grid, rounds
-# of refinement around its 8 best points, and points per refined cell.
+# Symbol grid search over t in [tau, 1]: first grid, rounds, seeds per round.
 _T_GRID = 4097
 _T_REFINE_LEVELS = 3
-_T_REFINE_FACTOR = 8
+_T_TOP = 8
 # Cell widths of the indicator bumps the test-function oracle adds.
 _BUMP_WIDTHS = (1, 2, 4, 8, 16, 32, 64)
 
@@ -200,26 +200,17 @@ def _per_tau_exact(q: Potential, tau: float, n: int) -> tuple[float, float]:
 
 
 def _per_tau_grid(q: Potential, tau: float, n: int) -> tuple[float, float]:
-    ts = np.linspace(tau, 1.0, _T_GRID)
-    vals = _symbol_gaps(q, tau, n, ts)
-    best = float(vals.max())
-    best_t = float(ts[int(np.argmax(vals))])
-    spacing = (1.0 - tau) / (_T_GRID - 1)
-    for _ in range(_T_REFINE_LEVELS):
-        seeds = ts[np.argsort(-vals)[:8]]
-        # one row per seed, bit-equal to a linspace per seed: a zero step
-        # in any row sends every row through linspace's divide-first path,
-        # which is exact for the power of two _T_REFINE_FACTOR
-        pts = np.linspace(seeds - spacing, seeds + spacing,
-                          _T_REFINE_FACTOR + 1, axis=1).ravel()
-        ts = np.clip(pts, tau, 1.0)
-        vals = _symbol_gaps(q, tau, n, ts)
-        cand = float(vals.max())
-        if cand > best:
-            best = cand
-            best_t = float(ts[int(np.argmax(vals))])
-        spacing = 2.0 * spacing / _T_REFINE_FACTOR
-    return best, best_t
+    probed = []
+
+    def gaps(ts):
+        probed.append((ts, _symbol_gaps(q, tau, n, ts)))
+        return probed[-1][1]
+
+    _grid_refine(gaps, (np.linspace(tau, 1.0, _T_GRID),),
+                 (1.0 - tau) / (_T_GRID - 1), tau, _T_REFINE_LEVELS, _T_TOP)
+    ts, vals = (np.concatenate(x) for x in zip(*probed))
+    i = _best_first(vals, ts, ts - tau, 1)[0]
+    return float(vals[i]), float(ts[i])
 
 
 def _per_tau_norm_argmax(q: Potential, tau: float, n: int) -> tuple[float, float]:
@@ -261,21 +252,22 @@ def operator_norm_oracle(q: Potential, tau: float, n: int, p: float,
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    tests = [rng.standard_normal(m) for _ in range(trials)]
-
     _, t_star = _per_tau_norm_argmax(q, tau, n)
     r = int(round(tau * m))
     i_out = min(m - 1, max(0, int(round(t_star * m - 0.5))))
     hi = i_out - r
-    for w in _BUMP_WIDTHS:
-        lo = max(0, hi - w + 1)
-        if hi >= lo >= 0:
-            bump = np.zeros(m)
-            bump[lo:hi + 1] = 1.0
-            tests.append(bump)
+
+    def tests():  # one at a time: each test function holds m samples
+        yield from (rng.standard_normal(m) for _ in range(trials))
+        for w in _BUMP_WIDTHS:
+            lo = max(0, hi - w + 1)
+            if hi >= lo >= 0:
+                bump = np.zeros(m)
+                bump[lo:hi + 1] = 1.0
+                yield bump
 
     best = -1.0
-    for arr in tests:
+    for arr in tests():
         f = GridFunction(arr, p)
         den = f.norm()
         if den == 0.0:

@@ -6,6 +6,8 @@ splitting error between e^{-sup_norm} and 1 times itself.  The landscape
 is non-smooth (step potentials) or highly oscillatory (tent trains), so
 the search is a coarse lattice plus local refinement around the best
 cells, seeded with the analytically known near-maximizers of each family.
+The refinement is `_grid_refine`, which `semigroup` also runs for the
+per-tau symbol sup over t; both searches rank points by `_best_first`.
 Every reported value is an exact pointwise evaluation, hence a true lower
 bound; the certified upper bound is each family's
 `Potential.certified_upper_bound`, which every family has.
@@ -22,9 +24,9 @@ from .errors import BudgetExceededError
 from .potentials import Potential
 from .quadrature import DeltaPair, riemann_errors
 
-# Each refinement round probes a (_REFINE_FACTOR + 1)^2 grid around each of
-# the _TOP_CELLS best points so far, with spacing 2/_REFINE_FACTOR of the
-# previous round's.
+# A refinement round spaces _REFINE_FACTOR + 1 points per axis around each
+# seed at 2/_REFINE_FACTOR of the last round's spacing; the triangle search
+# refines around _TOP_CELLS seeds.
 _REFINE_FACTOR = 8
 _TOP_CELLS = 16
 
@@ -67,7 +69,6 @@ class SearchTrace:
     level_best: tuple[float, ...]
     evals: int
     certified: bool
-    hints_probed: int
     budget_hit: bool = False
     kernel: str = "sampled"
 
@@ -90,28 +91,55 @@ class RiemannReport:
     method: SearchTrace
 
 
-class _BestTracker:
-    """Running max with the deterministic tie-break: smallest s, then largest t."""
+def _best_first(vals: np.ndarray, ts: np.ndarray, ss: np.ndarray,
+                k: int) -> np.ndarray:
+    """Indices of the k best points, best first: largest value, then
+    smallest s, then largest t.  Sorts only the points tied with or above
+    the k-th largest value, since searches rank thousands to keep a few."""
+    cut = max(len(vals) - k, 0)
+    cand = np.flatnonzero(vals >= np.partition(vals, cut)[cut])
+    order = np.lexsort((-ts[cand], ss[cand], -vals[cand]))
+    return cand[order[:k]]
 
-    def __init__(self):
-        self.value = -1.0
-        self.t = 1.0
-        self.s = 1.0
+
+class _BestTracker:
+    """Running best point under the `_best_first` order."""
+
+    value, t, s = -1.0, 1.0, 1.0
 
     def offer(self, vals: np.ndarray, ts: np.ndarray, ss: np.ndarray):
-        if len(vals) == 0:
-            return
-        vmax = float(vals.max())
-        if vmax < self.value:
-            return
-        cand = np.flatnonzero(vals == vmax)
-        order = np.lexsort((-ts[cand], ss[cand]))
-        i = cand[order[0]]
-        t, s = float(ts[i]), float(ss[i])
-        if (vmax > self.value
-                or s < self.s
-                or (s == self.s and t > self.t)):
-            self.value, self.t, self.s = vmax, t, s
+        i = _best_first(vals, ts, ss, 1)[0]
+        v, t, s = float(vals[i]), float(ts[i]), float(ss[i])
+        if (v, -s, t) > (self.value, -self.s, self.t):
+            self.value, self.t, self.s = v, t, s
+
+
+def _grid_refine(f, rows, spacing, lo, rounds, top, keep=None) -> None:
+    """Probe ``f(*rows)``, then ``rounds`` local grids around the ``top``
+    best points of each previous round under `_best_first`.
+
+    ``rows`` holds one array per axis: (t, s), or (t,) for a per-tau symbol,
+    whose s = t - tau orders points as t does.  A local grid spans x +-
+    spacing, _REFINE_FACTOR + 1 points per axis clipped to [lo, 1] and
+    filtered by ``keep``; the spacing then shrinks by _REFINE_FACTOR / 2.
+    ``f`` returns the values and records the rest (best point, budget)."""
+    side = _REFINE_FACTOR + 1
+    # idx[i, j]: axis i's entry in point j of a seed's grid, "ij" order
+    idx = np.indices((side,) * len(rows)).reshape(len(rows), -1)
+    vals = f(*rows)
+    for _ in range(rounds):
+        seeds = _best_first(vals, rows[0], rows[-1], top)
+        # one linspace row per seed, bit-equal to a linspace per seed: a
+        # zero step in any row sends every row through linspace's
+        # divide-first path, which is exact for the power of two factor
+        axes = [np.clip(np.linspace(x[seeds] - spacing, x[seeds] + spacing,
+                                    side, axis=1), lo, 1.0) for x in rows]
+        rows = tuple(ax[:, i].ravel() for ax, i in zip(axes, idx))
+        if keep is not None:
+            mask = keep(*rows)
+            rows = tuple(x[mask] for x in rows)
+        vals = f(*rows)
+        spacing = 2.0 * spacing / _REFINE_FACTOR
 
 
 def default_hints(q: Potential, n: int, s_min: float) -> list[DeltaPair]:
@@ -140,7 +168,8 @@ def sup_riemann_error(q: Potential, n: int,
 
     Probes hint points first, then a coarse lattice on the triangle, then
     ``refine_levels`` rounds of local grids around the ``_TOP_CELLS`` best
-    points so far.  Deterministic for a fixed config.
+    points of the previous round (`_grid_refine`).  Deterministic for a
+    fixed config.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -148,7 +177,6 @@ def sup_riemann_error(q: Potential, n: int,
     tracker = _BestTracker()
     evals = 0
     level_best: list[float] = []
-    hints = default_hints(q, n, cfg.s_min) + list(cfg.hint_points)
 
     def make_report(budget_hit: bool) -> RiemannReport:
         r = max(tracker.value, 0.0)
@@ -156,13 +184,11 @@ def sup_riemann_error(q: Potential, n: int,
             n=n, r_n=r, argmax=DeltaPair(tracker.t, tracker.s),
             lower_op_norm=math.exp(-q.sup_norm) * r,
             upper_op_norm=q.certified_upper_bound(n),
-            method=SearchTrace(tuple(level_best), evals, True,
-                               len(hints), budget_hit, q.left_sum_kernel(n)))
+            method=SearchTrace(tuple(level_best), evals, True, budget_hit,
+                               q.left_sum_kernel(n)))
 
-    def probe(ts, ss):
+    def probe(ts, ss, level=True):
         nonlocal evals
-        ts = np.asarray(ts, dtype=float)
-        ss = np.asarray(ss, dtype=float)
         if cfg.max_evals is not None and evals + len(ts) > cfg.max_evals:
             raise BudgetExceededError(
                 f"search budget {cfg.max_evals} exhausted at {evals} probes",
@@ -170,35 +196,19 @@ def sup_riemann_error(q: Potential, n: int,
         vals = riemann_errors(q, ts, ss, n)
         evals += len(ts)
         tracker.offer(vals, ts, ss)
-        return vals, ts, ss
+        if level:
+            level_best.append(tracker.value)
+        return vals
 
-    probe([p.t for p in hints], [p.s for p in hints])
-
+    hints = default_hints(q, n, cfg.s_min) + list(cfg.hint_points)
+    probe(np.array([p.t for p in hints]), np.array([p.s for p in hints]),
+          level=False)
     axis = np.linspace(cfg.s_min, 1.0, cfg.coarse_grid)
     tg, sg = np.meshgrid(axis, axis, indexing="ij")
-    keep = sg <= tg
-    vals, ts, ss = probe(tg[keep], sg[keep])
-    level_best.append(tracker.value)
-
-    spacing = (1.0 - cfg.s_min) / (cfg.coarse_grid - 1)
-    for _ in range(cfg.refine_levels):
-        order = np.lexsort((-ts, ss, -vals))
-        seeds = order[:_TOP_CELLS]
-        pts_t, pts_s = [], []
-        side = _REFINE_FACTOR + 1
-        for i in seeds:
-            tlin = np.clip(np.linspace(ts[i] - spacing, ts[i] + spacing, side),
-                           cfg.s_min, 1.0)
-            slin = np.clip(np.linspace(ss[i] - spacing, ss[i] + spacing, side),
-                           cfg.s_min, 1.0)
-            tt, sv = np.meshgrid(tlin, slin, indexing="ij")
-            m = sv <= tt
-            pts_t.append(tt[m])
-            pts_s.append(sv[m])
-        vals, ts, ss = probe(np.concatenate(pts_t), np.concatenate(pts_s))
-        level_best.append(tracker.value)
-        spacing = 2.0 * spacing / _REFINE_FACTOR
-
+    on_triangle = sg <= tg
+    _grid_refine(probe, (tg[on_triangle], sg[on_triangle]),
+                 (1.0 - cfg.s_min) / (cfg.coarse_grid - 1), cfg.s_min,
+                 cfg.refine_levels, _TOP_CELLS, keep=lambda t, s: s <= t)
     return make_report(False)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -91,7 +92,6 @@ def _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv,
     def no_search(*args):
         raise AssertionError("a search ran before the arguments were checked")
     monkeypatch.setattr(cli, "sup_riemann_error", no_search)
-    monkeypatch.setattr(cli, "trotter_error_sandwich", no_search)
     out = tmp_path / "report.csv"
     code = main(argv + ["--output", str(out)])
     assert code == 2
@@ -113,17 +113,58 @@ def test_exit_code_nonpositive_count(capsys, argv, flag):
     assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
 
-def test_import_does_not_load_scipy():
+@pytest.mark.parametrize("command, flag", [
+    ("rates", "--p"), ("rates", "--trials"),
+    ("cantor", "--beta"), ("cantor", "--levels"), ("cantor", "--p"),
+    ("cantor", "--trials"),
+    ("lie", "--depth"), ("lie", "--beta"), ("lie", "--levels"), ("lie", "--p"),
+    ("lie", "--grid"), ("lie", "--refine"), ("lie", "--max-evals"),
+    ("strong", "--trials"),
+])
+def test_exit_code_flag_not_read(capsys, command, flag):
+    # each subcommand registers only the flags it reads
+    argv = [command] + (["--potential", "linear"]
+                        if command in ("rates", "strong") else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+def _run_module(*args):
     src = str(Path(tl.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True)
+
+
+def test_import_does_not_load_scipy():
     code = ("import sys, trotter_lab.cli; "
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _run_module("-c", code).stdout.strip() == "[]"
+
+
+def test_warnings_name_no_source_file():
+    # tau m / n is not a whole number of cells, so every step shift rounds
+    err = _run_module(
+        "-m", "trotter_lab.cli", "strong", "--potential",
+        "pw:breakpoints=0+1/3+1/2+1,values=1+0+2", "--n", "2..64",
+        "--m", "4096", "--tau", "0.37").stderr
+    assert "warning: GridResolutionWarning: Trotter step shift " in err
+    assert ".py:" not in err
+    lines = err.splitlines()
+    assert lines and all(ln.startswith("warning: GridResolutionWarning: ")
+                         for ln in lines)
+
+
+def test_main_restores_warning_hook(tmp_path):
+    shown = warnings.showwarning
+    assert main(["lie", "--n", "8..16", "--trials", "1",
+                 "--output", str(tmp_path / "lie.csv")]) == 0
+    assert warnings.showwarning is shown
 
 
 def test_parse_potential_shorthands():
@@ -293,11 +334,18 @@ def test_exit_code_bad_potential_parameter(tmp_path, capsys, potential, named):
     assert err.startswith("error:") and named in err
 
 
-def test_exit_code_budget(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["rates", "--potential", "linear", "--n", "8..64", "--grid", "64",
+     "--refine", "1"],
+    ["cantor", "--depth", "3", "--m", "1..3", "--grid", "64"],
+    ["oracle", "--potential", "linear", "--n", "4,16", "--m", "1024",
+     "--tau-grid", "8"],
+    ["strong", "--potential", "linear", "--n", "2..8", "--m", "1024"],
+], ids=lambda argv: argv[0])
+def test_exit_code_budget(tmp_path, argv):
     out = tmp_path / "partial.csv"
-    code = main(["rates", "--potential", "linear", "--n", "8..64",
-                 "--grid", "64", "--refine", "1", "--max-evals", "10",
-                 "--output", str(out), "--format", "csv"])
+    code = main(argv + ["--max-evals", "10", "--output", str(out),
+                        "--format", "csv"])
     assert code == 3
     comments, rows = _read_csv(out)
     assert any(c.startswith("# budget_exhausted=True") for c in comments)

@@ -141,7 +141,7 @@ def test_holder_check_flags_violation():
     fake = tl.RiemannReport(
         n=4, r_n=0.9, argmax=tl.DeltaPair(1.0, 1e-9),
         lower_op_norm=0.3, upper_op_norm=1.0,
-        method=SearchTrace((0.9,), 1, False, 0))
+        method=SearchTrace((0.9,), 1, False))
     check = tl.holder_bound_check(q, [fake])
     assert not check.passed
     assert check.violations == ((4, 0.9, 0.25),)

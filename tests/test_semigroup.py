@@ -1,13 +1,14 @@
 """Discretized semigroup actions, symbol norms, and the oracle."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import trotter_lab as tl
-from trotter_lab import semigroup
+from trotter_lab import semigroup, sup_search
 from trotter_lab.semigroup import _shifted
 
 
@@ -186,7 +187,7 @@ def _per_tau_grid_per_seed(q, tau, n):
         seeds = ts[np.argsort(-vals)[:8]]
         pts = np.concatenate([
             np.linspace(t0 - spacing, t0 + spacing,
-                        semigroup._T_REFINE_FACTOR + 1)
+                        sup_search._REFINE_FACTOR + 1)
             for t0 in seeds])
         ts = np.clip(pts, tau, 1.0)
         vals = semigroup._symbol_gaps(q, tau, n, ts)
@@ -194,7 +195,7 @@ def _per_tau_grid_per_seed(q, tau, n):
         if cand > best:
             best = cand
             best_t = float(ts[int(np.argmax(vals))])
-        spacing = 2.0 * spacing / semigroup._T_REFINE_FACTOR
+        spacing = 2.0 * spacing / sup_search._REFINE_FACTOR
     return best, best_t
 
 
@@ -203,10 +204,10 @@ def test_refinement_rows_bit_equal_to_linspace_per_seed(monkeypatch):
     seeds = np.array([1.0, 1e-4, 3.3e-4, 7e-4])
     for spacing in (1e-17, 2.5e-4 / 3.0):
         rows = np.linspace(seeds - spacing, seeds + spacing,
-                           semigroup._T_REFINE_FACTOR + 1, axis=1).ravel()
+                           sup_search._REFINE_FACTOR + 1, axis=1).ravel()
         want = np.concatenate([
             np.linspace(t0 - spacing, t0 + spacing,
-                        semigroup._T_REFINE_FACTOR + 1) for t0 in seeds])
+                        sup_search._REFINE_FACTOR + 1) for t0 in seeds])
         assert rows.tobytes() == want.tobytes(), spacing
 
     calls = []
@@ -300,6 +301,33 @@ def test_per_tau_linear_sup_over_grid():
     assert vals[256] == 0.0  # nilpotent horizon
 
 
+def test_per_tau_grid_ties_follow_the_search_order(monkeypatch):
+    # a constant symbol ties exactly across t, so the seeds and t* come from
+    # the tie-break: largest value, then smallest s = t - tau (smallest t)
+    q = tl.Constant(0.7)
+    gaps = semigroup._symbol_gaps
+    for tau, n in ((0.3, 7), (0.125, 16), (0.37, 5)):
+        probed = []
+
+        def recorded(q, tau, n, ts):
+            probed.append((ts, gaps(q, tau, n, ts)))
+            return probed[-1][1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(semigroup, "_symbol_gaps", recorded)
+            value, t_star = semigroup._per_tau_grid(q, tau, n)
+        ts = np.concatenate([t for t, _ in probed])
+        vals = np.concatenate([v for _, v in probed])
+        top = vals.max()
+        assert np.count_nonzero(vals == top) > 1, (tau, n)
+        assert (value, t_star) == (top, ts[vals == top].min()), (tau, n)
+        side = sup_search._REFINE_FACTOR + 1
+        for (t0, v0), (t1, _) in zip(probed, probed[1:]):
+            want = np.sort(t0[v0 == v0.max()])[:semigroup._T_TOP]
+            centers = t1.reshape(-1, side)[:, side // 2]
+            assert np.allclose(centers, want, rtol=0, atol=1e-12), (tau, n)
+
+
 def test_per_tau_exact_vs_dense_grid():
     # step-potential path is event-exact; a dense grid must agree from below
     q2, _ = tl.build_cantor(2)
@@ -350,6 +378,19 @@ def test_oracle_nilpotent_tau():
     val = tl.operator_norm_oracle(tl.Linear(), 1.0, 8, 2.0, trials=1,
                                   seed=1, m=1024)
     assert val == 0.0
+
+
+def test_oracle_holds_one_test_function():
+    # 8 random functions and 7 bumps at m = 2^16 are 7.5 MB of samples;
+    # the oracle makes and applies them one at a time
+    q = tl.Linear()
+    tracemalloc.start()
+    try:
+        tl.operator_norm_oracle(q, 0.5, 4, 2.0, trials=8, seed=0, m=1 << 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_strong_curve_examples():

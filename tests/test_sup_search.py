@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import trotter_lab as tl
+from trotter_lab import sup_search
 from trotter_lab.sup_search import default_hints
 
 SMALL = tl.SearchConfig(coarse_grid=32, refine_levels=2)
@@ -65,6 +66,75 @@ def test_anytime_lower_bound(zoo):
         rep = tl.sup_riemann_error(q, 5, SMALL)
         again = tl.riemann_error(q, rep.argmax, 5)
         assert again == rep.r_n, name
+
+
+class _RunningMax:
+    """Running max, ties to the smallest s, then the largest t."""
+
+    def __init__(self):
+        self.value, self.t, self.s = -1.0, 1.0, 1.0
+
+    def offer(self, vals, ts, ss):
+        vmax = float(vals.max())
+        if vmax < self.value:
+            return
+        cand = np.flatnonzero(vals == vmax)
+        i = cand[np.lexsort((-ts[cand], ss[cand]))[0]]
+        t, s = float(ts[i]), float(ss[i])
+        if vmax > self.value or s < self.s or (s == self.s and t > self.t):
+            self.value, self.t, self.s = vmax, t, s
+
+
+def _sup_search_per_seed(q, n, cfg):
+    """The triangle search as a loop of hints, lattice and per-seed grids:
+    (r_n, argmax, level_best, evals)."""
+    tracker = _RunningMax()
+    level_best, evals = [], 0
+
+    def probe(ts, ss):
+        nonlocal evals
+        ts, ss = np.asarray(ts, dtype=float), np.asarray(ss, dtype=float)
+        vals = tl.riemann_errors(q, ts, ss, n)
+        evals += len(ts)
+        tracker.offer(vals, ts, ss)
+        return vals, ts, ss
+
+    hints = default_hints(q, n, cfg.s_min)
+    probe([p.t for p in hints], [p.s for p in hints])
+    axis = np.linspace(cfg.s_min, 1.0, cfg.coarse_grid)
+    tg, sg = np.meshgrid(axis, axis, indexing="ij")
+    keep = sg <= tg
+    vals, ts, ss = probe(tg[keep], sg[keep])
+    level_best.append(tracker.value)
+    spacing = (1.0 - cfg.s_min) / (cfg.coarse_grid - 1)
+    side = sup_search._REFINE_FACTOR + 1
+    for _ in range(cfg.refine_levels):
+        pts_t, pts_s = [], []
+        for i in np.lexsort((-ts, ss, -vals))[:sup_search._TOP_CELLS]:
+            tlin = np.clip(np.linspace(ts[i] - spacing, ts[i] + spacing, side),
+                           cfg.s_min, 1.0)
+            slin = np.clip(np.linspace(ss[i] - spacing, ss[i] + spacing, side),
+                           cfg.s_min, 1.0)
+            tt, sv = np.meshgrid(tlin, slin, indexing="ij")
+            m = sv <= tt
+            pts_t.append(tt[m])
+            pts_s.append(sv[m])
+        vals, ts, ss = probe(np.concatenate(pts_t), np.concatenate(pts_s))
+        level_best.append(tracker.value)
+        spacing = 2.0 * spacing / sup_search._REFINE_FACTOR
+    return (max(tracker.value, 0.0), tl.DeltaPair(tracker.t, tracker.s),
+            tuple(level_best), evals)
+
+
+@pytest.mark.parametrize("grid, refine", [(16, 0), (32, 2), (64, 3)])
+def test_search_bit_equal_to_per_seed_loop(zoo, grid, refine):
+    cfg = tl.SearchConfig(coarse_grid=grid, refine_levels=refine)
+    for name, q in zoo:
+        for n in (1, 3, 8, 33, 256):
+            rep = tl.sup_riemann_error(q, n, cfg)
+            got = (rep.r_n, rep.argmax, rep.method.level_best,
+                   rep.method.evals)
+            assert got == _sup_search_per_seed(q, n, cfg), (name, n)
 
 
 def test_refinement_monotone():
