@@ -11,8 +11,9 @@ Exit codes: 0 success, 2 argument/spec errors, 3 search budget exhausted
 (every command but `lie` searches, and still writes the rows of the n values
 searched so far, flagged in the meta).  Warnings print as `warning: ...`.
 
-Potential shorthands are text syntax over `potentials.from_spec`, so the
-CLI and spec files accept the same kind names and aliases.
+Potential shorthands are plain text syntax over `potentials.from_spec`,
+which owns every parameter rule: the CLI and spec files accept the same
+kind names, aliases and parameters, and no flag fills in a parameter.
 """
 
 from __future__ import annotations
@@ -43,60 +44,55 @@ COLUMNS = ("command", "potential", "n", "value", "lower", "upper",
 
 # ---------------------------------------------------------------- parsing
 
-def _increasing(values: list[int], text: str) -> list[int]:
-    """values, checked to be non-empty, >= 1 and strictly increasing."""
+def _int_list(text: str, expand) -> list[int]:
+    """'a..b' through expand(a, b), else a comma list; either way checked to
+    be non-empty, >= 1 and strictly increasing."""
+    text = text.strip()
+    if ".." in text:
+        a, b = text.split("..", 1)
+        values = expand(int(a), int(b))
+    else:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError(f"{text!r} lists no values")
     if values[0] < 1:
         raise ValueError(f"{text!r}: values must be >= 1")
-    if any(a >= b for a, b in zip(values, values[1:])):
+    if any(lo >= hi for lo, hi in zip(values, values[1:])):
         raise ValueError(f"{text!r}: values must strictly increase")
     return values
 
 
+def _powers_of_two(a: int, b: int) -> list[int]:
+    if min(a, b) < 1 or a & (a - 1) or b & (b - 1):
+        raise ValueError("range endpoints must both be powers of two")
+    return [1 << k for k in range(a.bit_length() - 1, b.bit_length())]
+
+
 def parse_n_list(text: str) -> list[int]:
-    """Parse an n list: 'a..b' = powers of two from a to b, else a strictly
-    increasing comma list."""
-    text = text.strip()
-    if ".." in text:
-        a_str, b_str = text.split("..", 1)
-        a, b = int(a_str), int(b_str)
-        if a < 1 or b < a:
-            raise ValueError(f"bad range {text!r}")
-        if (a & (a - 1)) or (b & (b - 1)):
-            raise ValueError("range endpoints must both be powers of two")
-        out = []
-        n = a
-        while n <= b:
-            out.append(n)
-            n *= 2
-        return out
-    return _increasing([int(tok) for tok in text.split(",") if tok.strip()],
-                       text)
+    """An n list: 'a..b' = the powers of two from a to b, or 'n1,n2,...'."""
+    return _int_list(text, _powers_of_two)
 
 
 def parse_int_range(text: str) -> list[int]:
-    """Parse an inclusive integer range 'a..b' or a comma list; both must
-    be non-empty, >= 1 and strictly increasing."""
-    text = text.strip()
-    if ".." in text:
-        a_str, b_str = text.split("..", 1)
-        values = list(range(int(a_str), int(b_str) + 1))
-    else:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    return _increasing(values, text)
+    """An integer list: 'a..b' = every integer from a to b, or 'i1,i2,...'."""
+    return _int_list(text, lambda a, b: list(range(a, b + 1)))
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of counts that must be >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least_one(conv):
+    """argparse type: conv(text), which must be >= 1."""
+    def parse(text: str):
+        try:
+            value = conv(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {conv.__name__} value: {text!r}") from None
+        if not value >= 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _at_least_one(int)
 
 
 def _parse_kv(rest: str) -> dict[str, str]:
@@ -112,16 +108,14 @@ def _parse_kv(rest: str) -> dict[str, str]:
     return out
 
 
-def parse_potential(text: str, args=None) -> Potential:
+def parse_potential(text: str) -> Potential:
     """Resolve a potential from shorthand or a @file.json spec.
 
     Shorthands: 'constant[:c=1]', 'linear[:slope=1,intercept=0]',
     'weier:beta=0.5,levels=12', 'cantor:depth=3', 'tent:harmonic=12',
     'tent:amplitudes=1+0.5+0.25', 'pw:breakpoints=0+1/2+1,values=1+0'.
-    The name is any kind from_spec accepts; 'harmonic=L' means the
-    amplitudes 1/j for j = 1..L.  Missing beta/levels/depth/harmonic
-    parameters fall back to --beta, --levels, --depth and --levels when
-    those flags are present.
+    'name:k=v,...' becomes from_spec's kind and params, with '+' splitting
+    list values; from_spec checks the name and every parameter.
     """
     text = text.strip()
     if text.startswith("@"):
@@ -129,16 +123,9 @@ def parse_potential(text: str, args=None) -> Potential:
             return from_spec(json.load(fh))
     name, _, rest = text.partition(":")
     params: dict = _parse_kv(rest)
-    for key, flag in (("beta", "beta"), ("levels", "levels"),
-                      ("depth", "depth"), ("harmonic", "levels")):
-        if key not in params and getattr(args, flag, None) is not None:
-            params[key] = getattr(args, flag)
     for key in ("amplitudes", "breakpoints", "values"):  # '+' lists
         if key in params:
             params[key] = params[key].split("+")
-    if "harmonic" in params and "amplitudes" not in params:
-        levels = int(params["harmonic"])
-        params["amplitudes"] = [1.0 / j for j in range(1, levels + 1)]
     return from_spec({"kind": name.strip(), "params": params})
 
 
@@ -201,6 +188,7 @@ def _searches(q: Potential, ns: list[int], cfg: SearchConfig
 
 def _finish(args, meta: dict, rows: list[dict], exhausted: bool) -> int:
     """Write the report, flagged if a search ran out of budget; exit code."""
+    meta.update(command=args.command, seed=args.seed, tool_version=__version__)
     if exhausted:
         meta["budget_exhausted"] = True
     write_report(args.output, args.format, meta, rows)
@@ -210,13 +198,12 @@ def _finish(args, meta: dict, rows: list[dict], exhausted: bool) -> int:
 # ---------------------------------------------------------------- commands
 
 def cmd_rates(args) -> int:
-    q = parse_potential(args.potential, args)
+    q = parse_potential(args.potential)
     ns = parse_n_list(args.n)
     cfg = _search_config(args)
     label = q.describe()
     rows: list[dict] = []
-    meta = {"command": "rates", "potential": label, "n_list": ns,
-            "seed": args.seed, "tool_version": __version__}
+    meta = {"potential": label, "n_list": ns}
 
     reports, exhausted = _searches(q, ns, cfg)
     check = holder_bound_check(q, reports) if q.holder_meta else None
@@ -239,13 +226,11 @@ def cmd_rates(args) -> int:
 
 
 def cmd_cantor(args) -> int:
-    depth = args.depth if args.depth is not None else 6
-    q, cons = build_cantor(depth)
-    ms = parse_int_range(args.m) if args.m else list(range(1, depth + 1))
+    q, cons = build_cantor(args.depth)
+    ms = parse_int_range(args.m) if args.m else list(range(1, args.depth + 1))
     cfg = _search_config(args)
     label = q.describe()
-    meta = {"command": "cantor", "potential": label, "depth": depth,
-            "seed": args.seed, "tool_version": __version__,
+    meta = {"potential": label, "depth": args.depth,
             "complement_measure": str(cons.complement_measure),
             "integral": float(q.antiderivative(1.0)),
             "open_intervals": len(cons.merged_open_set)}
@@ -271,15 +256,12 @@ def cmd_cantor(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    q = parse_potential(args.potential, args)
+    q = parse_potential(args.potential)
     ns = parse_n_list(args.n)
-    m = int(args.m) if args.m else 65536
     cfg = _search_config(args)
     label = q.describe()
-    meta = {"command": "oracle", "potential": label, "n_list": ns,
-            "m": m, "p": args.p, "tau_grid": args.tau_grid,
-            "trials": args.trials, "seed": args.seed,
-            "tool_version": __version__}
+    meta = {"potential": label, "n_list": ns, "m": args.m, "p": args.p,
+            "tau_grid": args.tau_grid, "trials": args.trials}
     taus = [j / args.tau_grid for j in range(1, args.tau_grid + 1)]
     rows: list[dict] = []
     reports, exhausted = _searches(q, ns, cfg)
@@ -294,8 +276,8 @@ def cmd_oracle(args) -> int:
                          tau_star, t_star,
                          "CONTAINED" if contained else "OUTSIDE"))
         probe = operator_norm_oracle(q, tau_star, n, args.p, args.trials,
-                                     args.seed, m=m)
-        slack = 2.0 * q.sup_norm / m
+                                     args.seed, m=args.m)
+        slack = 2.0 * q.sup_norm / args.m
         reached = probe >= 0.95 * symbol_max - 1e-12
         rows.append(_row("oracle/probe", label, n, probe, 0.95 * symbol_max,
                          symbol_max + slack, tau_star, None,
@@ -306,9 +288,8 @@ def cmd_oracle(args) -> int:
 def cmd_lie(args) -> int:
     ns = parse_n_list(args.n)
     label = f"matrix-pair(dim={args.dim},norm={args.norm_bound},seed={args.seed})"
-    meta = {"command": "lie", "dim": args.dim, "norm_bound": args.norm_bound,
-            "pairs": args.trials, "n_list": ns, "seed": args.seed,
-            "tool_version": __version__}
+    meta = {"dim": args.dim, "norm_bound": args.norm_bound,
+            "pairs": args.trials, "n_list": ns}
     rows: list[dict] = []
 
     worst = 0.0
@@ -336,15 +317,13 @@ def cmd_lie(args) -> int:
 
 
 def cmd_strong(args) -> int:
-    q = parse_potential(args.potential, args)
+    q = parse_potential(args.potential)
     ns = parse_n_list(args.n)
-    m = int(args.m) if args.m else 16384
     cfg = _search_config(args)
     label = q.describe()
-    meta = {"command": "strong", "potential": label, "tau": args.tau, "m": m,
-            "p": args.p, "n_list": ns, "seed": args.seed,
-            "tool_version": __version__}
-    f = GridFunction.from_callable(lambda t: np.sin(np.pi * t) ** 2, m, args.p)
+    meta = {"potential": label, "tau": args.tau, "m": args.m, "p": args.p,
+            "n_list": ns}
+    f = GridFunction.from_callable(lambda t: np.sin(np.pi * t) ** 2, args.m, args.p)
     rows: list[dict] = []
     curve = strong_convergence_curve(q, f, args.tau, ns)
     for n, resid in curve:
@@ -369,16 +348,12 @@ _FLAGS = {
     "--potential": dict(required=True,
                         help="shorthand like linear, cantor:depth=3, "
                              "weier:beta=0.5,levels=12, or @spec.json"),
-    "--depth": dict(type=int, help="Cantor construction depth"),
-    "--beta": dict(type=float, help="Holder exponent for weier shorthands"),
-    "--levels": dict(type=int, help="level count for weier/tent shorthands"),
-    "--p": dict(type=float, default=2.0, help="L^p exponent"),
+    "--p": dict(type=_at_least_one(float), default=2.0, help="L^p exponent"),
     "--grid": dict(type=int, default=256, help="coarse search grid per axis"),
     "--refine": dict(type=int, default=4, help="search refinement levels"),
     "--max-evals": dict(type=int, help="probe budget for the sup search"),
     "--trials": dict(type=_positive_int, default=8),
 }
-_POTENTIAL = ("--potential", "--depth", "--beta", "--levels")
 _SEARCH = ("--grid", "--refine", "--max-evals")
 
 
@@ -402,18 +377,21 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("rates", cmd_rates, "worst-case error sweep with rate fit",
-                _POTENTIAL + _SEARCH)
+                ("--potential",) + _SEARCH)
     p.add_argument("--n", default="8..4096", help="n list, e.g. 8..4096 or 3,5,9")
 
     p = command("cantor", cmd_cantor, "counterexample floors along n = 2^m",
-                ("--depth",) + _SEARCH)
+                _SEARCH)
+    p.add_argument("--depth", type=int, default=6,
+                   help="Cantor construction depth")
     p.add_argument("--m", default=None, help="level list, e.g. 1..6")
 
     p = command("oracle", cmd_oracle,
                 "symbol norm vs sandwich vs test functions",
-                _POTENTIAL + ("--p",) + _SEARCH + ("--trials",))
+                ("--potential", "--p") + _SEARCH + ("--trials",))
     p.add_argument("--n", default="4,16,64")
-    p.add_argument("--m", default=None, help="oracle grid resolution (default 65536)")
+    p.add_argument("--m", type=_positive_int, default=65536,
+                   help="oracle grid resolution")
     p.add_argument("--tau-grid", type=_positive_int, default=256,
                    dest="tau_grid")
 
@@ -424,9 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm-bound", type=float, default=2.0, dest="norm_bound")
 
     p = command("strong", cmd_strong, "strong residuals vs operator-norm floor",
-                _POTENTIAL + ("--p",) + _SEARCH)
+                ("--potential", "--p") + _SEARCH)
     p.add_argument("--n", default="2..256")
-    p.add_argument("--m", default=None, help="grid resolution (default 16384)")
+    p.add_argument("--m", type=_positive_int, default=16384,
+                   help="grid resolution")
     p.add_argument("--tau", type=float, default=0.5)
     return ap
 

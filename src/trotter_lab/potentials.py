@@ -7,7 +7,8 @@ that downstream quadrature is exact.  The family rules that the search,
 the semigroup and the rate checks read are methods: the certified
 left-sum error bound (every family has one), corner hints, the dyadic
 corner floor and step breakpoints.
-``from_spec`` resolves every kind name and alias through one table.
+``from_spec`` alone turns kind names, aliases and parameters (such as a
+tent train's ``harmonic=L``) into potentials, and rejects unread ones.
 
 Value convention at jumps: a piecewise potential takes the value of the
 piece on [a, b) at its left endpoint, and the value of the last piece at
@@ -33,6 +34,8 @@ from .errors import ResourceLimitError
 # Absolute slop tolerated on domain checks; protects against roundoff in
 # sample-point generation (s + k*(t-s)/n can land 1 ulp outside [0, 1]).
 _DOMAIN_SLOP = 1e-12
+# Default of from_spec's ``param`` for a parameter that a kind needs.
+_REQUIRED = object()
 # Block sizes of the two left-sum kernels: pair x breakpoint elements per
 # block of the piece-count kernel, sample points per block of the sampled
 # one.  A block's handful of float64 temporaries (256 kB each) then stays
@@ -691,6 +694,14 @@ def build_tent_train(amplitudes: Sequence[float]) -> TentTrain | Constant:
     return TentTrain(amps)
 
 
+def _tent_from_spec(param) -> TentTrain | Constant:
+    """From 'amplitudes', or 'harmonic=L': the amplitudes 1/j, j = 1..L."""
+    levels = param("harmonic", int, None)
+    if levels is None:
+        return build_tent_train(param("amplitudes", float, many=True))
+    return build_tent_train([1.0 / j for j in range(1, levels + 1)])
+
+
 # The only table of potential kind names: every name and alias that
 # from_spec (and so the CLI) accepts, lower case without '_' or '-'.  Each
 # constructor reads its parameters through from_spec's ``param``.
@@ -705,8 +716,7 @@ _SPEC_KINDS = {alias: build for aliases, build in (
     (("holderweierstrass", "weierstrass", "weier"),
      lambda param: HolderWeierstrass(param("beta", float),
                                      param("levels", int))),
-    (("tenttrain", "tent"),
-     lambda param: build_tent_train(param("amplitudes", float, many=True))),
+    (("tenttrain", "tent"), _tent_from_spec),
     (("cantorindicator", "cantor"),
      lambda param: build_cantor(param("depth", int))[0]),
 ) for alias in aliases}
@@ -715,8 +725,8 @@ _SPEC_KINDS = {alias: build for aliases, build in (
 def from_spec(spec: dict) -> Potential:
     """Resolve a {"kind": ..., "params": {...}} description to a Potential.
 
-    A missing required parameter, or one that does not convert, raises a
-    ValueError naming the kind and the parameter.
+    A missing required parameter, one that does not convert, or one that
+    the kind does not read raises a ValueError naming kind and parameter.
     """
     try:
         kind = str(spec["kind"])
@@ -728,11 +738,13 @@ def from_spec(spec: dict) -> Potential:
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("'params' must be a mapping")
+    read = []
 
-    def param(key, conv, default=None, many=False):
+    def param(key, conv, default=_REQUIRED, many=False):
         """params[key] through conv (itemwise for a list when many)."""
+        read.append(key)
         if key not in params:
-            if default is None:
+            if default is _REQUIRED:
                 raise ValueError(
                     f"potential kind {kind!r} needs parameter {key!r}")
             return default
@@ -747,4 +759,9 @@ def from_spec(spec: dict) -> Potential:
             raise ValueError(f"potential kind {kind!r}: bad parameter "
                              f"{key!r} ({exc})") from None
 
-    return build(param)
+    q = build(param)
+    unused = ", ".join(repr(key) for key in params if key not in read)
+    if unused:
+        raise ValueError(f"potential kind {kind!r}: unused parameter {unused} "
+                         f"(it reads {', '.join(map(repr, read))})")
+    return q

@@ -63,6 +63,10 @@ def test_parse_int_range():
      "values must strictly increase"),
     (["rates", "--potential", "linear", "--n", "0,8"], "values must be >= 1"),
     (["oracle", "--potential", "linear", "--n", ","], "lists no values"),
+    (["rates", "--potential", "linear", "--n", "64..8"],
+     "'64..8' lists no values"),
+    (["rates", "--potential", "linear", "--n", "0..4"],
+     "range endpoints must both be powers of two"),
 ])
 def test_exit_code_bad_list(tmp_path, capsys, monkeypatch, argv, message):
     _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv,
@@ -105,6 +109,11 @@ def _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv,
     (["oracle", "--potential", "linear", "--trials", "0"], "--trials"),
     (["lie", "--trials", "0"], "--trials"),
     (["lie", "--trials", "-3"], "--trials"),
+    (["oracle", "--potential", "tent:harmonic=6", "--n", "4,16,64",
+      "--tau-grid", "128", "--m", "0"], "--m"),
+    (["strong", "--potential", "linear", "--m", "-5"], "--m"),
+    (["oracle", "--potential", "linear", "--p", "0.5"], "--p"),
+    (["strong", "--potential", "linear", "--p", "0"], "--p"),
 ])
 def test_exit_code_nonpositive_count(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -120,11 +129,15 @@ def test_exit_code_nonpositive_count(capsys, argv, flag):
     ("lie", "--depth"), ("lie", "--beta"), ("lie", "--levels"), ("lie", "--p"),
     ("lie", "--grid"), ("lie", "--refine"), ("lie", "--max-evals"),
     ("strong", "--trials"),
+    # potential parameters are set in the --potential text only
+    ("rates", "--beta"), ("rates", "--levels"), ("rates", "--depth"),
+    ("oracle", "--beta"), ("oracle", "--levels"), ("oracle", "--depth"),
+    ("strong", "--beta"), ("strong", "--levels"), ("strong", "--depth"),
 ])
 def test_exit_code_flag_not_read(capsys, command, flag):
     # each subcommand registers only the flags it reads
     argv = [command] + (["--potential", "linear"]
-                        if command in ("rates", "strong") else [])
+                        if command in ("rates", "oracle", "strong") else [])
     with pytest.raises(SystemExit) as exc:
         main(argv + [flag, "3"])
     assert exc.value.code == 2
@@ -192,6 +205,20 @@ def test_parse_potential_spec_file(tmp_path):
                                 "params": {"slope": 2.0, "intercept": 0.0}}))
     q = parse_potential(f"@{spec}")
     assert q(0.5) == 1.0
+
+
+def test_harmonic_spec_file_matches_shorthand(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "tent", "params": {"harmonic": 4}}))
+    outs = []
+    for potential in (f"@{spec}", "tent:harmonic=4"):
+        out = tmp_path / "rates.csv"
+        assert main(["rates", "--potential", potential, "--n", "8..64",
+                     "--grid", "32", "--refine", "1",
+                     "--output", str(out)]) == 0
+        outs.append(_strip_stamp_csv(out))
+    assert outs[0] == outs[1]
+    assert "TentTrain(amplitudes=[1.0, 0.5, 0.3333333333333333, 0.25])" in outs[0]
 
 
 def test_rates_csv_schema_and_summary(tmp_path):
@@ -322,6 +349,8 @@ def test_exit_code_spec_error(tmp_path, capsys):
     ({"kind": "cantor"}, "'depth'"),
     ({"kind": "tent", "params": {"amplitudes": 5}}, "'amplitudes'"),
     ("pw:values=1+0", "'breakpoints'"),
+    ("constant:C=2", "'C'"),
+    ("linear:slop=2", "'slop'"),
 ])
 def test_exit_code_bad_potential_parameter(tmp_path, capsys, potential, named):
     if isinstance(potential, dict):

@@ -421,6 +421,29 @@ def test_from_spec_names_the_bad_parameter(spec, named):
     assert repr(spec["kind"]) in str(exc.value)
 
 
+@pytest.mark.parametrize("spec, named", [
+    ({"kind": "constant", "params": {"C": 2.0}}, "'C'"),
+    ({"kind": "linear", "params": {"slop": 2.0}}, "'slop'"),
+    ({"kind": "tent", "params": {"amplitudes": [1.0], "harmonic": 3}},
+     "'amplitudes'"),
+])
+def test_from_spec_rejects_unread_parameter(spec, named):
+    with pytest.raises(ValueError) as exc:
+        tl.from_spec(spec)
+    assert named in str(exc.value)
+    assert repr(spec["kind"]) in str(exc.value)
+
+
+@pytest.mark.parametrize("levels", [0, 1, 5])
+def test_from_spec_tent_harmonic(levels):
+    q = tl.from_spec({"kind": "tent", "params": {"harmonic": levels}})
+    amplitudes = [1.0 / j for j in range(1, levels + 1)]
+    assert q.describe() == tl.from_spec(
+        {"kind": "tent", "params": {"amplitudes": amplitudes}}).describe()
+    if not levels:
+        assert q.describe() == "Constant(c=0.0)"
+
+
 def test_nonnegative_and_sup_norm(zoo):
     rng = np.random.default_rng(3)
     ts = rng.uniform(0.0, 1.0, 100_000)
