@@ -298,6 +298,29 @@ def test_lie_report(tmp_path):
     assert fit and fit[0]["verdict"].startswith("POLY_RATE")
 
 
+def test_lie_error_rows_are_the_first_pair(tmp_path):
+    out = tmp_path / "lie.json"
+    assert main(["lie", "--n", "16..256", "--trials", "3", "--dim", "8",
+                 "--seed", "5", "--output", str(out), "--format", "json"]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    tele = [r for r in rows if r["command"] == "lie/telescoping"]
+    assert tele[0]["verdict"] == "PASS"
+    ns = [16, 32, 64, 128, 256]
+    want = tl.lie_error(*tl.random_matrix_pair(8, 2.0, 5), 1.0, ns)
+    got = [(r["n"], r["value"]) for r in rows if r["command"] == "lie/error"]
+    assert got == want
+
+
+def test_cantor_beyond_depth_claims_no_floor(tmp_path):
+    out = tmp_path / "cantor.csv"
+    assert main(["cantor", "--depth", "3", "--m", "1..8", "--grid", "32",
+                 "--refine", "1", "--output", str(out)]) == 0
+    _, rows = _read_csv(out)
+    data = [r for r in rows if r["command"] == "cantor"]
+    assert [int(r["n"]) for r in data] == [2 ** m for m in range(1, 9)]
+    assert [r["verdict"] for r in data] == ["FLOOR_OK"] * 3 + ["NO_FLOOR"] * 5
+
+
 def test_strong_report(tmp_path):
     out = tmp_path / "strong.csv"
     code = main(["strong", "--potential", "cantor:depth=2", "--n", "2..32",

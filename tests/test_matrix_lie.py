@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import trotter_lab as tl
+from trotter_lab.matrix_lie import _draw_pair
 
 
 def test_expm_zero_and_diagonal():
@@ -116,3 +117,51 @@ def test_random_pair_determinism_and_norms():
     assert tl.spectral_norm(b1) <= 2.0 + 1e-9
     a3, _ = tl.random_matrix_pair(5, 2.0, 43)
     assert not np.array_equal(a1, a3)
+
+
+def _telescoping_by_powers(A, B, tau, n):
+    """The identity summed from two lists of n matrix powers, as a reference."""
+    step = tau / n
+    P = tl.expm(-step * A) @ tl.expm(-step * B)
+    E = tl.expm(-step * (A + B))
+    lhs = np.linalg.matrix_power(P, n) - tl.expm(-tau * (A + B))
+    eye = np.eye(A.shape[0], dtype=complex)
+    p_pows, e_pows = [eye], [eye]
+    for _ in range(n - 1):
+        p_pows.append(p_pows[-1] @ P)
+        e_pows.append(e_pows[-1] @ E)
+    rhs = sum(p_pows[n - 1 - k] @ (P - E) @ e_pows[k] for k in range(n))
+    return tl.spectral_norm(lhs - rhs)
+
+
+@pytest.mark.parametrize("dim", [4, 16, 48])
+@pytest.mark.parametrize("n", [1, 2, 8, 33])
+def test_telescoping_running_sum_matches_powers(dim, n):
+    for seed in range(3):
+        a, b = tl.random_matrix_pair(dim, 2.0, seed)
+        got = tl.telescoping_residual(a, b, 1.0, n)
+        assert abs(got - _telescoping_by_powers(a, b, 1.0, n)) <= 1e-13
+    z = np.zeros((dim, dim))
+    assert tl.telescoping_residual(z, z, 1.0, n) == 0.0
+
+
+def _draw_by_hand(dim, norm_bound, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(2):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        s = tl.spectral_norm(g)
+        out.append(g * (norm_bound * rng.uniform(0.3, 1.0) / s))
+    return out
+
+
+@pytest.mark.parametrize("dim", [4, 16])
+def test_drawn_target_norms_bound_the_true_norms(dim):
+    # the lie check scales by e^{target_a + target_b}; targets at or below
+    # the true norms keep that check at least as strict as exact norms
+    for seed in range(32):
+        a, b, norm_a, norm_b = _draw_pair(dim, 2.0, seed)
+        for got, want in zip((a, b), _draw_by_hand(dim, 2.0, seed)):
+            assert np.array_equal(got, want)
+        for mat, target in ((a, norm_a), (b, norm_b)):
+            assert target <= np.linalg.norm(mat, 2) <= target * (1 + 1e-3), seed
