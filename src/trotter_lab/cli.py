@@ -268,7 +268,7 @@ def cmd_oracle(args) -> int:
     cfg = _search_config(args)
     label = q.describe()
     meta = {"potential": label, "n_list": ns, "m": args.m, "p": args.p,
-            "tau_grid": args.tau_grid, "trials": args.trials}
+            "tau_grid": args.tau_grid}
     taus = [j / args.tau_grid for j in range(1, args.tau_grid + 1)]
     rows: list[dict] = []
     reports, exhausted = _searches(q, ns, cfg)
@@ -282,8 +282,7 @@ def cmd_oracle(args) -> int:
         rows.append(_row("oracle/symbol", label, n, symbol_max, lower, upper,
                          tau_star, t_star,
                          "CONTAINED" if contained else "OUTSIDE"))
-        probe = operator_norm_oracle(q, tau_star, n, args.p, args.trials,
-                                     args.seed, m=args.m)
+        probe = operator_norm_oracle(q, tau_star, n, args.p, m=args.m)
         slack = 2.0 * q.sup_norm / args.m
         reached = probe >= 0.95 * symbol_max - 1e-12
         rows.append(_row("oracle/probe", label, n, probe, 0.95 * symbol_max,
@@ -397,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default=None, help="level list, e.g. 1..6")
 
     p = command("oracle", cmd_oracle,
-                "symbol norm vs sandwich vs test functions",
-                ("--potential", "--p") + _SEARCH + ("--trials",))
+                "symbol norm vs sandwich vs discrete operator norm",
+                ("--potential", "--p") + _SEARCH)
     p.add_argument("--n", default="4,16,64")
     p.add_argument("--m", type=_positive_int, default=65536,
                    help="oracle grid resolution")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -694,31 +695,34 @@ def build_tent_train(amplitudes: Sequence[float]) -> TentTrain | Constant:
     return TentTrain(amps)
 
 
-def _tent_from_spec(param) -> TentTrain | Constant:
+def _tent_from_spec(param):
     """From 'amplitudes', or 'harmonic=L': the amplitudes 1/j, j = 1..L."""
     levels = param("harmonic", int, None)
     if levels is None:
-        return build_tent_train(param("amplitudes", float, many=True))
-    return build_tent_train([1.0 / j for j in range(1, levels + 1)])
+        return partial(build_tent_train, param("amplitudes", float, many=True))
+    return lambda: build_tent_train([1.0 / j for j in range(1, levels + 1)])
 
 
 # The only table of potential kind names: every name and alias that
 # from_spec (and so the CLI) accepts, lower case without '_' or '-'.  Each
-# constructor reads its parameters through from_spec's ``param``.
+# builder reads its parameters through from_spec's ``param`` and returns a
+# zero-argument constructor, so a misspelt parameter fails before any build.
 _SPEC_KINDS = {alias: build for aliases, build in (
-    (("constant",), lambda param: Constant(param("c", float, 1.0))),
-    (("linear",), lambda param: Linear(param("slope", float, 1.0),
-                                       param("intercept", float, 0.0))),
+    (("constant",), lambda param: partial(Constant, param("c", float, 1.0))),
+    (("linear",), lambda param: partial(Linear, param("slope", float, 1.0),
+                                        param("intercept", float, 0.0))),
     (("piecewiseconstant", "piecewise", "pw"),
-     lambda param: PiecewiseConstant(
+     lambda param: partial(
+         PiecewiseConstant,
          param("breakpoints", lambda b: Fraction(str(b)), many=True),
          param("values", float, many=True))),
     (("holderweierstrass", "weierstrass", "weier"),
-     lambda param: HolderWeierstrass(param("beta", float),
-                                     param("levels", int))),
+     lambda param: partial(HolderWeierstrass, param("beta", float),
+                           param("levels", int))),
     (("tenttrain", "tent"), _tent_from_spec),
     (("cantorindicator", "cantor"),
-     lambda param: build_cantor(param("depth", int))[0]),
+     lambda param: partial(lambda depth: build_cantor(depth)[0],
+                           param("depth", int))),
 ) for alias in aliases}
 
 
@@ -726,7 +730,8 @@ def from_spec(spec: dict) -> Potential:
     """Resolve a {"kind": ..., "params": {...}} description to a Potential.
 
     A missing required parameter, one that does not convert, or one that
-    the kind does not read raises a ValueError naming kind and parameter.
+    the kind does not read raises a ValueError naming kind and parameter,
+    before the potential is built.
     """
     try:
         kind = str(spec["kind"])
@@ -759,9 +764,9 @@ def from_spec(spec: dict) -> Potential:
             raise ValueError(f"potential kind {kind!r}: bad parameter "
                              f"{key!r} ({exc})") from None
 
-    q = build(param)
+    make = build(param)
     unused = ", ".join(repr(key) for key in params if key not in read)
     if unused:
         raise ValueError(f"potential kind {kind!r}: unused parameter {unused} "
                          f"(it reads {', '.join(map(repr, read))})")
-    return q
+    return make()

@@ -123,8 +123,7 @@ def test_criterion_5_reduction_consistency():
             top, tau_star = max(per_tau)
             lower, upper = tl.trotter_error_sandwich(q, n)  # default config
             contained = lower - 1e-3 <= top <= upper + 1e-3
-            probe = tl.operator_norm_oracle(q, tau_star, n, 2.0, trials=3,
-                                            seed=11, m=1 << 16)
+            probe = tl.operator_norm_oracle(q, tau_star, n, 2.0, m=1 << 16)
             reached = probe >= 0.95 * top
             results.append((name, n, contained, reached, top, probe))
     ok = all(c and r for _, _, c, r, _, _ in results)
@@ -187,7 +186,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         "cantor": ["cantor", "--depth", "3", "--m", "1..3", "--grid", "32",
                    "--refine", "1", "--format", "json"],
         "oracle": ["oracle", "--potential", "linear", "--n", "4", "--m",
-                   "2048", "--tau-grid", "16", "--trials", "2", "--grid",
+                   "2048", "--tau-grid", "16", "--grid",
                    "32", "--refine", "1", "--format", "csv"],
         "lie": ["lie", "--n", "8..64", "--trials", "5", "--seed", "3",
                 "--format", "csv"],

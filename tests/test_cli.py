@@ -106,7 +106,8 @@ def _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv,
 
 @pytest.mark.parametrize("argv, flag", [
     (["oracle", "--potential", "linear", "--tau-grid", "0"], "--tau-grid"),
-    (["oracle", "--potential", "linear", "--trials", "0"], "--trials"),
+    # a signed zero is still zero
+    (["lie", "--seed", "3", "--trials", "-0"], "--trials"),
     (["lie", "--trials", "0"], "--trials"),
     (["lie", "--trials", "-3"], "--trials"),
     (["oracle", "--potential", "tent:harmonic=6", "--n", "4,16,64",
@@ -128,7 +129,7 @@ def test_exit_code_nonpositive_count(capsys, argv, flag):
     ("cantor", "--trials"),
     ("lie", "--depth"), ("lie", "--beta"), ("lie", "--levels"), ("lie", "--p"),
     ("lie", "--grid"), ("lie", "--refine"), ("lie", "--max-evals"),
-    ("strong", "--trials"),
+    ("strong", "--trials"), ("oracle", "--trials"),
     # potential parameters are set in the --potential text only
     ("rates", "--beta"), ("rates", "--levels"), ("rates", "--depth"),
     ("oracle", "--beta"), ("oracle", "--levels"), ("oracle", "--depth"),
@@ -271,7 +272,7 @@ def test_cantor_report(tmp_path):
 def test_oracle_report(tmp_path):
     out = tmp_path / "oracle.csv"
     code = main(["oracle", "--potential", "linear", "--n", "4",
-                 "--m", "2048", "--tau-grid", "16", "--trials", "2",
+                 "--m", "2048", "--tau-grid", "16",
                  "--grid", "32", "--refine", "1",
                  "--output", str(out), "--format", "csv"])
     assert code == 0
@@ -282,6 +283,19 @@ def test_oracle_report(tmp_path):
     assert sym[0]["verdict"] == "CONTAINED"
     assert probe[0]["verdict"] == "REACHED"
     assert float(sym[0]["lower"]) <= float(sym[0]["value"]) <= float(sym[0]["upper"])
+
+
+def test_oracle_report_reads_no_seed(tmp_path):
+    texts = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"oracle-{seed}.csv"
+        assert main(["oracle", "--potential", "cantor:depth=3", "--n", "4,16",
+                     "--m", "4096", "--tau-grid", "16", "--grid", "32",
+                     "--refine", "1", "--seed", seed,
+                     "--output", str(out)]) == 0
+        texts.append([ln for ln in _strip_stamp_csv(out).splitlines()
+                      if not ln.startswith("# seed=")])
+    assert texts[0] == texts[1]
 
 
 def test_lie_report(tmp_path):
@@ -374,6 +388,8 @@ def test_exit_code_spec_error(tmp_path, capsys):
     ("pw:values=1+0", "'breakpoints'"),
     ("constant:C=2", "'C'"),
     ("linear:slop=2", "'slop'"),
+    # past the Cantor size cap: the misspelt name is checked before a build
+    ("cantor:depth=100,dpth=1", "'dpth'"),
 ])
 def test_exit_code_bad_potential_parameter(tmp_path, capsys, potential, named):
     if isinstance(potential, dict):

@@ -138,6 +138,8 @@ def test_cantor_sampling_property():
 def test_cantor_resource_error():
     with pytest.raises(tl.ResourceLimitError):
         tl.build_cantor(26)
+    with pytest.raises(tl.ResourceLimitError):
+        tl.from_spec({"kind": "cantor", "params": {"depth": 100}})
     with pytest.raises(ValueError):
         tl.build_cantor(0)
 
@@ -426,6 +428,8 @@ def test_from_spec_names_the_bad_parameter(spec, named):
     ({"kind": "linear", "params": {"slop": 2.0}}, "'slop'"),
     ({"kind": "tent", "params": {"amplitudes": [1.0], "harmonic": 3}},
      "'amplitudes'"),
+    # past the Cantor size cap: the misspelt name is checked before a build
+    ({"kind": "cantor", "params": {"depth": 100, "dpth": 1}}, "'dpth'"),
 ])
 def test_from_spec_rejects_unread_parameter(spec, named):
     with pytest.raises(ValueError) as exc:
