@@ -33,7 +33,7 @@ from . import __version__
 from .errors import BudgetExceededError, TrotterLabError
 from .matrix_lie import _draw_pair, lie_error, telescoping_residual
 from .potentials import Potential, build_cantor, from_spec
-from .rates import fit_loglog, holder_bound_check
+from .rates import fit_loglog
 from .semigroup import (GridFunction, operator_norm_oracle,
                         _per_tau_norm_argmax, strong_convergence_curve)
 from .sup_search import RiemannReport, SearchConfig, sup_riemann_error
@@ -79,15 +79,16 @@ def parse_int_range(text: str) -> list[int]:
 
 
 def _at_least_one(conv):
-    """argparse type: conv(text), which must be >= 1."""
+    """argparse type: conv(text), which must be finite and >= 1."""
     def parse(text: str):
         try:
             value = conv(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {conv.__name__} value: {text!r}") from None
-        if not value >= 1:
-            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        if not 1 <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be >= 1 and finite, got {value}")
         return value
     return parse
 
@@ -167,15 +168,13 @@ def write_report(path: str | None, fmt: str, meta: dict, rows: list[dict]) -> No
             fh.write(text)
 
 
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(coarse_grid=args.grid, refine_levels=args.refine,
-                        max_evals=args.max_evals)
-
-
-def _searches(q: Potential, ns: list[int], cfg: SearchConfig
+def _searches(q: Potential, ns: list[int], args
               ) -> tuple[list[RiemannReport], bool]:
-    """(reports, exhausted): one search per n, each with its own budget, up
-    to the first exhausted one, whose partial report ends the list."""
+    """(reports, exhausted): one search per n under the search flags, each
+    with its own budget, up to the first exhausted one, whose partial
+    report ends the list."""
+    cfg = SearchConfig(coarse_grid=args.grid, refine_levels=args.refine,
+                       max_evals=args.max_evals)
     reports = []
     for n in ns:
         try:
@@ -184,6 +183,25 @@ def _searches(q: Potential, ns: list[int], cfg: SearchConfig
             reports.append(exc.partial)
             return reports, True
     return reports, False
+
+
+def _report_row(command: str, label: str, rep: RiemannReport,
+                verdict: str) -> dict:
+    """The row of one search: r_n, its sandwich and its argmax."""
+    return _row(command, label, rep.n, rep.r_n, rep.lower_op_norm,
+                rep.upper_op_norm, rep.argmax.t, rep.argmax.s, verdict)
+
+
+def _fit_rows(command: str, label: str, points: list, meta: dict
+              ) -> list[dict]:
+    """The log-log fit row of a sweep of at least 4 points, else none; the
+    fit's verdict becomes the report's."""
+    if len(points) < 4:
+        return []
+    fit = fit_loglog(points)
+    meta["verdict"] = fit.verdict_label
+    return [_row(command, label, 0, fit.slope, fit.slope - fit.slope_ci,
+                 fit.slope + fit.slope_ci, verdict=fit.verdict_label)]
 
 
 def _finish(args, meta: dict, rows: list[dict], exhausted: bool) -> int:
@@ -200,35 +218,24 @@ def _finish(args, meta: dict, rows: list[dict], exhausted: bool) -> int:
 def cmd_rates(args) -> int:
     q = parse_potential(args.potential)
     ns = parse_n_list(args.n)
-    cfg = _search_config(args)
     label = q.describe()
-    rows: list[dict] = []
     meta = {"potential": label, "n_list": ns}
-
-    reports, exhausted = _searches(q, ns, cfg)
-    check = holder_bound_check(q, reports) if q.holder_meta else None
-    for i, rep in enumerate(reports):
+    reports, exhausted = _searches(q, ns, args)
+    rows = []
+    for rep in reports:
         verdict = ""
-        if check is not None:
-            verdict = "HOLDER_OK" if check.margins[i][1] >= 0.0 else "HOLDER_VIOLATION"
-        rows.append(_row("rates", label, rep.n, rep.r_n, rep.lower_op_norm,
-                         rep.upper_op_norm, rep.argmax.t, rep.argmax.s,
-                         verdict))
-
-    points = [(rep.n, rep.r_n) for rep in reports]
-    if len(points) >= 4:
-        fit = fit_loglog(points)
-        rows.append(_row("rates/fit", label, 0, fit.slope,
-                         fit.slope - fit.slope_ci, fit.slope + fit.slope_ci,
-                         verdict=fit.verdict_label))
-        meta["verdict"] = fit.verdict_label
+        if q.holder_meta:
+            verdict = ("HOLDER_OK" if rep.r_n <= q.holder_meta.error_bound(rep.n)
+                       else "HOLDER_VIOLATION")
+        rows.append(_report_row("rates", label, rep, verdict))
+    rows += _fit_rows("rates/fit", label,
+                      [(rep.n, rep.r_n) for rep in reports], meta)
     return _finish(args, meta, rows, exhausted)
 
 
 def cmd_cantor(args) -> int:
     q, cons = build_cantor(args.depth)
     ms = parse_int_range(args.m) if args.m else list(range(1, args.depth + 1))
-    cfg = _search_config(args)
     label = q.describe()
     meta = {"potential": label, "depth": args.depth,
             "complement_measure": str(cons.complement_measure),
@@ -238,24 +245,16 @@ def cmd_cantor(args) -> int:
         meta["merged_open_set"] = [[str(lo), str(hi)]
                                    for lo, hi in cons.merged_open_set]
     rows: list[dict] = []
-    reports, exhausted = _searches(q, [2 ** m for m in ms], cfg)
+    reports, exhausted = _searches(q, [2 ** m for m in ms], args)
     for m, rep in zip(ms, reports):
         # the floor holds for m <= depth; beyond it the finite step function's
         # error falls like 1/n and no floor is claimed
         floor = float(cons.complement_measure) - 2.0 * q.corner_width(m)
-        if m > args.depth:
-            verdict = "NO_FLOOR"
-        elif rep.r_n >= floor:
-            verdict = "FLOOR_OK"
-        else:
-            verdict = "FLOOR_MISS"
-        rows.append(_row("cantor", label, rep.n, rep.r_n, rep.lower_op_norm,
-                         rep.upper_op_norm, rep.argmax.t, rep.argmax.s,
-                         verdict))
-
+        verdict = ("NO_FLOOR" if m > args.depth else
+                   "FLOOR_OK" if rep.r_n >= floor else "FLOOR_MISS")
+        rows.append(_report_row("cantor", label, rep, verdict))
     if len(reports) >= 4:
-        fit = fit_loglog([(rep.n, rep.r_n) for rep in reports],
-                         subsequence=[rep.n for rep in reports])
+        fit = fit_loglog([(rep.n, rep.r_n) for rep in reports])
         rows.append(_row("cantor/fit", label, 0, min(rep.r_n for rep in reports),
                          verdict=fit.verdict_label))
         meta["verdict"] = fit.verdict_label
@@ -265,13 +264,12 @@ def cmd_cantor(args) -> int:
 def cmd_oracle(args) -> int:
     q = parse_potential(args.potential)
     ns = parse_n_list(args.n)
-    cfg = _search_config(args)
     label = q.describe()
     meta = {"potential": label, "n_list": ns, "m": args.m, "p": args.p,
             "tau_grid": args.tau_grid}
     taus = [j / args.tau_grid for j in range(1, args.tau_grid + 1)]
     rows: list[dict] = []
-    reports, exhausted = _searches(q, ns, cfg)
+    reports, exhausted = _searches(q, ns, args)
     for rep in reports:
         n, lower, upper = rep.n, rep.lower_op_norm, rep.upper_op_norm
         # (norm, tau, t*) at the largest norm, ties to the larger tau
@@ -283,11 +281,11 @@ def cmd_oracle(args) -> int:
                          tau_star, t_star,
                          "CONTAINED" if contained else "OUTSIDE"))
         probe = operator_norm_oracle(q, tau_star, n, args.p, m=args.m)
-        slack = 2.0 * q.sup_norm / args.m
-        reached = probe >= 0.95 * symbol_max - 1e-12
-        rows.append(_row("oracle/probe", label, n, probe, 0.95 * symbol_max,
-                         symbol_max + slack, tau_star, None,
-                         "REACHED" if reached else "SHORT"))
+        low, high = 0.95 * symbol_max, symbol_max + 2.0 * q.sup_norm / args.m
+        verdict = ("ABOVE" if probe > high else
+                   "REACHED" if probe >= low - 1e-12 else "SHORT")
+        rows.append(_row("oracle/probe", label, n, probe, low, high,
+                         tau_star, None, verdict))
     return _finish(args, meta, rows, exhausted)
 
 
@@ -296,8 +294,6 @@ def cmd_lie(args) -> int:
     label = f"matrix-pair(dim={args.dim},norm={args.norm_bound},seed={args.seed})"
     meta = {"dim": args.dim, "norm_bound": args.norm_bound,
             "pairs": args.trials, "n_list": ns}
-    rows: list[dict] = []
-
     worst = 0.0
     worst_scale = 0.0
     for k in range(args.trials):
@@ -310,37 +306,26 @@ def cmd_lie(args) -> int:
         scale = math.exp(norm_a + norm_b)
         worst = max(worst, res / scale)
         worst_scale = max(worst_scale, res)
-    rows.append(_row("lie/telescoping", label, 0, worst_scale, None, worst,
-                     verdict="PASS" if worst <= 1e-12 else "FAIL"))
-
+    rows = [_row("lie/telescoping", label, 0, worst_scale, None, worst,
+                 verdict="PASS" if worst <= 1e-12 else "FAIL")]
     errs = lie_error(*first, tau=1.0, ns=ns)
-    for n, err in errs:
-        rows.append(_row("lie/error", label, n, err))
-    if len(errs) >= 4:
-        fit = fit_loglog(errs)
-        rows.append(_row("lie/fit", label, 0, fit.slope,
-                         fit.slope - fit.slope_ci, fit.slope + fit.slope_ci,
-                         verdict=fit.verdict_label))
-        meta["verdict"] = fit.verdict_label
+    rows += [_row("lie/error", label, n, err) for n, err in errs]
+    rows += _fit_rows("lie/fit", label, errs, meta)
     return _finish(args, meta, rows, False)
 
 
 def cmd_strong(args) -> int:
     q = parse_potential(args.potential)
     ns = parse_n_list(args.n)
-    cfg = _search_config(args)
     label = q.describe()
     meta = {"potential": label, "tau": args.tau, "m": args.m, "p": args.p,
             "n_list": ns}
     f = GridFunction.from_callable(lambda t: np.sin(np.pi * t) ** 2, args.m, args.p)
-    rows: list[dict] = []
     curve = strong_convergence_curve(q, f, args.tau, ns)
-    for n, resid in curve:
-        rows.append(_row("strong/residual", label, n, resid))
-    reports, exhausted = _searches(q, [n for n in ns if not n & (n - 1)], cfg)
-    for rep in reports:
-        rows.append(_row("strong/norm-floor", label, rep.n, rep.lower_op_norm,
-                         rep.lower_op_norm, rep.upper_op_norm))
+    rows = [_row("strong/residual", label, n, resid) for n, resid in curve]
+    reports, exhausted = _searches(q, [n for n in ns if not n & (n - 1)], args)
+    rows += [_row("strong/norm-floor", label, rep.n, rep.lower_op_norm,
+                  rep.lower_op_norm, rep.upper_op_norm) for rep in reports]
     resids = [r for _, r in curve]
     decreasing = all(b <= a + 1e-3 for a, b in zip(resids, resids[1:]))
     rows.append(_row("strong/summary", label, 0, resids[-1],

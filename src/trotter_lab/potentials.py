@@ -241,7 +241,8 @@ class Constant(Potential):
 
     def left_sums(self, t, s, n):
         _check_endpoints(t, s)
-        return self.c * (t - s)
+        # the antiderivative's difference c t - c s, so a zero error is 0.0
+        return self.c * t - self.c * s
 
     def params(self):
         return {"c": self.c}
@@ -277,10 +278,12 @@ class Linear(Potential):
         return "closed-form"
 
     def left_sums(self, t, s, n):
-        """h * sum_k (intercept + slope*(s + k h)) with h = (t-s)/n."""
+        """h * sum_k (intercept + slope*(s + k h)) with h = (t-s)/n; the
+        intercept term is the antiderivative's own difference."""
         _check_endpoints(t, s)
         h = (t - s) / n
-        return ((t - s) * (self.intercept + self.slope * s)
+        return (self.intercept * t - self.intercept * s
+                + (t - s) * (self.slope * s)
                 + self.slope * h * h * (n * (n - 1) / 2))
 
     def params(self):
@@ -563,36 +566,53 @@ class TentTrain(Potential):
 class CantorConstruction:
     """Exact record of a truncated fat-Cantor construction.
 
-    ``intervals[n-1]`` lists the open intervals removed at level n: one of
-    half width around each interior dyadic point k/2^n and half-sized
-    pieces hugging 0 and 1.  ``merged_open_set`` is the disjoint normal
-    form of their union over levels 1..depth, and ``complement_measure``
-    the exact Lebesgue measure of what survives.
+    ``merged_open_set`` is the disjoint normal form of the intervals
+    removed at levels 1..depth, and ``complement_measure`` the exact
+    Lebesgue measure of what survives.
     """
 
     depth: int
-    intervals: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
     merged_open_set: tuple[tuple[Fraction, Fraction], ...]
     complement_measure: Fraction
 
-    def level_measure(self, n: int) -> Fraction:
-        """Total length of the level-n intervals before merging."""
-        return sum((hi - lo for lo, hi in self.intervals[n - 1]),
-                   start=Fraction(0))
-
 
 class CantorIndicator(PiecewiseConstant):
-    """Indicator of the surviving set of a truncated fat-Cantor construction."""
+    """Indicator of a positive-measure nowhere-dense set, ``depth`` >= 1.
+
+    Around every dyadic point k/2^n (n = 1..depth) an open interval of
+    half-width 2^{-(2n+2)} is removed, clipped to half-size at 0 and 1.
+    Level n removes total length 2^{-(n+1)}, so the survivor keeps
+    measure >= 1/2 at every depth.  All arithmetic is exact rational;
+    ``construction`` records the result.  The raw interval count before
+    merging is capped at ``_CANTOR_MAX_PIECES``.
+    """
 
     kind = "CantorIndicator"
 
-    def __init__(self, depth: int, construction: CantorConstruction,
-                 breakpoints: Sequence, values: Sequence[float]):
-        super().__init__(breakpoints, values)
-        self.depth = int(depth)
-        self.construction = construction
-        # indicator range is {0, 1}; the generic bound max(values) == 1
-        self.sup_norm = 1.0
+    def __init__(self, depth: int):
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        raw_count = 2 ** (depth + 1) - 2 + depth  # sum of 2^n + 1, n <= depth
+        if raw_count > _CANTOR_MAX_PIECES:
+            raise ResourceLimitError(f"depth {depth} needs {raw_count} "
+                                     f"intervals > cap {_CANTOR_MAX_PIECES}")
+        merged = _merge_open_intervals(
+            iv for n in range(1, depth + 1) for iv in _cantor_level_intervals(n))
+        bps: list[Fraction] = [Fraction(0)]
+        vals: list[float] = []
+        for lo, hi in merged:
+            if lo > bps[-1]:
+                vals.append(1.0)
+                bps.append(lo)
+            vals.append(0.0)
+            bps.append(hi)
+        if bps[-1] < 1:
+            vals.append(1.0)
+            bps.append(Fraction(1))
+        super().__init__(bps, vals)
+        self.depth = depth
+        self.construction = CantorConstruction(
+            depth, merged, 1 - sum((hi - lo for lo, hi in merged), Fraction(0)))
 
     @staticmethod
     def corner_width(m: int) -> float:
@@ -609,14 +629,14 @@ class CantorIndicator(PiecewiseConstant):
         return {"depth": self.depth}
 
 
-def _cantor_level_intervals(n: int) -> list[tuple[Fraction, Fraction]]:
+def _cantor_level_intervals(n: int):
+    """The open intervals removed at level n, left to right."""
     hw = Fraction(1, 2 ** (2 * n + 2))
-    out = [(Fraction(0), hw)]
+    yield Fraction(0), hw
     for k in range(1, 2 ** n):
         c = Fraction(k, 2 ** n)
-        out.append((c - hw, c + hw))
-    out.append((Fraction(1) - hw, Fraction(1)))
-    return out
+        yield c - hw, c + hw
+    yield Fraction(1) - hw, Fraction(1)
 
 
 def _merge_open_intervals(ivs):
@@ -634,52 +654,9 @@ def _merge_open_intervals(ivs):
 
 
 def build_cantor(depth: int) -> tuple[CantorIndicator, CantorConstruction]:
-    """Build the indicator of a positive-measure nowhere-dense set.
-
-    Around every dyadic point k/2^n (n = 1..depth) an open interval of
-    half-width 2^{-(2n+2)} is removed, clipped to half-size at 0 and 1.
-    Level n removes total length 2^{-(n+1)}, so the survivor keeps
-    measure >= 1/2 at every depth.  All arithmetic is exact rational.
-
-    Args:
-        depth: number of removal levels, >= 1; the raw interval count
-            before merging is capped at ``_CANTOR_MAX_PIECES``.
-
-    Returns:
-        (potential, construction) where the potential is an exact
-        piecewise-constant 0/1 function.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    raw_count = sum(2 ** n + 1 for n in range(1, depth + 1))
-    if raw_count > _CANTOR_MAX_PIECES:
-        raise ResourceLimitError(f"depth {depth} needs {raw_count} intervals"
-                                 f" > cap {_CANTOR_MAX_PIECES}")
-
-    levels = tuple(tuple(_cantor_level_intervals(n))
-                   for n in range(1, depth + 1))
-    merged = _merge_open_intervals(iv for lvl in levels for iv in lvl)
-    open_measure = sum((hi - lo for lo, hi in merged), start=Fraction(0))
-    construction = CantorConstruction(
-        depth=depth, intervals=levels,
-        merged_open_set=merged, complement_measure=1 - open_measure)
-
-    bps: list[Fraction] = [Fraction(0)]
-    vals: list[float] = []
-    pos = Fraction(0)
-    for lo, hi in merged:
-        if lo > pos:
-            vals.append(1.0)
-            bps.append(lo)
-        vals.append(0.0)
-        bps.append(hi)
-        pos = hi
-    if pos < 1:
-        vals.append(1.0)
-        bps.append(Fraction(1))
-
-    q = CantorIndicator(depth, construction, bps, vals)
-    return q, construction
+    """``CantorIndicator(depth)`` with its construction record."""
+    q = CantorIndicator(depth)
+    return q, q.construction
 
 
 def build_tent_train(amplitudes: Sequence[float]) -> TentTrain | Constant:
@@ -721,8 +698,7 @@ _SPEC_KINDS = {alias: build for aliases, build in (
                            param("levels", int))),
     (("tenttrain", "tent"), _tent_from_spec),
     (("cantorindicator", "cantor"),
-     lambda param: partial(lambda depth: build_cantor(depth)[0],
-                           param("depth", int))),
+     lambda param: partial(CantorIndicator, param("depth", int))),
 ) for alias in aliases}
 
 

@@ -52,8 +52,8 @@ class GridFunction:
         arr = np.atleast_1d(np.asarray(self.samples, dtype=complex))
         if arr.ndim != 1 or len(arr) < 1:
             raise ValueError("samples must be a non-empty vector")
-        if self.p < 1.0:
-            raise ValueError("p must be >= 1")
+        if not 1.0 <= self.p < np.inf:
+            raise ValueError("p must be finite and >= 1")
         object.__setattr__(self, "samples", arr)
 
     @classmethod

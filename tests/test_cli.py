@@ -115,6 +115,10 @@ def _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv,
     (["strong", "--potential", "linear", "--m", "-5"], "--m"),
     (["oracle", "--potential", "linear", "--p", "0.5"], "--p"),
     (["strong", "--potential", "linear", "--p", "0"], "--p"),
+    # an infinite p would read every residual as 1
+    (["strong", "--potential", "linear", "--n", "2..8", "--m", "1024",
+      "--p", "inf"], "--p"),
+    (["oracle", "--potential", "linear", "--p", "inf"], "--p"),
 ])
 def test_exit_code_nonpositive_count(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -251,6 +255,19 @@ def test_rates_constant_exact_zero(tmp_path):
     assert {r["command"] for r in payload["rows"]} == {"rates", "rates/fit"}
 
 
+@pytest.mark.parametrize("potential", ["constant:c=3",
+                                       "linear:slope=0,intercept=3"])
+def test_rates_zero_bound_is_not_violated(tmp_path, potential):
+    out = tmp_path / "zero.csv"
+    assert main(["rates", "--potential", potential, "--n", "8..64",
+                 "--grid", "32", "--refine", "1", "--output", str(out)]) == 0
+    _, rows = _read_csv(out)
+    data = [r for r in rows if r["command"] == "rates"]
+    assert len(data) == 4
+    assert all(r["verdict"] == "HOLDER_OK" and float(r["value"]) == 0.0
+               for r in data)
+
+
 def test_cantor_report(tmp_path):
     out = tmp_path / "cantor.json"
     code = main(["cantor", "--depth", "4", "--m", "1..4",
@@ -283,6 +300,24 @@ def test_oracle_report(tmp_path):
     assert sym[0]["verdict"] == "CONTAINED"
     assert probe[0]["verdict"] == "REACHED"
     assert float(sym[0]["lower"]) <= float(sym[0]["value"]) <= float(sym[0]["upper"])
+
+
+def test_oracle_probe_above_its_upper_is_not_reached(tmp_path):
+    # tau = 1/7 is no whole number of the 1000 cells, so the probe is not
+    # a weighted shift and may exceed the symbol norm plus slack
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--potential", "tent:harmonic=6", "--n", "3,5",
+                 "--m", "1000", "--tau-grid", "7", "--grid", "32",
+                 "--refine", "1", "--output", str(out)]) == 0
+    _, rows = _read_csv(out)
+    probes = [r for r in rows if r["command"] == "oracle/probe"]
+    assert len(probes) == 2
+    for r in probes:
+        value, lower, upper = (float(r[k]) for k in ("value", "lower", "upper"))
+        want = ("ABOVE" if value > upper else
+                "REACHED" if value >= lower - 1e-12 else "SHORT")
+        assert r["verdict"] == want
+    assert probes[1]["n"] == "5" and probes[1]["verdict"] == "ABOVE"
 
 
 def test_oracle_report_reads_no_seed(tmp_path):

@@ -90,12 +90,32 @@ def test_cantor_complement_at_least_half(depth):
 
 
 def test_cantor_level_measure_and_disjointness():
-    _, cons = tl.build_cantor(5)
+    from trotter_lab.potentials import _cantor_level_intervals
     for n in range(1, 6):
-        assert cons.level_measure(n) == Fraction(1, 2 ** (n + 1))
-        level = cons.intervals[n - 1]
+        level = list(_cantor_level_intervals(n))
+        assert sum(hi - lo for lo, hi in level) == Fraction(1, 2 ** (n + 1))
         for (a1, b1), (a2, b2) in zip(level, level[1:]):
             assert b1 <= a2  # mutually disjoint within a level
+
+
+@pytest.mark.parametrize("depth", [1, 3, 6])
+def test_cantor_one_constructor(depth):
+    q, cons = tl.build_cantor(depth)
+    spec = tl.from_spec({"kind": "cantor", "params": {"depth": depth}})
+    assert type(spec) is type(q) is tl.CantorIndicator
+    assert spec.breakpoints == q.breakpoints
+    assert spec.values == q.values
+    assert spec.construction == cons
+    assert q.sup_norm == spec.sup_norm == 1.0
+    assert set(vars(cons)) == {"depth", "merged_open_set",
+                               "complement_measure"}
+
+
+def test_cantor_depth_limits():
+    with pytest.raises(ValueError):
+        tl.CantorIndicator(0)
+    with pytest.raises(tl.ResourceLimitError):
+        tl.CantorIndicator(26)
 
 
 def test_cantor_fine_grid_measure_cross_check():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import trotter_lab as tl
 
@@ -71,6 +73,14 @@ def test_riemann_error_examples():
     q3, _ = tl.build_cantor(3)
     corner = tl.DeltaPair(1.0 - 1.0 / 384, 1.0 / 384)
     assert tl.riemann_error(q3, corner, 4) >= 21.0 / 32 - 2.0 / 384
+
+
+@given(c=st.floats(0.0, 1e3), t=st.floats(0.0, 1.0), s=st.floats(0.0, 1.0),
+       n=st.integers(1, 10 ** 6), linear=st.booleans())
+def test_constant_left_sums_have_no_roundoff(c, t, s, n, linear):
+    # a certified bound of 0 must not be broken by roundoff
+    q = tl.Linear(slope=0.0, intercept=c) if linear else tl.Constant(c)
+    assert tl.riemann_errors(q, t, s, n)[0] == 0.0
 
 
 def test_linear_closed_form_invariant():

@@ -28,8 +28,9 @@ def test_gridfunction_norms():
     assert f.norm() == pytest.approx(7.0 / 4.0)
     g = tl.GridFunction(np.array([3.0, -4.0, 0.0, 0.0]), p=2.0)
     assert g.norm() == pytest.approx(5.0 / 2.0)
-    with pytest.raises(ValueError):
-        tl.GridFunction(np.array([1.0]), p=0.5)
+    for p in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            tl.GridFunction(np.array([1.0]), p=p)
     with pytest.raises(ValueError):
         tl.GridFunction(np.array([]).reshape(0), p=2.0)
 
