@@ -21,7 +21,8 @@ from .sup_search import (RiemannReport, SearchConfig, SearchTrace,
                          sup_riemann_error, trotter_error_sandwich)
 from .semigroup import (GridFunction, apply_exact, apply_mult_semigroup,
                         apply_shift, apply_trotter, operator_norm_oracle,
-                        per_tau_operator_norm, strong_convergence_curve)
+                        per_tau_operator_norm, strong_convergence_curve,
+                        sup_over_taus)
 from .matrix_lie import (expm, lie_error, random_matrix_pair, spectral_norm,
                          telescoping_residual)
 from .rates import (HolderCheck, RateFit, SlowConvergenceTable, fit_loglog,
@@ -40,7 +41,8 @@ __all__ = [
     "SearchConfig", "SearchTrace", "RiemannReport", "sup_riemann_error",
     "trotter_error_sandwich",
     "GridFunction", "apply_shift", "apply_mult_semigroup", "apply_exact",
-    "apply_trotter", "per_tau_operator_norm", "operator_norm_oracle",
+    "apply_trotter", "per_tau_operator_norm", "sup_over_taus",
+    "operator_norm_oracle",
     "strong_convergence_curve",
     "expm", "spectral_norm", "telescoping_residual", "lie_error",
     "random_matrix_pair",

@@ -35,7 +35,7 @@ from .matrix_lie import _draw_pair, lie_error, telescoping_residual
 from .potentials import Potential, build_cantor, from_spec
 from .rates import fit_loglog
 from .semigroup import (GridFunction, operator_norm_oracle,
-                        _per_tau_norm_argmax, strong_convergence_curve)
+                        strong_convergence_curve, sup_over_taus)
 from .sup_search import RiemannReport, SearchConfig, sup_riemann_error
 
 COLUMNS = ("command", "potential", "n", "value", "lower", "upper",
@@ -272,14 +272,13 @@ def cmd_oracle(args) -> int:
     reports, exhausted = _searches(q, ns, args)
     for rep in reports:
         n, lower, upper = rep.n, rep.lower_op_norm, rep.upper_op_norm
-        # (norm, tau, t*) at the largest norm, ties to the larger tau
-        symbol_max, tau_star, t_star = max(
-            (norm, tau, t_star) for tau in taus
-            for norm, t_star in [_per_tau_norm_argmax(q, tau, n)])
-        contained = lower - 1e-3 <= symbol_max <= upper + 1e-3
+        symbol_max, tau_star, t_star = sup_over_taus(q, taus, n)
+        # above the certified upper end is a contradiction; below the
+        # searched lower end only says the tau grid missed the worst tau
+        verdict = ("OUTSIDE" if symbol_max > upper + 1e-3 else
+                   "UNRESOLVED" if symbol_max < lower - 1e-3 else "CONTAINED")
         rows.append(_row("oracle/symbol", label, n, symbol_max, lower, upper,
-                         tau_star, t_star,
-                         "CONTAINED" if contained else "OUTSIDE"))
+                         tau_star, t_star, verdict))
         probe = operator_norm_oracle(q, tau_star, n, args.p, m=args.m)
         low, high = 0.95 * symbol_max, symbol_max + 2.0 * q.sup_norm / args.m
         verdict = ("ABOVE" if probe > high else

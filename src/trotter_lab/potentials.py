@@ -5,8 +5,8 @@ carries a certified upper bound on its sup norm, and has a closed-form
 antiderivative.  Discontinuous families keep exact rational breakpoints so
 that downstream quadrature is exact.  The family rules that the search,
 the semigroup and the rate checks read are methods: the certified
-left-sum error bound (every family has one), corner hints, the dyadic
-corner floor and step breakpoints.
+left-sum error bound over windows up to a given width (every family has
+one), corner hints, the dyadic corner floor and step breakpoints.
 ``from_spec`` alone turns kind names, aliases and parameters (such as a
 tent train's ``harmonic=L``) into potentials, and rejects unread ones.
 
@@ -121,9 +121,11 @@ class HolderCertificate:
         if self.constant < 0.0:
             raise ValueError("Holder constant must be >= 0")
 
-    def error_bound(self, n: int) -> float:
-        """L / n^beta >= L (t-s)^{1+beta} / n^beta, any n-step left-sum error."""
-        return self.constant / float(n) ** self.beta
+    def error_bound(self, n: int, width: float = 1.0) -> float:
+        """L w^{1+beta} / n^beta: each of the n steps of length h = w/n errs
+        by at most L h^{1+beta}, so this bounds any n-step left-sum error
+        over a window of length t - s <= w."""
+        return self.constant * width ** (1.0 + self.beta) / float(n) ** self.beta
 
 
 class Potential:
@@ -159,11 +161,19 @@ class Potential:
         out = self._antiderivative(arr)
         return float(out[0]) if scalar else out
 
-    def certified_upper_bound(self, n: int) -> float:
-        """A proven ceiling on every n-step left-sum error; by default the
-        Holder bound L / n^beta.  Families without a Holder certificate
-        override it."""
-        return self.holder_meta.error_bound(n)
+    def certified_upper_bound(self, n: int, width: float = 1.0) -> float:
+        """A proven ceiling on every n-step left-sum error over a window of
+        length t - s <= ``width``, for n >= 1 and width in [0, 1]; by
+        default the Holder bound L width^{1+beta} / n^beta.  Families
+        without a Holder certificate override ``_window_bound``."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if not 0.0 <= width <= 1.0:
+            raise ValueError(f"window width must lie in [0, 1], got {width}")
+        return self._window_bound(n, width)
+
+    def _window_bound(self, n: int, width: float) -> float:
+        return self.holder_meta.error_bound(n, width)
 
     def corner_hints(self) -> list[tuple[float, float]]:
         """Windows (t, s) known to nearly maximize the left-sum error, which
@@ -269,10 +279,10 @@ class Linear(Potential):
     def _antiderivative(self, t):
         return self.intercept * t + 0.5 * self.slope * t * t
 
-    def certified_upper_bound(self, n):
-        """The left-sum error is exactly slope (t-s)^2 / (2n), whose sup over
-        the triangle is |slope| / (2n), below the Lipschitz bound."""
-        return abs(self.slope) / (2.0 * n)
+    def _window_bound(self, n, width):
+        """The left-sum error is exactly slope (t-s)^2 / (2n), at most
+        |slope| width^2 / (2n), below the Lipschitz bound."""
+        return abs(self.slope) * width * width / (2.0 * n)
 
     def left_sum_kernel(self, n):
         return "closed-form"
@@ -354,10 +364,11 @@ class PiecewiseConstant(Potential):
         return (self._cum[idx]
                 + self._vals[idx] * (t - self.step_breakpoints[idx]))
 
-    def certified_upper_bound(self, n):
+    def _window_bound(self, n, width):
         """Only steps holding one of the K jumps err, each by at most
-        (t-s)/n * sup_norm: sup_norm * min(1, K/n) in all."""
-        return self.sup_norm * min(1.0, self.internal_breakpoint_count / n)
+        (t-s)/n * sup_norm: sup_norm * min(1, K/n) * width in all."""
+        return (self.sup_norm * min(1.0, self.internal_breakpoint_count / n)
+                * width)
 
     def left_sum_kernel(self, n):
         return ("piece-count" if self.internal_breakpoint_count < n

@@ -11,10 +11,15 @@ array.  The difference of exact evolution and splitting is a
 multiplication operator composed with an isometric-up-to-cutoff shift, so
 its L^p norm equals the sup of a scalar symbol and is p-independent; the
 symbol sup is computed exactly for step potentials (event decomposition)
-and otherwise by `sup_search._grid_refine` over t (s = t - tau).  The
-oracle reads the same norm off the discretized operators alone: when both
-shift by the same whole number of cells their difference is a weighted
-shift, whose weights are its image of the constant function 1.
+and otherwise by `sup_search._grid_refine` over t (s = t - tau).
+`sup_over_taus` takes the sup over a tau grid too.  As exp(-x) is
+1-Lipschitz for x >= 0, the symbol at tau is at most the left-sum error
+over windows of width tau, so `certified_upper_bound(n, tau)` caps it and
+the sweep skips every tau whose cap cannot reach the best norm found
+(bound and prune; Piyavskii 1972, Shubert 1972).  The oracle reads the
+same norm off the discretized operators alone: when both shift by the
+same whole number of cells their difference is a weighted shift, whose
+weights are its image of the constant function 1.
 """
 
 from __future__ import annotations
@@ -35,6 +40,10 @@ _ROUND_TOL = 1e-9
 _T_GRID = 4097
 _T_REFINE_LEVELS = 3
 _T_TOP = 8
+# Absolute roundoff allowance of a computed symbol over its certified
+# ceiling: a step potential without jumps has a zero ceiling, yet its
+# computed symbols reach 7e-16.
+_PRUNE_SLACK = 1e-12
 
 
 def _nodes(m: int) -> np.ndarray:
@@ -240,6 +249,27 @@ def per_tau_operator_norm(q: Potential, tau: float, n: int) -> float:
     |U(t, t-tau) - V_n(t, t-tau)| and is therefore the same for every p.
     """
     return _per_tau_norm_argmax(q, tau, n)[0]
+
+
+def sup_over_taus(q: Potential, taus, n: int) -> tuple[float, float, float]:
+    """(norm, tau*, t*): the largest per-tau operator norm over ``taus``,
+    its tau and its t, ties to the larger tau, then the larger t.
+
+    The taus are swept by their ceiling ``q.certified_upper_bound(n, tau)``,
+    highest first, until a ceiling plus ``_PRUNE_SLACK`` falls below the
+    best norm found; the rest could not have won.
+    """
+    ranked = sorted(((q.certified_upper_bound(n, tau), tau) for tau in taus),
+                    key=lambda pair: pair[0], reverse=True)
+    if not ranked:
+        raise ValueError("taus must be non-empty")
+    best = (-np.inf, 0.0, 0.0)
+    for ceiling, tau in ranked:
+        if ceiling + _PRUNE_SLACK < best[0]:
+            break
+        norm, t_star = _per_tau_norm_argmax(q, tau, n)
+        best = max(best, (norm, tau, t_star))
+    return best
 
 
 def operator_norm_oracle(q: Potential, tau: float, n: int, p: float,

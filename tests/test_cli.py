@@ -333,6 +333,36 @@ def test_oracle_report_reads_no_seed(tmp_path):
     assert texts[0] == texts[1]
 
 
+def _symbol_rows(tmp_path, argv):
+    out = tmp_path / "oracle.csv"
+    assert main(argv + ["--output", str(out)]) == 0
+    return [r for r in _read_csv(out)[1] if r["command"] == "oracle/symbol"]
+
+
+@pytest.mark.parametrize("tau_grid, verdicts", [
+    ("16", ["CONTAINED", "UNRESOLVED"]), ("128", ["CONTAINED", "CONTAINED"])])
+def test_oracle_coarse_tau_grid_is_unresolved(tmp_path, tau_grid, verdicts):
+    # a tau-grid max below the searched lower end is a coverage gap
+    rows = _symbol_rows(tmp_path, [
+        "oracle", "--potential", "cantor:depth=3", "--n", "4,16",
+        "--m", "4096", "--tau-grid", tau_grid, "--grid", "32",
+        "--refine", "1"])
+    assert [r["verdict"] for r in rows] == verdicts
+    for r in rows:
+        value, lower = float(r["value"]), float(r["lower"])
+        assert (r["verdict"] == "UNRESOLVED") == (value < lower - 1e-3)
+
+
+def test_oracle_symbol_above_upper_is_outside(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "sup_over_taus",
+                        lambda q, taus, n: (1.0, 0.5, 0.75))
+    rows = _symbol_rows(tmp_path, [
+        "oracle", "--potential", "linear", "--n", "4", "--m", "2048",
+        "--tau-grid", "16", "--grid", "32", "--refine", "1"])
+    assert float(rows[0]["upper"]) == 0.125
+    assert rows[0]["verdict"] == "OUTSIDE"
+
+
 def test_lie_report(tmp_path):
     out = tmp_path / "lie.csv"
     code = main(["lie", "--n", "8..64", "--trials", "5", "--seed", "3",

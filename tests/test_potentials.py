@@ -490,6 +490,60 @@ def test_holder_certificates(zoo):
         assert np.all(lhs <= rhs + 1e-12), name
 
 
+# One member of every family, for the width-aware certified bound.
+WIDTH_FAMILIES = {
+    "constant": tl.Constant(1.5),
+    "linear": tl.Linear(slope=-0.8, intercept=1.0),
+    "steps": tl.PiecewiseConstant(
+        [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
+        [1.0, 0.0, 2.0]),
+    "cantor": tl.build_cantor(3)[0],
+    "weier": tl.HolderWeierstrass(0.5, 8),
+    "tent": tl.build_tent_train([1.0 / j for j in range(1, 7)]),
+}
+
+
+def sampled_left_sum_error(q, t, s, n):
+    """|int_s^t q - h sum_k q(s + k h)|, h = (t - s)/n, by plain sampling."""
+    h = (t - s) / n
+    xs = np.array([s + k * h for k in range(n)])
+    return abs(q.antiderivative(t) - q.antiderivative(s) - h * q(xs).sum())
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(WIDTH_FAMILIES)),
+       width=st.floats(0.0, 1.0), n=st.integers(1, 64),
+       start=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0))
+def test_width_bound_covers_sampled_error(name, width, n, start, share):
+    q = WIDTH_FAMILIES[name]
+    s = start * (1.0 - width)
+    t = min(1.0, s + share * width)
+    bound = q.certified_upper_bound(n, width)
+    assert sampled_left_sum_error(q, t, s, n) <= bound + 1e-12
+    assert q.certified_upper_bound(n, 1.0) == q.certified_upper_bound(n)
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(WIDTH_FAMILIES)),
+       n=st.integers(1, 4096), widths=st.lists(st.floats(0.0, 1.0),
+                                               min_size=2, max_size=6))
+def test_width_bound_is_non_decreasing_in_width(name, n, widths):
+    q = WIDTH_FAMILIES[name]
+    bounds = [q.certified_upper_bound(n, w) for w in sorted(widths)]
+    assert bounds == sorted(bounds)
+    assert bounds[-1] <= q.certified_upper_bound(n)
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_FAMILIES))
+def test_width_bound_rejects_bad_arguments(name):
+    q = WIDTH_FAMILIES[name]
+    for width in (-1e-9, 1.0 + 1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="width"):
+            q.certified_upper_bound(4, width)
+    with pytest.raises(ValueError, match="n must be"):
+        q.certified_upper_bound(0)
+
+
 def test_linear_validation():
     with pytest.raises(ValueError):
         tl.Linear(slope=-2.0, intercept=1.0)  # negative at t=1

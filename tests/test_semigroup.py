@@ -392,6 +392,85 @@ def test_oracle_holds_one_test_function():
 
 
 # one member of each potential family
+def _full_sweep(q, taus, n):
+    """Every tau's symbol norm, then the largest (norm, tau, t*): the sweep
+    without pruning, which the pruned one must reproduce."""
+    return max((norm, tau, t_star) for tau in taus
+               for norm, t_star in [semigroup._per_tau_norm_argmax(q, tau, n)])
+
+
+SWEEP_FAMILIES = {
+    "linear": tl.Linear(),
+    "tent": tl.build_tent_train([1.0 / j for j in range(1, 5)]),
+    "weier": tl.HolderWeierstrass(0.5, 6),
+    "pw": tl.PiecewiseConstant([0.0, 1.0 / 3.0, 0.5, 1.0], [1.0, 0.0, 2.0]),
+    "cantor": tl.build_cantor(3)[0],
+    "constant": tl.Constant(0.7),
+    # a step potential without jumps: a zero ceiling, and symbols of
+    # 1.1e-16 from roundoff that only the slack lets the sweep see
+    "one-piece": tl.PiecewiseConstant([0.0, 1.0], [0.3]),
+}
+
+
+def _memoized_per_tau(monkeypatch):
+    """Record each per-tau call and compute each (q, tau, n) once."""
+    per_tau = semigroup._per_tau_norm_argmax
+    memo, calls = {}, []
+
+    def recorded(q, tau, n):
+        calls.append(tau)
+        key = (id(q), tau, n)
+        if key not in memo:
+            memo[key] = per_tau(q, tau, n)
+        return memo[key]
+
+    monkeypatch.setattr(semigroup, "_per_tau_norm_argmax", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FAMILIES))
+def test_pruned_sweep_equals_full_sweep(name, monkeypatch):
+    q = SWEEP_FAMILIES[name]
+    _memoized_per_tau(monkeypatch)
+    for n in (1, 3, 16):
+        for grid in (7, 32):
+            taus = [j / grid for j in range(1, grid + 1)]
+            assert tl.sup_over_taus(q, taus, n) == _full_sweep(q, taus, n), (
+                n, grid)
+
+
+def test_pruned_sweep_skips_taus_on_linear(monkeypatch):
+    calls = _memoized_per_tau(monkeypatch)
+    q = tl.Linear()
+    taus = [j / 256 for j in range(1, 257)]
+    for n, swept in ((4, 51), (16, 56), (64, 57)):
+        calls.clear()
+        got = tl.sup_over_taus(q, taus, n)
+        assert len(calls) == swept < len(taus), n
+        assert got == _full_sweep(q, taus, n), n
+
+
+def test_pruned_sweep_needs_its_roundoff_slack(monkeypatch):
+    # without the slack the sweep stops at the first tau whose roundoff
+    # symbol beats the zero ceilings, and misses the larger tau of the tie
+    q = SWEEP_FAMILIES["one-piece"]
+    taus = [j / 100 for j in range(1, 101)]
+    want = _full_sweep(q, taus, 3)
+    assert want[0] > q.certified_upper_bound(3, want[1]) == 0.0
+    assert tl.sup_over_taus(q, taus, 3) == want
+    monkeypatch.setattr(semigroup, "_PRUNE_SLACK", 0.0)
+    assert tl.sup_over_taus(q, taus, 3) != want
+
+
+def test_sweep_argument_errors():
+    with pytest.raises(ValueError, match="non-empty"):
+        tl.sup_over_taus(tl.Linear(), [], 4)
+    with pytest.raises(ValueError):
+        tl.sup_over_taus(tl.Linear(), [0.5, 1.5], 4)
+    with pytest.raises(ValueError):
+        tl.sup_over_taus(tl.Linear(), [0.5], 0)
+
+
 ORACLE_FAMILIES = (
     tl.Constant(1.0), tl.Linear(), tl.Linear(slope=0.5, intercept=0.25),
     tl.PiecewiseConstant([0.0, 0.25, 0.5, 1.0], [1.0, 0.0, 2.0]),
