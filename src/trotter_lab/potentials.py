@@ -2,11 +2,12 @@
 
 Each potential knows how to evaluate itself at scalar or array arguments,
 carries a certified upper bound on its sup norm, and has a closed-form
-antiderivative.  Discontinuous families keep exact rational breakpoints so
-that downstream quadrature is exact.  The family rules that the search,
-the semigroup and the rate checks read are methods: the certified
-left-sum error bound over windows up to a given width (every family has
-one), corner hints, the dyadic corner floor and step breakpoints.
+antiderivative.  ``Constant`` is the zero-slope ``Linear``.  Discontinuous
+families keep exact rational breakpoints so that downstream quadrature is
+exact.  The family rules that the search, the semigroup and the rate
+checks read are methods: the certified left-sum error bound over windows
+up to a given width (every family has one), corner hints, the dyadic
+corner floor and step breakpoints.
 ``from_spec`` alone turns kind names, aliases and parameters (such as a
 tent train's ``harmonic=L``) into potentials, and rejects unread ones.
 
@@ -75,12 +76,6 @@ def _as_domain_array(t) -> tuple[np.ndarray, bool]:
     if lo < 0.0 or hi > 1.0:
         arr = np.clip(arr, 0.0, 1.0)
     return arr, scalar
-
-
-def _check_endpoints(t: np.ndarray, s: np.ndarray) -> None:
-    """Reject NaN or out-of-domain window endpoints in exact left-sum kernels."""
-    _as_domain_array(t)
-    _as_domain_array(s)
 
 
 def _samples_left_of(b: np.ndarray, t: np.ndarray, s: np.ndarray,
@@ -193,9 +188,12 @@ class Potential:
     def left_sums(self, t: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
         """Left Riemann sums over the windows [s_i, t_i] on n equal steps.
 
-        ``t`` and ``s`` are matching 1-D float arrays.  This default samples
-        q at s + k*(t-s)/n for k = 0..n-1, about ``_SAMPLE_CHUNK`` points
-        at a time in one buffer per call; families with an exact kernel
+        ``t`` and ``s`` are matching 1-D float arrays whose entries
+        ``quadrature.left_darboux_sums`` has already checked against [0, 1],
+        so exact kernels check nothing.  This default samples q at
+        s + k*(t-s)/n for k = 0..n-1, about ``_SAMPLE_CHUNK`` points at a
+        time in one buffer per call, and still checks (and clips) the
+        samples through ``__call__``; families with an exact kernel
         override it, and tests keep this loop as their reference.
         """
         out = np.empty(t.shape)
@@ -229,35 +227,6 @@ class Potential:
         return self.describe()
 
 
-class Constant(Potential):
-    """q(t) = c."""
-
-    kind = "Constant"
-
-    def __init__(self, c: float = 1.0):
-        if c < 0.0:
-            raise ValueError("constant potential must be >= 0")
-        self.c = float(c)
-        super().__init__(sup_norm=c, holder_meta=HolderCertificate(1.0, 0.0))
-
-    def _eval(self, t):
-        return np.full_like(t, self.c)
-
-    def _antiderivative(self, t):
-        return self.c * t
-
-    def left_sum_kernel(self, n):
-        return "closed-form"
-
-    def left_sums(self, t, s, n):
-        _check_endpoints(t, s)
-        # the antiderivative's difference c t - c s, so a zero error is 0.0
-        return self.c * t - self.c * s
-
-    def params(self):
-        return {"c": self.c}
-
-
 class Linear(Potential):
     """q(t) = intercept + slope * t, constrained non-negative on [0, 1]."""
 
@@ -289,8 +258,8 @@ class Linear(Potential):
 
     def left_sums(self, t, s, n):
         """h * sum_k (intercept + slope*(s + k h)) with h = (t-s)/n; the
-        intercept term is the antiderivative's own difference."""
-        _check_endpoints(t, s)
+        intercept term is the antiderivative's own difference, so at slope
+        0 the error is exactly 0.0."""
         h = (t - s) / n
         return (self.intercept * t - self.intercept * s
                 + (t - s) * (self.slope * s)
@@ -298,6 +267,22 @@ class Linear(Potential):
 
     def params(self):
         return {"slope": self.slope, "intercept": self.intercept}
+
+
+class Constant(Linear):
+    """q(t) = c, the zero-slope Linear: the commuting case, where the
+    left sums are exact."""
+
+    kind = "Constant"
+
+    def __init__(self, c: float = 1.0):
+        if c < 0.0:
+            raise ValueError("constant potential must be >= 0")
+        self.c = float(c)
+        super().__init__(slope=0.0, intercept=c)
+
+    def params(self):
+        return {"c": self.c}
 
 
 class PiecewiseConstant(Potential):
@@ -385,7 +370,6 @@ class PiecewiseConstant(Potential):
         """
         if self.left_sum_kernel(n) == "sampled":
             return super().left_sums(t, s, n)
-        _check_endpoints(t, s)
         bp = self.step_breakpoints[1:-1]
         jumps = np.diff(self._vals)
         out = np.empty(t.shape)
@@ -456,7 +440,6 @@ class HolderWeierstrass(Potential):
         the nearest integer enters; sin(pi n d)/sin(pi d) stays accurate to
         a few ulps of n near resonance and is n at resonance (d == 0).
         """
-        _check_endpoints(t, s)
         h = (t - s) / n
         acc = np.zeros_like(h)
         for j, a in enumerate(self._amps, start=1):
@@ -617,9 +600,6 @@ class CantorIndicator(PiecewiseConstant):
                 bps.append(lo)
             vals.append(0.0)
             bps.append(hi)
-        if bps[-1] < 1:
-            vals.append(1.0)
-            bps.append(Fraction(1))
         super().__init__(bps, vals)
         self.depth = depth
         self.construction = CantorConstruction(

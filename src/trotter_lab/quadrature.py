@@ -6,9 +6,11 @@ subintervals.  Everything here is pure; batch variants operate on arrays
 of (t, s) pairs so searches can be vectorized.
 
 Left sums come from each family's `Potential.left_sums`: closed forms for
-Constant, Linear and HolderWeierstrass, per-piece sample counts for step
-potentials (PiecewiseConstant, CantorIndicator) with fewer interior
-breakpoints than n, and sampling q at the n points otherwise.
+Linear (and Constant, the zero-slope Linear) and HolderWeierstrass,
+per-piece sample counts for step potentials (PiecewiseConstant,
+CantorIndicator) with fewer interior breakpoints than n, and sampling q at
+the n points otherwise.  `left_darboux_sums` checks the window endpoints
+once, in front of every kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import Potential
+from .potentials import Potential, _as_domain_array
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,9 @@ def integrate(q: Potential, pt: DeltaPair) -> float:
 def left_darboux_sums(q: Potential, t, s, n: int) -> np.ndarray:
     """Left Riemann sums for arrays of pairs, by the family's kernel.
 
-    Sample k of pair i sits at s[i] + k*(t[i]-s[i])/n for k = 0..n-1.
+    Sample k of pair i sits at s[i] + k*(t[i]-s[i])/n for k = 0..n-1.  A NaN
+    endpoint or one outside [0, 1] raises a ValueError here, for every
+    kernel; endpoints within roundoff of [0, 1] pass unclipped.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -63,6 +67,8 @@ def left_darboux_sums(q: Potential, t, s, n: int) -> np.ndarray:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if t.shape != s.shape:
         raise ValueError("t and s must have matching shapes")
+    _as_domain_array(t)
+    _as_domain_array(s)
     return q.left_sums(t, s, n)
 
 

@@ -91,6 +91,16 @@ def test_exit_code_bad_search_config(tmp_path, capsys, monkeypatch, argv,
                                    message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lie", "--n", "8..16", "--dim", "0"], "dim must be >= 1"),
+    (["lie", "--n", "8..16", "--norm-bound", "0"], "norm_bound must be > 0"),
+])
+def test_exit_code_bad_matrix_pair(tmp_path, capsys, monkeypatch, argv,
+                                   message):
+    _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv,
+                                   message)
+
+
 def _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv,
                                    message):
     def no_search(*args):
@@ -125,6 +135,13 @@ def test_exit_code_nonpositive_count(capsys, argv, flag):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+
+def test_exit_code_not_a_number(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--potential", "linear", "--m", "abc"])
+    assert exc.value.code == 2
+    assert "argument --m: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -444,6 +461,12 @@ def test_exit_code_spec_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     code = main(["rates", "--potential", "weier", "--n", "8..16"])
     assert code == 2  # weier needs beta/levels from kv or flags
+    capsys.readouterr()
+    for potential, message in (
+            ("linear:slope", "expected key=value, got 'slope'"),
+            ("constant:c=-1", "constant potential must be >= 0")):
+        assert main(["rates", "--potential", potential, "--n", "8..16"]) == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("potential, named", [

@@ -107,6 +107,15 @@ def test_lie_error_validation():
         tl.lie_error(a, b, 1.0, [])
     with pytest.raises(ValueError):
         tl.telescoping_residual(a, b, 1.0, 0)
+    with pytest.raises(ValueError, match="share a dimension"):
+        tl.telescoping_residual(a, np.eye(2), 1.0, 4)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        tl.lie_error(a, b, 1.0, [0, 2])
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        tl.random_matrix_pair(0, 1.0, 0)
+    for bound in (0.0, -1.0):
+        with pytest.raises(ValueError, match="norm_bound must be > 0"):
+            tl.random_matrix_pair(3, bound, 0)
 
 
 def test_random_pair_determinism_and_norms():

@@ -34,6 +34,20 @@ def test_domain_error(bad):
         tl.Linear()(bad)
 
 
+def test_roundoff_outside_the_domain_is_clipped(zoo):
+    # within 1e-12 of [0, 1] an argument reads as the nearest endpoint;
+    # further out it is an error
+    for name, q in zoo:
+        for f in (q, q.antiderivative):
+            assert f(1.0 + 5e-13) == f(1.0), name
+            assert f(-5e-13) == f(0.0), name
+            assert np.array_equal(f(np.array([-5e-13, 0.5, 1.0 + 5e-13])),
+                                  f(np.array([0.0, 0.5, 1.0]))), name
+            for bad in (1.0 + 1e-11, -1e-11):
+                with pytest.raises(ValueError, match="outside"):
+                    f(bad)
+
+
 @pytest.mark.parametrize("neighbour", [0.5, 1.5])
 def test_nan_is_named_in_long_arrays(neighbour):
     # NaN is caught through min/max, before the range check
@@ -443,6 +457,28 @@ def test_from_spec_names_the_bad_parameter(spec, named):
     assert repr(spec["kind"]) in str(exc.value)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({}, "needs a 'kind' key"),
+    ({"params": {"c": 1.0}}, "needs a 'kind' key"),
+    ("constant", "needs a 'kind' key"),
+    ({"kind": "constant", "params": [["c", 1.0]]}, "'params' must be a mapping"),
+    ({"kind": "linear", "params": "slope=1"}, "'params' must be a mapping"),
+])
+def test_from_spec_rejects_malformed_spec(spec, message):
+    with pytest.raises(ValueError, match=message):
+        tl.from_spec(spec)
+
+
+def test_certificate_and_sup_norm_validation():
+    for beta in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="exponent"):
+            tl.HolderCertificate(beta, 1.0)
+    with pytest.raises(ValueError, match="constant must be >= 0"):
+        tl.HolderCertificate(0.5, -1e-9)
+    with pytest.raises(ValueError, match="sup_norm must be >= 0"):
+        tl.Potential(-1.0)
+
+
 @pytest.mark.parametrize("spec, named", [
     ({"kind": "constant", "params": {"C": 2.0}}, "'C'"),
     ({"kind": "linear", "params": {"slop": 2.0}}, "'slop'"),
@@ -547,6 +583,9 @@ def test_width_bound_rejects_bad_arguments(name):
 def test_linear_validation():
     with pytest.raises(ValueError):
         tl.Linear(slope=-2.0, intercept=1.0)  # negative at t=1
+    # the zero-slope Linear keeps its own message
+    with pytest.raises(ValueError, match="constant potential must be >= 0"):
+        tl.Constant(-1e-300)
     q = tl.Linear(slope=-0.5, intercept=1.0)  # decreasing but nonnegative
     assert q(1.0) == 0.5
     assert q.holder_meta.constant == 0.5

@@ -76,11 +76,29 @@ def test_riemann_error_examples():
 
 
 @given(c=st.floats(0.0, 1e3), t=st.floats(0.0, 1.0), s=st.floats(0.0, 1.0),
-       n=st.integers(1, 10 ** 6), linear=st.booleans())
-def test_constant_left_sums_have_no_roundoff(c, t, s, n, linear):
-    # a certified bound of 0 must not be broken by roundoff
-    q = tl.Linear(slope=0.0, intercept=c) if linear else tl.Constant(c)
-    assert tl.riemann_errors(q, t, s, n)[0] == 0.0
+       n=st.integers(1, 10 ** 6), width=st.floats(0.0, 1.0))
+def test_constant_left_sums_have_no_roundoff(c, t, s, n, width):
+    # a certified bound of 0 must not be broken by roundoff, and Constant(c)
+    # is the zero-slope Linear bit for bit
+    const, linear = tl.Constant(c), tl.Linear(slope=0.0, intercept=c)
+    for q in (const, linear):
+        assert tl.riemann_errors(q, t, s, n)[0] == 0.0
+    x = np.array([t, s])
+    for rule in (lambda q: q(x), lambda q: q.antiderivative(x),
+                 lambda q: tl.left_darboux_sums(q, t, s, n)):
+        assert rule(const).tobytes() == rule(linear).tobytes()
+    bound = const.certified_upper_bound(n, width)
+    assert bound.hex() == linear.certified_upper_bound(n, width).hex()
+    assert const.holder_meta == linear.holder_meta
+    assert const.left_sum_kernel(n) == linear.left_sum_kernel(n)
+
+
+def test_left_sums_validation():
+    q = tl.Linear()
+    with pytest.raises(ValueError, match="n must be"):
+        tl.left_darboux_sums(q, [0.5], [0.1], 0)
+    with pytest.raises(ValueError, match="matching shapes"):
+        tl.left_darboux_sums(q, [0.5, 0.6], [0.1], 4)
 
 
 def test_linear_closed_form_invariant():

@@ -370,6 +370,15 @@ def test_oracle_upper_bound_invariant():
 def test_oracle_validation():
     with pytest.raises(ValueError):
         tl.operator_norm_oracle(tl.Linear(), 1.5, 4, 2.0)
+    # the maps behind the oracle reject a negative tau and n < 1
+    q, f = tl.Linear(), _smooth(16)
+    for apply in (lambda tau: tl.apply_mult_semigroup(q, tau, f),
+                  lambda tau: tl.apply_exact(q, tau, f),
+                  lambda tau: tl.apply_trotter(q, tau, 4, f)):
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            apply(-0.1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        tl.apply_trotter(q, 0.5, 0, f)
 
 
 def test_oracle_nilpotent_tau():
