@@ -345,7 +345,6 @@ _FLAGS = {
     "--grid": dict(type=int, default=256, help="coarse search grid per axis"),
     "--refine": dict(type=int, default=4, help="search refinement levels"),
     "--max-evals": dict(type=int, help="probe budget for the sup search"),
-    "--trials": dict(type=_positive_int, default=8),
 }
 _SEARCH = ("--grid", "--refine", "--max-evals")
 
@@ -389,10 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="tau_grid")
 
     p = command("lie", cmd_lie, "matrix telescoping identity and O(1/n) rate",
-                ("--trials",))
+                ())
     p.add_argument("--n", default="16..4096")
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--norm-bound", type=float, default=2.0, dest="norm_bound")
+    p.add_argument("--trials", type=_positive_int, default=8)
 
     p = command("strong", cmd_strong, "strong residuals vs operator-norm floor",
                 ("--potential", "--p") + _SEARCH)

@@ -24,6 +24,7 @@ breakpoints, so the result is the same as searching every point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -113,8 +114,8 @@ class HolderCertificate:
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("Holder exponent must lie in (0, 1]")
-        if self.constant < 0.0:
-            raise ValueError("Holder constant must be >= 0")
+        if not 0.0 <= self.constant < math.inf:
+            raise ValueError("Holder constant must be >= 0 and finite")
 
     def error_bound(self, n: int, width: float = 1.0) -> float:
         """L w^{1+beta} / n^beta: each of the n steps of length h = w/n errs
@@ -139,8 +140,8 @@ class Potential:
 
     def __init__(self, sup_norm: float,
                  holder_meta: HolderCertificate | None = None):
-        if sup_norm < 0.0:
-            raise ValueError("sup_norm must be >= 0")
+        if not 0.0 <= sup_norm < math.inf:
+            raise ValueError("sup_norm must be >= 0 and finite")
         self.sup_norm = float(sup_norm)
         self.holder_meta = holder_meta
 
@@ -233,6 +234,9 @@ class Linear(Potential):
     kind = "Linear"
 
     def __init__(self, slope: float = 1.0, intercept: float = 0.0):
+        # min and max below would pass over a NaN
+        if not (math.isfinite(slope) and math.isfinite(intercept)):
+            raise ValueError("linear potential parameters must be finite")
         lo = min(intercept, intercept + slope)
         if lo < 0.0:
             raise ValueError("linear potential is negative on [0, 1]")
@@ -276,8 +280,8 @@ class Constant(Linear):
     kind = "Constant"
 
     def __init__(self, c: float = 1.0):
-        if c < 0.0:
-            raise ValueError("constant potential must be >= 0")
+        if not 0.0 <= c < math.inf:
+            raise ValueError("constant potential must be >= 0 and finite")
         self.c = float(c)
         super().__init__(slope=0.0, intercept=c)
 
@@ -303,8 +307,8 @@ class PiecewiseConstant(Potential):
             raise ValueError("breakpoints must span [0, 1]")
         if any(b1 >= b2 for b1, b2 in zip(bps, bps[1:])):
             raise ValueError("breakpoints must strictly increase")
-        if any(v < 0.0 for v in vals):
-            raise ValueError("piece values must be >= 0")
+        if not all(0.0 <= v < math.inf for v in vals):
+            raise ValueError("piece values must be >= 0 and finite")
         self.breakpoints = bps
         self.values = vals
         self.step_breakpoints = np.array([float(b) for b in bps])
@@ -494,8 +498,8 @@ class TentTrain(Potential):
 
     def __init__(self, amplitudes: Sequence[float]):
         amps = tuple(float(a) for a in amplitudes)
-        if any(a <= 0.0 for a in amps):
-            raise ValueError("tent amplitudes must be > 0")
+        if not all(0.0 < a < math.inf for a in amps):
+            raise ValueError("tent amplitudes must be > 0 and finite")
         self.amplitudes = amps
         self.levels = len(amps)
         lip = sum(a * 2.0 ** (j + 1) for j, a in enumerate(amps, start=1))

@@ -2,7 +2,7 @@
 
 A sweep is classified as one of EXACT_ZERO, POLY_RATE (with estimated
 exponent), SLOWER_THAN_POLY, or NON_CONVERGENT.  The rules are
-deterministic thresholds: values all below 1e-12 are zero; a designated
+deterministic thresholds: values all below 1e-12 are zero; the dyadic
 subsequence staying above the floor 0.1 is non-convergent; a clean
 log-log fit (rms residual <= 0.05) with slope <= -0.05 is polynomial;
 anything else decays too slowly to call polynomial.  Verdicts are
@@ -19,14 +19,14 @@ import numpy as np
 
 from .potentials import Potential
 from .quadrature import DeltaPair, riemann_error
-from .sup_search import RiemannReport
+from .sup_search import _S_MIN, RiemannReport
 
 ZERO_THRESHOLD = 1e-12
 NONCONV_FLOOR = 0.1
 RESIDUAL_CAP = 0.05
 SLOPE_FLAT = -0.05
 # The long-window corner where the dyadic cancellation argument applies.
-_CORNER = DeltaPair(1.0, 1e-9)
+_CORNER = DeltaPair(1.0, _S_MIN)
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,12 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, 2.0 * se, rms
 
 
-def fit_loglog(points: Sequence[tuple[int, float]],
-               subsequence: Sequence[int] | None = None) -> RateFit:
+def fit_loglog(points: Sequence[tuple[int, float]]) -> RateFit:
     """Classify a sweep of non-negative values against n.
 
-    ``subsequence`` designates the n values used for the non-convergence
-    floor test; by default the powers of two present in the sweep (all n
-    if fewer than two are powers of two).
+    The non-convergence floor test reads the powers of two in the sweep
+    (every n if fewer than two are powers of two); ``RateFit.subsequence``
+    records which n it read.
     """
     pts = tuple((int(n), float(v)) for n, v in points)
     if len(pts) < 4:
@@ -78,13 +77,8 @@ def fit_loglog(points: Sequence[tuple[int, float]],
     if any(v < 0.0 for _, v in pts):
         raise ValueError("values must be >= 0")
 
-    if subsequence is None:
-        dyadic = [n for n in ns if n & (n - 1) == 0]
-        subsequence = dyadic if len(dyadic) >= 2 else ns
-    sub = tuple(int(n) for n in subsequence)
-    missing = [n for n in sub if n not in ns]
-    if missing:
-        raise ValueError(f"subsequence entries {missing} not in the sweep")
+    dyadic = tuple(n for n in ns if n & (n - 1) == 0)
+    sub = dyadic if len(dyadic) >= 2 else tuple(ns)
     n_range = (ns[0], ns[-1])
 
     if all(v <= ZERO_THRESHOLD for _, v in pts):
@@ -151,7 +145,7 @@ def slow_convergence_check(q: Potential,
                            ms: Sequence[int]) -> SlowConvergenceTable:
     """Evaluate the slow-convergence demonstrator along n = 2^m.
 
-    The error is measured at ``_CORNER``, (t, s) = (1, 1e-9), and its ratio
+    The error is measured at ``_CORNER``, (t, s) = (1, _S_MIN), and its ratio
     is taken against delta_n = 1/n; families with a ``corner_floor`` also
     get their margin over it.
     """

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import GridResolutionWarning
 from .potentials import Potential
 from .quadrature import left_darboux_sums
-from .sup_search import _best_first, _grid_refine
+from .sup_search import _BestTracker, _grid_refine
 
 # tau*m farther than this from an integer triggers a rounding warning
 _ROUND_TOL = 1e-9
@@ -85,6 +85,11 @@ class GridFunction:
         return GridFunction(self.samples - other.samples, self.p)
 
 
+def _check_tau(tau: float) -> None:
+    if not 0.0 <= tau < np.inf:
+        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
+
+
 def _cells(tau: float, m: int) -> int:
     """tau as a whole number of cells of width 1/m."""
     return int(round(tau * m))
@@ -110,16 +115,14 @@ def _shifted(samples: np.ndarray, r: int) -> np.ndarray:
 
 def apply_shift(tau: float, f: GridFunction) -> GridFunction:
     """Right shift by tau with zero fill; the zero function once tau >= 1."""
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
+    _check_tau(tau)
     r = _round_cells(tau, f.m, "shift")
     return GridFunction(_shifted(f.samples, r), f.p)
 
 
 def apply_mult_semigroup(q: Potential, tau: float, f: GridFunction) -> GridFunction:
     """Pointwise damping by e^{-tau q(t_i)}."""
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
+    _check_tau(tau)
     return GridFunction(np.exp(-tau * q(f.nodes())) * f.samples, f.p)
 
 
@@ -129,8 +132,7 @@ def apply_exact(q: Potential, tau: float, f: GridFunction) -> GridFunction:
     tau is rounded to a whole number of cells (warning if not already);
     with the rounded tau_g the semigroup law holds to roundoff.
     """
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
+    _check_tau(tau)
     m = f.m
     r = _round_cells(tau, m, "exact evolution")
     if r >= m:
@@ -152,8 +154,7 @@ def apply_trotter(q: Potential, tau: float, n: int, f: GridFunction) -> GridFunc
     it costs n (m - n r) complex multiplies, allocates no per-step array,
     and equals the step-by-step product bit for bit.
     """
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
+    _check_tau(tau)
     if n < 1:
         raise ValueError("n must be >= 1")
     m = f.m
@@ -214,17 +215,16 @@ def _per_tau_exact(q: Potential, tau: float, n: int) -> tuple[float, float]:
 
 
 def _per_tau_grid(q: Potential, tau: float, n: int) -> tuple[float, float]:
-    probed = []
+    best = _BestTracker()
 
     def gaps(ts):
-        probed.append((ts, _symbol_gaps(q, tau, n, ts)))
-        return probed[-1][1]
+        vals = _symbol_gaps(q, tau, n, ts)
+        best.offer(vals, ts, ts - tau)
+        return vals
 
     _grid_refine(gaps, (np.linspace(tau, 1.0, _T_GRID),),
                  (1.0 - tau) / (_T_GRID - 1), tau, _T_REFINE_LEVELS, _T_TOP)
-    ts, vals = (np.concatenate(x) for x in zip(*probed))
-    i = _best_first(vals, ts, ts - tau, 1)[0]
-    return float(vals[i]), float(ts[i])
+    return best.value, best.t
 
 
 def _per_tau_norm_argmax(q: Potential, tau: float, n: int) -> tuple[float, float]:

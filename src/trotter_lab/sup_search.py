@@ -4,13 +4,13 @@ The quantity of interest is the essential supremum over the triangle of
 the pointwise left-sum error; its value sandwiches the operator-norm
 splitting error between e^{-sup_norm} and 1 times itself.  The landscape
 is non-smooth (step potentials) or highly oscillatory (tent trains), so
-the search is a coarse lattice plus local refinement around the best
-cells, seeded with the analytically known near-maximizers of each family.
-The refinement is `_grid_refine`, which `semigroup` also runs for the
-per-tau symbol sup over t; both searches rank points by `_best_first`.
-Every reported value is an exact pointwise evaluation, hence a true lower
-bound; the certified upper bound is each family's
-`Potential.certified_upper_bound`, which every family has.
+the search is a coarse lattice on s >= `_S_MIN` plus local refinement
+around the best cells, seeded with the analytically known near-maximizers
+of each family.  The refinement is `_grid_refine`, which `semigroup` also
+runs for the per-tau symbol sup over t; both rank points by `_best_first`
+and keep their best in a `_BestTracker`.  Every reported value is an exact
+pointwise evaluation, hence a true lower bound; the certified upper bound
+is each family's `Potential.certified_upper_bound`, which every family has.
 """
 
 from __future__ import annotations
@@ -29,27 +29,24 @@ from .quadrature import DeltaPair, riemann_errors
 # refines around _TOP_CELLS seeds.
 _REFINE_FACTOR = 8
 _TOP_CELLS = 16
+# The smallest s probed: the triangle is open at s = 0.
+_S_MIN = 1e-9
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grid-search parameters.
-
-    ``max_evals`` caps the number of probed (t, s) pairs; when exhausted
+    """Grid-search parameters: lattice points per axis, refinement rounds,
+    and ``max_evals``, a cap on probed (t, s) pairs; when it is exhausted
     the search raises BudgetExceededError carrying the partial report.
     """
 
     coarse_grid: int = 256
     refine_levels: int = 4
-    s_min: float = 1e-9
-    hint_points: tuple[DeltaPair, ...] = ()
     max_evals: int | None = None
 
     def __post_init__(self):
         if self.coarse_grid < 2:
             raise ValueError("coarse_grid must be >= 2")
-        if not 0.0 < self.s_min < 1.0:
-            raise ValueError("s_min must lie in (0, 1)")
         if self.refine_levels < 0:
             raise ValueError(
                 f"refine_levels must be >= 0, got {self.refine_levels}")
@@ -59,24 +56,22 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchTrace:
-    """Summary of how a search arrived at its value.
-
-    ``kernel`` names the left-sum kernel the search ran (see
+    """How a search arrived at its value: the best value after the lattice
+    and each refinement round, the probes spent, and whether the budget ran
+    out.  ``kernel`` names the left-sum kernel the search ran (see
     Potential.left_sum_kernel); it stays out of the rendered string, which
     reports carry.
     """
 
     level_best: tuple[float, ...]
     evals: int
-    certified: bool
     budget_hit: bool = False
     kernel: str = "sampled"
 
     def __str__(self):
         lv = ">".join(f"{v:.6g}" for v in self.level_best)
-        tag = "certified" if self.certified else "heuristic"
         flag = ";budget_hit" if self.budget_hit else ""
-        return f"evals={self.evals};{tag};levels={lv}{flag}"
+        return f"evals={self.evals};levels={lv}{flag}"
 
 
 @dataclass(frozen=True)
@@ -142,22 +137,22 @@ def _grid_refine(f, rows, spacing, lo, rounds, top, keep=None) -> None:
         spacing = 2.0 * spacing / _REFINE_FACTOR
 
 
-def default_hints(q: Potential, n: int, s_min: float) -> list[DeltaPair]:
+def default_hints(q: Potential, n: int) -> list[DeltaPair]:
     """Analytic near-maximizers probed unconditionally.
 
-    Always includes the long-window corner (1, s_min) plus a few
+    Always includes the long-window corner (1, _S_MIN) plus a few
     alignment-breaking offsets of order 1/n, then the family's own
     ``corner_hints`` (for Cantor indicators, the windows on which the
     dyadic left sums vanish identically).
     """
-    pts = [DeltaPair(1.0, s_min)]
+    pts = [DeltaPair(1.0, _S_MIN)]
     for num in (1.0, 2.0):
         s = num / (3.0 * n)
-        if s_min < s < 1.0:
+        if _S_MIN < s < 1.0:
             pts.append(DeltaPair(1.0, s))
         t = 1.0 - num / (3.0 * n)
-        if s_min < t:
-            pts.append(DeltaPair(t, s_min))
+        if _S_MIN < t:
+            pts.append(DeltaPair(t, _S_MIN))
     pts.extend(DeltaPair(t, s) for t, s in q.corner_hints())
     return pts
 
@@ -184,7 +179,7 @@ def sup_riemann_error(q: Potential, n: int,
             n=n, r_n=r, argmax=DeltaPair(tracker.t, tracker.s),
             lower_op_norm=math.exp(-q.sup_norm) * r,
             upper_op_norm=q.certified_upper_bound(n),
-            method=SearchTrace(tuple(level_best), evals, True, budget_hit,
+            method=SearchTrace(tuple(level_best), evals, budget_hit,
                                q.left_sum_kernel(n)))
 
     def probe(ts, ss, level=True):
@@ -200,14 +195,14 @@ def sup_riemann_error(q: Potential, n: int,
             level_best.append(tracker.value)
         return vals
 
-    hints = default_hints(q, n, cfg.s_min) + list(cfg.hint_points)
+    hints = default_hints(q, n)
     probe(np.array([p.t for p in hints]), np.array([p.s for p in hints]),
           level=False)
-    axis = np.linspace(cfg.s_min, 1.0, cfg.coarse_grid)
+    axis = np.linspace(_S_MIN, 1.0, cfg.coarse_grid)
     tg, sg = np.meshgrid(axis, axis, indexing="ij")
     on_triangle = sg <= tg
     _grid_refine(probe, (tg[on_triangle], sg[on_triangle]),
-                 (1.0 - cfg.s_min) / (cfg.coarse_grid - 1), cfg.s_min,
+                 (1.0 - _S_MIN) / (cfg.coarse_grid - 1), _S_MIN,
                  cfg.refine_levels, _TOP_CELLS, keep=lambda t, s: s <= t)
     return make_report(False)
 

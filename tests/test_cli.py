@@ -464,9 +464,22 @@ def test_exit_code_spec_error(tmp_path, capsys):
     capsys.readouterr()
     for potential, message in (
             ("linear:slope", "expected key=value, got 'slope'"),
-            ("constant:c=-1", "constant potential must be >= 0")):
-        assert main(["rates", "--potential", potential, "--n", "8..16"]) == 2
-        assert message in capsys.readouterr().err
+            ("constant:c=-1", "constant potential must be >= 0"),
+            # non-finite parameters, which min and max would pass over
+            ("constant:c=nan", "constant potential must be >= 0 and finite"),
+            ("linear:slope=inf", "linear potential parameters must be finite"),
+            ("pw:breakpoints=0+1/2+1,values=nan+1",
+             "piece values must be >= 0 and finite"),
+            ("tent:amplitudes=1+nan", "tent amplitudes must be > 0"),
+            ("tent:amplitudes=1+inf", "tent amplitudes must be > 0")):
+        assert main(["rates", "--potential", potential, "--n", "8..16",
+                     "--grid", "16", "--refine", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+    for tau in ("inf", "nan"):
+        assert main(["strong", "--potential", "linear", "--n", "2..8",
+                     "--m", "1024", "--tau", tau]) == 2
+        assert "error: tau must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("potential, named", [

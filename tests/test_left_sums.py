@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import trotter_lab as tl
 from trotter_lab import potentials
 from trotter_lab.potentials import Potential
-from trotter_lab.sup_search import SearchConfig, default_hints
+from trotter_lab.sup_search import default_hints
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -169,7 +169,7 @@ def test_cantor_depth_10_sampled_sums_match_search_oracle():
     for m in range(1, 11):
         n = 2 ** m
         assert q.left_sum_kernel(n) == "sampled"
-        hints = default_hints(q, n, SearchConfig().s_min)
+        hints = default_hints(q, n)
         tt = np.concatenate((t, [p.t for p in hints]))
         ss = np.concatenate((s, [p.s for p in hints]))
         xi = ss[:, None] + (tt - ss)[:, None] * (np.arange(n) / n)

@@ -88,6 +88,10 @@ def test_piecewise_validation():
         tl.PiecewiseConstant([0.1, 0.5, 1.0], [1.0, 2.0])  # must start at 0
     with pytest.raises(ValueError):
         tl.PiecewiseConstant([0.0, 0.5, 1.0], [1.0, -2.0])  # q >= 0
+    for bad in (float("nan"), float("inf")):
+        for vals in ([bad, 1.0], [1.0, bad]):
+            with pytest.raises(ValueError, match=">= 0 and finite"):
+                tl.PiecewiseConstant([0.0, 0.5, 1.0], vals)
 
 
 @pytest.mark.parametrize("depth", sorted(CANTOR_MEASURE))
@@ -243,6 +247,9 @@ def test_tent_empty_amplitudes():
 def test_tent_validation():
     with pytest.raises(ValueError):
         tl.build_tent_train([1.0, -0.5])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tent amplitudes must be > 0"):
+            tl.build_tent_train([1.0, bad])
 
 
 # Tent trains around the 16-level node table: levels above 16 are added per
@@ -477,6 +484,11 @@ def test_certificate_and_sup_norm_validation():
         tl.HolderCertificate(0.5, -1e-9)
     with pytest.raises(ValueError, match="sup_norm must be >= 0"):
         tl.Potential(-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            tl.HolderCertificate(1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            tl.Potential(bad)
 
 
 @pytest.mark.parametrize("spec, named", [
@@ -586,6 +598,13 @@ def test_linear_validation():
     # the zero-slope Linear keeps its own message
     with pytest.raises(ValueError, match="constant potential must be >= 0"):
         tl.Constant(-1e-300)
+    # min and max skip a NaN, so neither sign check alone catches one
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="constant potential must be >= 0"):
+            tl.Constant(bad)
+        for slope, intercept in ((bad, 1.0), (0.0, bad), (1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                tl.Linear(slope, intercept)
     q = tl.Linear(slope=-0.5, intercept=1.0)  # decreasing but nonnegative
     assert q(1.0) == 0.5
     assert q.holder_meta.constant == 0.5

@@ -74,18 +74,27 @@ def test_fit_validation():
     with pytest.raises(ValueError):
         tl.fit_loglog([(2, 1.0), (4, -0.5), (8, 0.25), (16, 0.1)])
     with pytest.raises(ValueError):
-        tl.fit_loglog(_poly_points(1.0, -1.0, [2, 4, 8, 16]),
-                      subsequence=[32])
-    with pytest.raises(ValueError):
         # all but three collapse below the zero threshold
         tl.fit_loglog([(2, 0.5), (4, 0.25), (8, 0.125), (16, 0.0), (32, 0.0)])
 
 
 def test_fit_explicit_subsequence():
+    # the floor test reads only the powers of two in the sweep
     pts = [(3, 0.6), (4, 0.59), (6, 0.61), (8, 0.6), (12, 0.62)]
-    fit = tl.fit_loglog(pts, subsequence=[4, 8])
+    fit = tl.fit_loglog(pts)
     assert fit.verdict == "NON_CONVERGENT"
     assert fit.subsequence == (4, 8)
+    # a dip below the floor off the powers of two is not read
+    fit = tl.fit_loglog(pts[:2] + [(6, 0.05)] + pts[3:])
+    assert fit.verdict == "NON_CONVERGENT"
+    # with fewer than two powers of two the floor test reads every n
+    for ns in ((3, 5, 6, 7, 9), (3, 4, 5, 6, 7)):
+        pts = [(n, 0.6) for n in ns]
+        fit = tl.fit_loglog(pts)
+        assert fit.subsequence == ns
+        assert fit.verdict == "NON_CONVERGENT"
+        fit = tl.fit_loglog(pts[:-1] + [(ns[-1], 0.05)])
+        assert fit.verdict != "NON_CONVERGENT"
 
 
 def test_fit_ci_covers_truth_on_noisy_data():
@@ -141,7 +150,7 @@ def test_holder_check_flags_violation():
     fake = tl.RiemannReport(
         n=4, r_n=0.9, argmax=tl.DeltaPair(1.0, 1e-9),
         lower_op_norm=0.3, upper_op_norm=1.0,
-        method=SearchTrace((0.9,), 1, False))
+        method=SearchTrace((0.9,), 1))
     check = tl.holder_bound_check(q, [fake])
     assert not check.passed
     assert check.violations == ((4, 0.9, 0.25),)

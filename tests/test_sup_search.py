@@ -15,8 +15,6 @@ SMALL = tl.SearchConfig(coarse_grid=32, refine_levels=2)
 def test_config_validation():
     with pytest.raises(ValueError):
         tl.SearchConfig(coarse_grid=1)
-    with pytest.raises(ValueError):
-        tl.SearchConfig(s_min=0.0)
     with pytest.raises(ValueError, match="got -1"):
         tl.SearchConfig(refine_levels=-1)
     for budget in (0, -3):
@@ -44,7 +42,7 @@ def test_linear_example():
     assert abs(rep.r_n - 0.05) < 1e-6
     # maximizer sits at the long-window corner, up to refine-grid ulps
     assert rep.argmax.t >= 1.0 - 1e-12
-    assert rep.argmax.s <= 2.0 * SMALL.s_min
+    assert rep.argmax.s <= 2.0 * sup_search._S_MIN
     lo, up = tl.trotter_error_sandwich(tl.Linear(), 10, SMALL)
     assert abs(lo - math.exp(-1.0) * 0.05) < 1e-7
     assert up == 0.05  # exact closed-form certificate slope/(2n)
@@ -99,22 +97,23 @@ def _sup_search_per_seed(q, n, cfg):
         tracker.offer(vals, ts, ss)
         return vals, ts, ss
 
-    hints = default_hints(q, n, cfg.s_min)
+    s_min = sup_search._S_MIN
+    hints = default_hints(q, n)
     probe([p.t for p in hints], [p.s for p in hints])
-    axis = np.linspace(cfg.s_min, 1.0, cfg.coarse_grid)
+    axis = np.linspace(s_min, 1.0, cfg.coarse_grid)
     tg, sg = np.meshgrid(axis, axis, indexing="ij")
     keep = sg <= tg
     vals, ts, ss = probe(tg[keep], sg[keep])
     level_best.append(tracker.value)
-    spacing = (1.0 - cfg.s_min) / (cfg.coarse_grid - 1)
+    spacing = (1.0 - s_min) / (cfg.coarse_grid - 1)
     side = sup_search._REFINE_FACTOR + 1
     for _ in range(cfg.refine_levels):
         pts_t, pts_s = [], []
         for i in np.lexsort((-ts, ss, -vals))[:sup_search._TOP_CELLS]:
             tlin = np.clip(np.linspace(ts[i] - spacing, ts[i] + spacing, side),
-                           cfg.s_min, 1.0)
+                           s_min, 1.0)
             slin = np.clip(np.linspace(ss[i] - spacing, ss[i] + spacing, side),
-                           cfg.s_min, 1.0)
+                           s_min, 1.0)
             tt, sv = np.meshgrid(tlin, slin, indexing="ij")
             m = sv <= tt
             pts_t.append(tt[m])
@@ -176,7 +175,6 @@ def test_every_family_is_certified(zoo):
     for name, q in zoo:
         assert isinstance(q.certified_upper_bound(9), float), name
         rep = tl.sup_riemann_error(q, 9, SMALL)
-        assert rep.method.certified, name
         assert tl.trotter_error_sandwich(q, 9, SMALL) == (
             rep.lower_op_norm, rep.upper_op_norm), name
 
@@ -197,7 +195,7 @@ def test_family_hints_and_step_breakpoints():
     eps = [1.0 / (3.0 * 2.0 ** (2 * m + 2)) for m in (1, 2, 3)]
     assert [q.corner_width(m) for m in (1, 2, 3)] == eps
     assert q.corner_hints() == [(1.0 - 0.5 * e, 0.5 * e) for e in eps]
-    hints = default_hints(q, 8, 1e-9)
+    hints = default_hints(q, 8)
     assert [(p.t, p.s) for p in hints[-3:]] == q.corner_hints()
     assert np.array_equal(q.step_breakpoints,
                           [float(b) for b in q.breakpoints])
@@ -205,7 +203,7 @@ def test_family_hints_and_step_breakpoints():
                   tl.build_tent_train([1.0])):
         assert other.corner_hints() == []
         assert other.step_breakpoints is None
-        assert len(default_hints(other, 8, 1e-9)) == len(hints) - 3
+        assert len(default_hints(other, 8)) == len(hints) - 3
 
 
 def test_budget_exceeded_before_any_probe():
@@ -236,18 +234,12 @@ def test_determinism():
     assert a == b
 
 
-def test_user_hint_points():
-    q2, _ = tl.build_cantor(2)
-    pt = tl.DeltaPair(1.0 - 1e-3, 1e-3)
-    cfg = tl.SearchConfig(coarse_grid=8, refine_levels=0, hint_points=(pt,))
-    rep = tl.sup_riemann_error(q2, 4, cfg)
-    assert rep.r_n >= tl.riemann_error(q2, pt, 4)
-
-
 def test_trace_renders():
     rep = tl.sup_riemann_error(tl.Linear(), 4, SMALL)
-    text = str(rep.method)
-    assert "evals=" in text and "certified" in text
+    lv = ">".join(f"{v:.6g}" for v in rep.method.level_best)
+    assert str(rep.method) == f"evals={rep.method.evals};levels={lv}"
+    hit = tl.SearchTrace((0.5, 0.25), 7, budget_hit=True)
+    assert str(hit) == "evals=7;levels=0.5>0.25;budget_hit"
 
 
 def test_trace_names_kernel():
