@@ -22,7 +22,7 @@ from .sup_search import (RiemannReport, SearchConfig, SearchTrace,
 from .semigroup import (GridFunction, apply_exact, apply_mult_semigroup,
                         apply_shift, apply_trotter, operator_norm_oracle,
                         per_tau_operator_norm, strong_convergence_curve,
-                        sup_over_taus)
+                        sup_symbol)
 from .matrix_lie import (expm, lie_error, random_matrix_pair, spectral_norm,
                          telescoping_residual)
 from .rates import (HolderCheck, RateFit, SlowConvergenceTable, fit_loglog,
@@ -41,7 +41,7 @@ __all__ = [
     "SearchConfig", "SearchTrace", "RiemannReport", "sup_riemann_error",
     "trotter_error_sandwich",
     "GridFunction", "apply_shift", "apply_mult_semigroup", "apply_exact",
-    "apply_trotter", "per_tau_operator_norm", "sup_over_taus",
+    "apply_trotter", "per_tau_operator_norm", "sup_symbol",
     "operator_norm_oracle",
     "strong_convergence_curve",
     "expm", "spectral_norm", "telescoping_residual", "lie_error",

@@ -35,7 +35,8 @@ from .matrix_lie import _draw_pair, lie_error, telescoping_residual
 from .potentials import Potential, build_cantor, from_spec
 from .rates import fit_loglog
 from .semigroup import (GridFunction, operator_norm_oracle,
-                        strong_convergence_curve, sup_over_taus)
+                        per_tau_operator_norm, strong_convergence_curve,
+                        sup_symbol)
 from .sup_search import RiemannReport, SearchConfig, sup_riemann_error
 
 COLUMNS = ("command", "potential", "n", "value", "lower", "upper",
@@ -168,21 +169,21 @@ def write_report(path: str | None, fmt: str, meta: dict, rows: list[dict]) -> No
             fh.write(text)
 
 
-def _searches(q: Potential, ns: list[int], args
-              ) -> tuple[list[RiemannReport], bool]:
-    """(reports, exhausted): one search per n under the search flags, each
-    with its own budget, up to the first exhausted one, whose partial
-    report ends the list."""
+def _searches(q: Potential, ns: list[int], args, search=None
+              ) -> tuple[list, bool]:
+    """(results, exhausted): ``search``, else `sup_riemann_error` as bound at
+    call time, per n under the search flags, each with its own budget, up
+    to the first exhausted one, whose partial result ends the list."""
     cfg = SearchConfig(coarse_grid=args.grid, refine_levels=args.refine,
                        max_evals=args.max_evals)
-    reports = []
+    results = []
     for n in ns:
         try:
-            reports.append(sup_riemann_error(q, n, cfg))
+            results.append((search or sup_riemann_error)(q, n, cfg))
         except BudgetExceededError as exc:
-            reports.append(exc.partial)
-            return reports, True
-    return reports, False
+            results.append(exc.partial)
+            return results, True
+    return results, False
 
 
 def _report_row(command: str, label: str, rep: RiemannReport,
@@ -261,31 +262,40 @@ def cmd_cantor(args) -> int:
     return _finish(args, meta, rows, exhausted)
 
 
+def _probe_tau(tau_star: float, n: int, m: int) -> float:
+    """The largest multiple of n/m (where the shifts align) at most tau_star
+    and below 1, at least n/m; tau_star when none lies in (0, 1)."""
+    last = (m - 1) // n  # the largest j with j n/m < 1
+    j = min(max(math.floor(tau_star * m / n), 1), last)
+    return j * n / m if last else tau_star
+
+
 def cmd_oracle(args) -> int:
     q = parse_potential(args.potential)
     ns = parse_n_list(args.n)
     label = q.describe()
-    meta = {"potential": label, "n_list": ns, "m": args.m, "p": args.p,
-            "tau_grid": args.tau_grid}
-    taus = [j / args.tau_grid for j in range(1, args.tau_grid + 1)]
+    meta = {"potential": label, "n_list": ns, "m": args.m, "p": args.p}
     rows: list[dict] = []
     reports, exhausted = _searches(q, ns, args)
-    for rep in reports:
+    symbols, missed = _searches(q, [r.n for r in reports], args, sup_symbol)
+    for rep, (symbol, at) in zip(reports, symbols):
         n, lower, upper = rep.n, rep.lower_op_norm, rep.upper_op_norm
-        symbol_max, tau_star, t_star = sup_over_taus(q, taus, n)
         # above the certified upper end is a contradiction; below the
-        # searched lower end only says the tau grid missed the worst tau
-        verdict = ("OUTSIDE" if symbol_max > upper + 1e-3 else
-                   "UNRESOLVED" if symbol_max < lower - 1e-3 else "CONTAINED")
-        rows.append(_row("oracle/symbol", label, n, symbol_max, lower, upper,
-                         tau_star, t_star, verdict))
-        probe = operator_norm_oracle(q, tau_star, n, args.p, m=args.m)
-        low, high = 0.95 * symbol_max, symbol_max + 2.0 * q.sup_norm / args.m
+        # searched lower end only says the two searches refined apart
+        verdict = ("OUTSIDE" if symbol > upper + 1e-3 else
+                   "UNRESOLVED" if symbol < lower - 1e-3 else "CONTAINED")
+        rows.append(_row("oracle/symbol", label, n, symbol, lower, upper,
+                         at.t, at.s, verdict))
+        # compared with the per-tau symbol at the probe's tau, not the max
+        tau = _probe_tau(at.width, n, args.m)
+        probe = operator_norm_oracle(q, tau, n, args.p, m=args.m)
+        norm = per_tau_operator_norm(q, tau, n)
+        low, high = 0.95 * norm, norm + 2.0 * q.sup_norm / args.m
         verdict = ("ABOVE" if probe > high else
                    "REACHED" if probe >= low - 1e-12 else "SHORT")
         rows.append(_row("oracle/probe", label, n, probe, low, high,
-                         tau_star, None, verdict))
-    return _finish(args, meta, rows, exhausted)
+                         tau, None, verdict))
+    return _finish(args, meta, rows, exhausted or missed)
 
 
 def cmd_lie(args) -> int:
@@ -385,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_positive_int, default=65536,
                    help="oracle grid resolution")
     p.add_argument("--tau-grid", type=_positive_int, default=256,
-                   dest="tau_grid")
+                   dest="tau_grid", help="accepted (>= 1) but unused: "
+                   "the symbol is one search over the (t, s) triangle")
 
     p = command("lie", cmd_lie, "matrix telescoping identity and O(1/n) rate",
                 ())

@@ -131,8 +131,8 @@ class Potential:
         kind: family tag, e.g. "Linear" or "CantorIndicator".
         sup_norm: a valid upper bound for ess sup |q|.
         holder_meta: optional HolderCertificate.
-        step_breakpoints: float breakpoints 0 = b_0 < ... < b_K = 1 of a
-            step function, or None for every other family.
+        step_breakpoints: float breakpoints 0 = b_0 < ... < b_K = 1 where a
+            step function jumps, or None for every other family.
     """
 
     kind: str = "Abstract"
@@ -311,8 +311,11 @@ class PiecewiseConstant(Potential):
             raise ValueError("piece values must be >= 0 and finite")
         self.breakpoints = bps
         self.values = vals
-        self.step_breakpoints = np.array([float(b) for b in bps])
-        self._vals = np.array(vals)
+        # the float arrays keep only the jumps: equal neighbours merge
+        jumps = [True, *(v0 != v1 for v0, v1 in zip(vals, vals[1:]))]
+        self.step_breakpoints = np.array(
+            [float(b) for b, jump in zip(bps, jumps + [True]) if jump])
+        self._vals = np.array([v for v, jump in zip(vals, jumps) if jump])
         widths = np.diff(self.step_breakpoints)
         self._cum = np.concatenate(([0.0], np.cumsum(self._vals * widths)))
         # Piece of each dyadic cell, or -1 where a breakpoint splits it; the
@@ -323,13 +326,13 @@ class PiecewiseConstant(Potential):
         first = self._search_piece(edges[:-1])
         last = self._search_piece(np.nextafter(edges[1:], 0.0))
         self._cell_piece = np.append(np.where(first == last, first, -1),
-                                     len(vals) - 1)
+                                     len(self._vals) - 1)
         super().__init__(sup_norm=max(vals))
 
     @property
     def internal_breakpoint_count(self) -> int:
         """Number of jump locations strictly inside (0, 1)."""
-        return len(self.breakpoints) - 2
+        return len(self.step_breakpoints) - 2
 
     def _search_piece(self, t):
         idx = np.searchsorted(self.step_breakpoints, t, side="right") - 1
@@ -375,6 +378,8 @@ class PiecewiseConstant(Potential):
         if self.left_sum_kernel(n) == "sampled":
             return super().left_sums(t, s, n)
         bp = self.step_breakpoints[1:-1]
+        if not len(bp):  # no jump: round like the antiderivative
+            return self._vals[0] * t - self._vals[0] * s
         jumps = np.diff(self._vals)
         out = np.empty(t.shape)
         block = max(1, _PIECE_BLOCK // max(1, len(bp)))

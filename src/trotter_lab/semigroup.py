@@ -3,23 +3,16 @@
 Functions are sampled at midpoint nodes t_i = (i + 1/2)/m.  The four
 operators implemented here are the pure shift, the multiplication
 semigroup, the exact evolution e^{-tau K} f = U(t, t-tau) f(t-tau), and
-the n-step splitting (shift o mult)^n.  The splitting is applied as one
-product on its landing slice: with the step rounded to r cells, the n
-damping factors of every surviving value are multiplied into out[n r:] in
-place, one slice per step, for n (m - n r) multiplies and no per-step
-array.  The difference of exact evolution and splitting is a
+the n-step splitting (shift o mult)^n.  Exact minus split evolution is a
 multiplication operator composed with an isometric-up-to-cutoff shift, so
-its L^p norm equals the sup of a scalar symbol and is p-independent; the
-symbol sup is computed exactly for step potentials (event decomposition)
-and otherwise by `sup_search._grid_refine` over t (s = t - tau).
-`sup_over_taus` takes the sup over a tau grid too.  As exp(-x) is
-1-Lipschitz for x >= 0, the symbol at tau is at most the left-sum error
-over windows of width tau, so `certified_upper_bound(n, tau)` caps it and
-the sweep skips every tau whose cap cannot reach the best norm found
-(bound and prune; Piyavskii 1972, Shubert 1972).  The oracle reads the
-same norm off the discretized operators alone: when both shift by the
-same whole number of cells their difference is a weighted shift, whose
-weights are its image of the constant function 1.
+its L^p norm equals the sup of a scalar symbol and is p-independent; at
+one tau the sup over t is exact for step potentials (event decomposition)
+and otherwise `sup_search._grid_refine` over t (s = t - tau).  The lines
+s = t - tau fill the triangle 0 < s <= t <= 1, so `sup_symbol` takes the
+sup over tau as one triangle search.  The oracle reads the per-tau norm
+off the discretized operators alone: when both shift by the same whole
+number of cells their difference is a weighted shift, whose weights are
+its image of the constant function 1.
 """
 
 from __future__ import annotations
@@ -31,8 +24,9 @@ import numpy as np
 
 from .errors import GridResolutionWarning
 from .potentials import Potential
-from .quadrature import left_darboux_sums
-from .sup_search import _BestTracker, _grid_refine
+from .quadrature import DeltaPair, left_darboux_sums
+from .sup_search import (SearchConfig, _BestTracker, _grid_refine,
+                         _search_triangle)
 
 # tau*m farther than this from an integer triggers a rounding warning
 _ROUND_TOL = 1e-9
@@ -40,10 +34,6 @@ _ROUND_TOL = 1e-9
 _T_GRID = 4097
 _T_REFINE_LEVELS = 3
 _T_TOP = 8
-# Absolute roundoff allowance of a computed symbol over its certified
-# ceiling: a step potential without jumps has a zero ceiling, yet its
-# computed symbols reach 7e-16.
-_PRUNE_SLACK = 1e-12
 
 
 def _nodes(m: int) -> np.ndarray:
@@ -251,25 +241,14 @@ def per_tau_operator_norm(q: Potential, tau: float, n: int) -> float:
     return _per_tau_norm_argmax(q, tau, n)[0]
 
 
-def sup_over_taus(q: Potential, taus, n: int) -> tuple[float, float, float]:
-    """(norm, tau*, t*): the largest per-tau operator norm over ``taus``,
-    its tau and its t, ties to the larger tau, then the larger t.
-
-    The taus are swept by their ceiling ``q.certified_upper_bound(n, tau)``,
-    highest first, until a ceiling plus ``_PRUNE_SLACK`` falls below the
-    best norm found; the rest could not have won.
-    """
-    ranked = sorted(((q.certified_upper_bound(n, tau), tau) for tau in taus),
-                    key=lambda pair: pair[0], reverse=True)
-    if not ranked:
-        raise ValueError("taus must be non-empty")
-    best = (-np.inf, 0.0, 0.0)
-    for ceiling, tau in ranked:
-        if ceiling + _PRUNE_SLACK < best[0]:
-            break
-        norm, t_star = _per_tau_norm_argmax(q, tau, n)
-        best = max(best, (norm, tau, t_star))
-    return best
+def sup_symbol(q: Potential, n: int, cfg: SearchConfig | None = None
+               ) -> tuple[float, DeltaPair]:
+    """(norm, (t*, s*)): the largest symbol |U(t, s) - V_n(t, s)| that
+    the triangle search finds under ``cfg``, a lower bound on the sup over
+    tau of the per-tau norm, at tau* = t* - s*; partial when exhausted."""
+    return _search_triangle(
+        q, n, cfg, lambda integ, sums: np.abs(np.exp(-integ) - np.exp(-sums)),
+        lambda value, argmax, trace: (value, argmax))
 
 
 def operator_norm_oracle(q: Potential, tau: float, n: int, p: float,

@@ -4,13 +4,13 @@ The quantity of interest is the essential supremum over the triangle of
 the pointwise left-sum error; its value sandwiches the operator-norm
 splitting error between e^{-sup_norm} and 1 times itself.  The landscape
 is non-smooth (step potentials) or highly oscillatory (tent trains), so
-the search is a coarse lattice on s >= `_S_MIN` plus local refinement
-around the best cells, seeded with the analytically known near-maximizers
-of each family.  The refinement is `_grid_refine`, which `semigroup` also
-runs for the per-tau symbol sup over t; both rank points by `_best_first`
-and keep their best in a `_BestTracker`.  Every reported value is an exact
-pointwise evaluation, hence a true lower bound; the certified upper bound
-is each family's `Potential.certified_upper_bound`, which every family has.
+`_search_triangle` probes each family's known near-maximizers, a coarse
+lattice on s >= `_S_MIN` and local grids around the best cells
+(`_grid_refine`, which `semigroup` also runs over t at one tau), on |I - S|
+here and on the symbol |e^{-I} - e^{-S}| in `semigroup.sup_symbol`.  All
+rank points by `_best_first` and keep their best in a `_BestTracker`.
+Every reported value is an exact pointwise evaluation, hence a true lower
+bound; the certified upper bound is each family's `certified_upper_bound`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .potentials import Potential
-from .quadrature import DeltaPair, riemann_errors
+from .quadrature import DeltaPair, left_darboux_sums
 
 # A refinement round spaces _REFINE_FACTOR + 1 points per axis around each
 # seed at 2/_REFINE_FACTOR of the last round's spacing; the triangle search
@@ -157,15 +157,12 @@ def default_hints(q: Potential, n: int) -> list[DeltaPair]:
     return pts
 
 
-def sup_riemann_error(q: Potential, n: int,
-                      cfg: SearchConfig | None = None) -> RiemannReport:
-    """Multi-resolution search for the worst-case left-sum error.
-
-    Probes hint points first, then a coarse lattice on the triangle, then
-    ``refine_levels`` rounds of local grids around the ``_TOP_CELLS`` best
-    points of the previous round (`_grid_refine`).  Deterministic for a
-    fixed config.
-    """
+def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
+                     objective, report):
+    """The largest ``objective(I, S)`` over integrals I and left sums S:
+    hints, the lattice, then ``refine_levels`` rounds around the
+    ``_TOP_CELLS`` best points.  ``report(value, argmax, trace)`` builds the
+    result, also the partial one of an exhausted budget."""
     if n < 1:
         raise ValueError("n must be >= 1")
     cfg = cfg if cfg is not None else SearchConfig()
@@ -173,14 +170,10 @@ def sup_riemann_error(q: Potential, n: int,
     evals = 0
     level_best: list[float] = []
 
-    def make_report(budget_hit: bool) -> RiemannReport:
-        r = max(tracker.value, 0.0)
-        return RiemannReport(
-            n=n, r_n=r, argmax=DeltaPair(tracker.t, tracker.s),
-            lower_op_norm=math.exp(-q.sup_norm) * r,
-            upper_op_norm=q.certified_upper_bound(n),
-            method=SearchTrace(tuple(level_best), evals, budget_hit,
-                               q.left_sum_kernel(n)))
+    def make_report(budget_hit: bool):
+        return report(max(tracker.value, 0.0), DeltaPair(tracker.t, tracker.s),
+                      SearchTrace(tuple(level_best), evals, budget_hit,
+                                  q.left_sum_kernel(n)))
 
     def probe(ts, ss, level=True):
         nonlocal evals
@@ -188,7 +181,8 @@ def sup_riemann_error(q: Potential, n: int,
             raise BudgetExceededError(
                 f"search budget {cfg.max_evals} exhausted at {evals} probes",
                 partial=make_report(True))
-        vals = riemann_errors(q, ts, ss, n)
+        vals = objective(q.antiderivative(ts) - q.antiderivative(ss),
+                         left_darboux_sums(q, ts, ss, n))
         evals += len(ts)
         tracker.offer(vals, ts, ss)
         if level:
@@ -205,6 +199,16 @@ def sup_riemann_error(q: Potential, n: int,
                  (1.0 - _S_MIN) / (cfg.coarse_grid - 1), _S_MIN,
                  cfg.refine_levels, _TOP_CELLS, keep=lambda t, s: s <= t)
     return make_report(False)
+
+
+def sup_riemann_error(q: Potential, n: int,
+                      cfg: SearchConfig | None = None) -> RiemannReport:
+    """The worst-case left-sum error |I - S| and its sandwich."""
+    return _search_triangle(
+        q, n, cfg, lambda integ, sums: np.abs(integ - sums),
+        lambda r, argmax, trace: RiemannReport(
+            n, r, argmax, math.exp(-q.sup_norm) * r,
+            q.certified_upper_bound(n), trace))
 
 
 def trotter_error_sandwich(q: Potential, n: int,

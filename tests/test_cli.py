@@ -319,14 +319,73 @@ def test_oracle_report(tmp_path):
     assert float(sym[0]["lower"]) <= float(sym[0]["value"]) <= float(sym[0]["upper"])
 
 
-def test_oracle_probe_above_its_upper_is_not_reached(tmp_path):
-    # tau = 1/7 is no whole number of the 1000 cells, so the probe is not
-    # a weighted shift and may exceed the symbol norm plus slack
-    out = tmp_path / "oracle.csv"
-    assert main(["oracle", "--potential", "tent:harmonic=6", "--n", "3,5",
-                 "--m", "1000", "--tau-grid", "7", "--grid", "32",
-                 "--refine", "1", "--output", str(out)]) == 0
-    _, rows = _read_csv(out)
+def _rows(tmp_path, argv):
+    out = tmp_path / "report.csv"
+    assert main(argv + ["--output", str(out)]) == 0
+    return _read_csv(out)[1]
+
+
+@pytest.mark.parametrize("potential, ns, m", [
+    ("tent:harmonic=6", "3,5", "1000"), ("cantor:depth=3", "4,16", "4096"),
+    ("linear", "4,16", "100")])
+def test_oracle_probes_an_aligned_tau(tmp_path, potential, ns, m):
+    # tau_p is a multiple of n/m below 1 and at most the symbol's
+    # tau* = t* - s* (or n/m, the smallest): both shifts align there, so
+    # the probe is the exact discrete norm and reaches the per-tau symbol
+    rows = _rows(tmp_path, [
+        "oracle", "--potential", potential, "--n", ns, "--m", m,
+        "--grid", "32", "--refine", "1"])
+    for sym, probe in zip(rows[1::2], rows[::2]):
+        assert (sym["command"], probe["command"]) == ("oracle/symbol",
+                                                      "oracle/probe")
+        n, tau = int(probe["n"]), float(probe["argmax_t"])
+        steps = tau * int(m) / n
+        assert abs(steps - round(steps)) < 1e-9 and 1 <= round(steps)
+        assert tau < 1.0
+        width = float(sym["argmax_t"]) - float(sym["argmax_s"])
+        assert tau <= width or round(steps) == 1
+        assert probe["verdict"] == "REACHED"
+
+
+def test_oracle_probe_tau():
+    # the largest multiple of n/m at most tau* and below 1, at least n/m
+    assert cli._probe_tau(0.9, 4, 64) == 56 / 64
+    assert cli._probe_tau(0.99999, 4, 64) == 60 / 64
+    assert cli._probe_tau(0.01, 4, 64) == 4 / 64
+    assert cli._probe_tau(0.7, 16, 24) == 16 / 24
+    # no multiple of n/m lies in (0, 1): tau* itself
+    assert cli._probe_tau(0.7, 16, 16) == 0.7
+    assert cli._probe_tau(0.7, 16, 8) == 0.7
+
+
+@pytest.mark.parametrize("m", ["16", "8"])
+def test_oracle_without_an_aligned_tau_probes_at_the_argmax(tmp_path, m):
+    rows = _rows(tmp_path, [
+        "oracle", "--potential", "linear", "--n", "16", "--m", m,
+        "--grid", "32", "--refine", "1"])
+    sym, probe = rows[1], rows[0]
+    assert float(probe["argmax_t"]) == (float(sym["argmax_t"])
+                                        - float(sym["argmax_s"]))
+    assert probe["verdict"] in ("REACHED", "ABOVE", "SHORT")
+
+
+def test_oracle_probe_below_its_lower_is_short(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "operator_norm_oracle",
+                        lambda q, tau, n, p, m: 0.0)
+    rows = _rows(tmp_path, [
+        "oracle", "--potential", "tent:harmonic=6", "--n", "3,5",
+        "--m", "1000", "--grid", "32", "--refine", "1"])
+    assert [r["verdict"] for r in rows
+            if r["command"] == "oracle/probe"] == ["SHORT", "SHORT"]
+
+
+def test_oracle_probe_above_its_upper_is_not_reached(tmp_path, monkeypatch):
+    # a probe above the per-tau symbol plus the grid slack reads ABOVE
+    monkeypatch.setattr(cli, "operator_norm_oracle",
+                        lambda q, tau, n, p, m: 0.5427)
+    rows = _rows(tmp_path, [
+        "oracle", "--potential", "tent:harmonic=6", "--n", "3,5",
+        "--m", "1000", "--grid", "32", "--refine", "1"])
     probes = [r for r in rows if r["command"] == "oracle/probe"]
     assert len(probes) == 2
     for r in probes:
@@ -351,33 +410,64 @@ def test_oracle_report_reads_no_seed(tmp_path):
 
 
 def _symbol_rows(tmp_path, argv):
-    out = tmp_path / "oracle.csv"
-    assert main(argv + ["--output", str(out)]) == 0
-    return [r for r in _read_csv(out)[1] if r["command"] == "oracle/symbol"]
+    return [r for r in _rows(tmp_path, argv)
+            if r["command"] == "oracle/symbol"]
 
 
-@pytest.mark.parametrize("tau_grid, verdicts", [
-    ("16", ["CONTAINED", "UNRESOLVED"]), ("128", ["CONTAINED", "CONTAINED"])])
-def test_oracle_coarse_tau_grid_is_unresolved(tmp_path, tau_grid, verdicts):
-    # a tau-grid max below the searched lower end is a coverage gap
-    rows = _symbol_rows(tmp_path, [
-        "oracle", "--potential", "cantor:depth=3", "--n", "4,16",
-        "--m", "4096", "--tau-grid", tau_grid, "--grid", "32",
-        "--refine", "1"])
-    assert [r["verdict"] for r in rows] == verdicts
-    for r in rows:
-        value, lower = float(r["value"]), float(r["lower"])
-        assert (r["verdict"] == "UNRESOLVED") == (value < lower - 1e-3)
+def test_oracle_tau_grid_changes_no_row(tmp_path):
+    texts = []
+    for tau_grid in ("16", "128"):
+        out = tmp_path / f"oracle-{tau_grid}.csv"
+        assert main(["oracle", "--potential", "cantor:depth=3", "--n", "4,16",
+                     "--m", "4096", "--tau-grid", tau_grid, "--grid", "32",
+                     "--refine", "1", "--output", str(out)]) == 0
+        texts.append(_strip_stamp_csv(out))
+        assert [r["verdict"] for r in _read_csv(out)[1]] == [
+            "REACHED", "CONTAINED"] * 2
+    assert texts[0] == texts[1]
 
 
-def test_oracle_symbol_above_upper_is_outside(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "sup_over_taus",
-                        lambda q, taus, n: (1.0, 0.5, 0.75))
+def _patched_symbol_row(tmp_path, monkeypatch, symbol):
+    monkeypatch.setattr(cli, "sup_symbol",
+                        lambda q, n, cfg: (symbol, tl.DeltaPair(0.75, 0.25)))
     rows = _symbol_rows(tmp_path, [
         "oracle", "--potential", "linear", "--n", "4", "--m", "2048",
         "--tau-grid", "16", "--grid", "32", "--refine", "1"])
-    assert float(rows[0]["upper"]) == 0.125
-    assert rows[0]["verdict"] == "OUTSIDE"
+    assert (rows[0]["argmax_t"], rows[0]["argmax_s"]) == ("0.75", "0.25")
+    return rows[0]
+
+
+def test_oracle_symbol_above_upper_is_outside(tmp_path, monkeypatch):
+    # above the certified upper end is a contradiction
+    row = _patched_symbol_row(tmp_path, monkeypatch, 1.0)
+    assert float(row["upper"]) == 0.125
+    assert row["verdict"] == "OUTSIDE"
+
+
+def test_oracle_symbol_below_lower_is_unresolved(tmp_path, monkeypatch):
+    # below the searched lower end only says that the symbol search and
+    # the left-sum search refined different points
+    row = _patched_symbol_row(tmp_path, monkeypatch, 0.0)
+    assert float(row["lower"]) > 1e-3
+    assert row["verdict"] == "UNRESOLVED"
+
+
+@pytest.mark.parametrize("steps", [
+    "pw:breakpoints=0+1,values=0.3", "pw:breakpoints=0+1/2+1,values=0.3+0.3"],
+    ids=["one-piece", "equal-pieces"])
+def test_jump_free_steps_read_as_constant(tmp_path, steps):
+    # a step potential without jumps is the constant: its integral and its
+    # left sums round alike, so every error and symbol is exactly 0
+    search = ["--grid", "32", "--refine", "1"]
+    for argv in (["rates", "--n", "1,3,16"], ["oracle", "--n", "1,3,16"]):
+        got, want = (
+            [(r["command"], r["n"], r["value"], r["argmax_t"], r["argmax_s"])
+             for r in _rows(tmp_path, argv + ["--potential", pot]
+                                   + search)
+             if r["command"] in ("rates", "oracle/symbol")]
+            for pot in (steps, "constant:c=0.3"))
+        assert got == want
+        assert {value for _, _, value, _, _ in got} == {"0.0"}
 
 
 def test_lie_report(tmp_path):

@@ -67,6 +67,27 @@ def test_kernel_selection():
     assert q3.left_sum_kernel(17) == "piece-count"
 
 
+@pytest.mark.parametrize("steps", [
+    tl.PiecewiseConstant([0, 1], [0.3]),
+    tl.PiecewiseConstant([0, Fraction(1, 2), 1], [0.3, 0.3])],
+    ids=["one-piece", "equal-pieces"])
+def test_jump_free_steps_are_the_constant(steps):
+    # a breakpoint between equal values is no jump: both potentials are one
+    # piece, and their integral and left sums round like Constant(0.3)'s
+    assert steps.internal_breakpoint_count == 0
+    assert list(steps.step_breakpoints) == [0.0, 1.0]
+    assert steps.certified_upper_bound(1) == 0.0
+    const = tl.Constant(0.3)
+    rng = np.random.default_rng(5)
+    t, s = rng.random((2, 2000))
+    t, s = np.maximum(t, s), np.minimum(t, s)
+    assert np.array_equal(steps.antiderivative(t), const.antiderivative(t))
+    for n in (1, 3, 16, 1000):
+        assert steps.left_sum_kernel(n) == "piece-count"
+        assert np.array_equal(kernel(steps, t, s, n), kernel(const, t, s, n))
+        assert not tl.riemann_errors(steps, t, s, n).any()
+
+
 @PROPERTY
 @given(t=unit, s=unit, n=steps, c=st.floats(0.0, 10.0),
        slope=st.floats(-2.0, 2.0))

@@ -403,13 +403,6 @@ def test_oracle_holds_one_test_function():
 
 
 # one member of each potential family
-def _full_sweep(q, taus, n):
-    """Every tau's symbol norm, then the largest (norm, tau, t*): the sweep
-    without pruning, which the pruned one must reproduce."""
-    return max((norm, tau, t_star) for tau in taus
-               for norm, t_star in [semigroup._per_tau_norm_argmax(q, tau, n)])
-
-
 SWEEP_FAMILIES = {
     "linear": tl.Linear(),
     "tent": tl.build_tent_train([1.0 / j for j in range(1, 5)]),
@@ -417,69 +410,45 @@ SWEEP_FAMILIES = {
     "pw": tl.PiecewiseConstant([0.0, 1.0 / 3.0, 0.5, 1.0], [1.0, 0.0, 2.0]),
     "cantor": tl.build_cantor(3)[0],
     "constant": tl.Constant(0.7),
-    # a step potential without jumps: a zero ceiling, and symbols of
-    # 1.1e-16 from roundoff that only the slack lets the sweep see
+    # a step potential without jumps: its symbol is exactly 0, where the
+    # per-tau event decomposition reads 1.1e-16 from roundoff
     "one-piece": tl.PiecewiseConstant([0.0, 1.0], [0.3]),
 }
 
 
-def _memoized_per_tau(monkeypatch):
-    """Record each per-tau call and compute each (q, tau, n) once."""
-    per_tau = semigroup._per_tau_norm_argmax
-    memo, calls = {}, []
-
-    def recorded(q, tau, n):
-        calls.append(tau)
-        key = (id(q), tau, n)
-        if key not in memo:
-            memo[key] = per_tau(q, tau, n)
-        return memo[key]
-
-    monkeypatch.setattr(semigroup, "_per_tau_norm_argmax", recorded)
-    return calls
-
-
 @pytest.mark.parametrize("name", sorted(SWEEP_FAMILIES))
-def test_pruned_sweep_equals_full_sweep(name, monkeypatch):
+def test_symbol_search_reaches_the_tau_sweep(name):
+    # the symbol over the triangle against the largest per-tau norm over
+    # tau = j/32; the search is heuristic, and its worst ratio here is
+    # 0.9956 (pw, n = 16), so it need not reach the sweep everywhere
     q = SWEEP_FAMILIES[name]
-    _memoized_per_tau(monkeypatch)
     for n in (1, 3, 16):
-        for grid in (7, 32):
-            taus = [j / grid for j in range(1, grid + 1)]
-            assert tl.sup_over_taus(q, taus, n) == _full_sweep(q, taus, n), (
-                n, grid)
+        symbol, at = tl.sup_symbol(q, n)
+        sweep = max(semigroup._per_tau_norm_argmax(q, j / 32, n)[0]
+                    for j in range(1, 33))
+        assert symbol >= 0.99 * sweep - 1e-15, (n, symbol, sweep)
+        # |e^{-I} - e^{-S}| <= |I - S|, which the certified bound caps
+        assert symbol <= q.certified_upper_bound(n, at.width), n
 
 
-def test_pruned_sweep_skips_taus_on_linear(monkeypatch):
-    calls = _memoized_per_tau(monkeypatch)
-    q = tl.Linear()
-    taus = [j / 256 for j in range(1, 257)]
-    for n, swept in ((4, 51), (16, 56), (64, 57)):
-        calls.clear()
-        got = tl.sup_over_taus(q, taus, n)
-        assert len(calls) == swept < len(taus), n
-        assert got == _full_sweep(q, taus, n), n
+def test_symbol_search_value_and_budget():
+    # the value is the symbol at its argmax, so a true lower bound on the
+    # per-tau norm at tau* = t* - s*; the budget counts as in
+    # sup_riemann_error, and an exhausted one leaves the partial pair
+    q = SWEEP_FAMILIES["tent"]
+    cfg = tl.SearchConfig(coarse_grid=32, refine_levels=1)
+    symbol, at = tl.sup_symbol(q, 8, cfg)
+    assert symbol == pytest.approx(tl.propagators(q, at, 8).gap, rel=1e-12)
+    partial = sup_search.sup_riemann_error(q, 8, cfg).method.evals
+    with pytest.raises(tl.BudgetExceededError) as info:
+        tl.sup_symbol(q, 8, tl.SearchConfig(32, 1, max_evals=partial // 2))
+    value, argmax = info.value.partial
+    assert 0.0 <= value <= symbol and isinstance(argmax, tl.DeltaPair)
 
 
-def test_pruned_sweep_needs_its_roundoff_slack(monkeypatch):
-    # without the slack the sweep stops at the first tau whose roundoff
-    # symbol beats the zero ceilings, and misses the larger tau of the tie
-    q = SWEEP_FAMILIES["one-piece"]
-    taus = [j / 100 for j in range(1, 101)]
-    want = _full_sweep(q, taus, 3)
-    assert want[0] > q.certified_upper_bound(3, want[1]) == 0.0
-    assert tl.sup_over_taus(q, taus, 3) == want
-    monkeypatch.setattr(semigroup, "_PRUNE_SLACK", 0.0)
-    assert tl.sup_over_taus(q, taus, 3) != want
-
-
-def test_sweep_argument_errors():
-    with pytest.raises(ValueError, match="non-empty"):
-        tl.sup_over_taus(tl.Linear(), [], 4)
+def test_symbol_search_argument_errors():
     with pytest.raises(ValueError):
-        tl.sup_over_taus(tl.Linear(), [0.5, 1.5], 4)
-    with pytest.raises(ValueError):
-        tl.sup_over_taus(tl.Linear(), [0.5], 0)
+        tl.sup_symbol(tl.Linear(), 0)
 
 
 ORACLE_FAMILIES = (
