@@ -414,16 +414,25 @@ def _symbol_rows(tmp_path, argv):
             if r["command"] == "oracle/symbol"]
 
 
-def test_oracle_tau_grid_changes_no_row(tmp_path):
+@pytest.mark.parametrize("tau_grid, verdicts", [
+    ("16", ["CONTAINED", "CONTAINED"]), ("128", ["CONTAINED", "CONTAINED"])])
+def test_oracle_coarse_tau_grid_is_unresolved(tmp_path, tau_grid, verdicts):
+    # the symbol is one triangle search, so a coarse tau grid leaves no
+    # coverage gap: no row is UNRESOLVED and --tau-grid changes no row
     texts = []
-    for tau_grid in ("16", "128"):
-        out = tmp_path / f"oracle-{tau_grid}.csv"
+    for grid in (tau_grid, "256"):
+        out = tmp_path / f"oracle-{grid}.csv"
         assert main(["oracle", "--potential", "cantor:depth=3", "--n", "4,16",
-                     "--m", "4096", "--tau-grid", tau_grid, "--grid", "32",
+                     "--m", "4096", "--tau-grid", grid, "--grid", "32",
                      "--refine", "1", "--output", str(out)]) == 0
         texts.append(_strip_stamp_csv(out))
-        assert [r["verdict"] for r in _read_csv(out)[1]] == [
-            "REACHED", "CONTAINED"] * 2
+    rows = _read_csv(tmp_path / f"oracle-{tau_grid}.csv")[1]
+    assert [r["verdict"] for r in rows] == ["REACHED", "CONTAINED"] * 2
+    symbols = [r for r in rows if r["command"] == "oracle/symbol"]
+    assert [r["verdict"] for r in symbols] == verdicts
+    for r in symbols:
+        value, lower = float(r["value"]), float(r["lower"])
+        assert (r["verdict"] == "UNRESOLVED") == (value < lower - 1e-3)
     assert texts[0] == texts[1]
 
 
