@@ -291,8 +291,9 @@ def cmd_oracle(args) -> int:
         probe = operator_norm_oracle(q, tau, n, args.p, m=args.m)
         norm = per_tau_operator_norm(q, tau, n)
         low, high = 0.95 * norm, norm + 2.0 * q.sup_norm / args.m
-        verdict = ("ABOVE" if probe > high else
-                   "REACHED" if probe >= low - 1e-12 else "SHORT")
+        # m <= n: no tau in (0, 1) aligns the shifts, nothing to compare
+        verdict = ("UNALIGNED" if args.m <= n else "ABOVE" if probe > high
+                   else "REACHED" if probe >= low - 1e-12 else "SHORT")
         rows.append(_row("oracle/probe", label, n, probe, low, high,
                          tau, None, verdict))
     return _finish(args, meta, rows, exhausted or missed)
@@ -354,7 +355,7 @@ _FLAGS = {
     "--p": dict(type=_at_least_one(float), default=2.0, help="L^p exponent"),
     "--grid": dict(type=int, default=256, help="coarse search grid per axis"),
     "--refine": dict(type=int, default=4, help="search refinement levels"),
-    "--max-evals": dict(type=int, help="probe budget for the sup search"),
+    "--max-evals": dict(type=int, help="distinct-point budget per sup search"),
 }
 _SEARCH = ("--grid", "--refine", "--max-evals")
 

@@ -83,25 +83,37 @@ def _samples_left_of(b: np.ndarray, t: np.ndarray, s: np.ndarray,
                      n: int) -> np.ndarray:
     """#{k < n : s + (t-s)*(k/n) < b} for column pairs t >= s and row b.
 
-    Starts from ceil((b-s)/h) and steps it by one until the sample points,
-    computed with the sampled kernel's own expression, straddle b.  The
-    points are non-decreasing in k, so the count then matches the sampled
-    kernel's right-open convention bit for bit.
+    Estimates ceil((b-s)/h) and checks it in one pass against both
+    neighbouring sample points, computed with the sampled kernel's own
+    expression; only the pairs that check rejects then step by one until
+    their points straddle b.  The points are non-decreasing in k, so the
+    count matches the sampled kernel's right-open convention bit for bit.
     """
     w = t - s
     h = w / n
     with np.errstate(divide="ignore", invalid="ignore"):
-        est = np.clip(np.ceil((b - s) / h), 0, n)
+        k = np.clip(np.ceil((b - s) / h), 0, n)
     # h == 0 puts every sample at s; rows with t < s (h < 0) start at 0 or
-    # n, never move in the loop, and are resampled by the caller
-    k = np.where(h > 0, est, np.where(s < b, n, 0)).astype(np.int64)
-    while True:
-        down = (k > 0) & (s + w * ((k - 1) / n) >= b)
-        up = (k < n) & (s + w * (k / n) < b)
-        step = up.astype(np.int64) - down
-        if not step.any():
-            return k
-        k += step
+    # n, are never stepped, and are resampled by the caller
+    flat = h[:, 0] <= 0
+    k[flat] = np.where(s[flat] < b, n, 0)
+    down, up = _misplaced(b, s, w, k, n)
+    if (down | up).any():
+        off = np.nonzero(down | up)
+        b, s, w = (np.broadcast_to(x, k.shape)[off] for x in (b, s, w))
+        kk, down, up = k[off], down[off], up[off]
+        while (down | up).any():
+            kk = kk + up - down
+            down, up = _misplaced(b, s, w, kk, n)
+        k[off] = kk
+    return k
+
+
+def _misplaced(b, s, w, k, n):
+    """(down, up): where sample k - 1 is not left of b, and where sample k
+    still is.  A whole float k gives the sample points of integer k."""
+    return ((k > 0) & (s + w * ((k - 1) / n) >= b),
+            (k < n) & (s + w * (k / n) < b))
 
 
 @dataclass(frozen=True)

@@ -206,14 +206,9 @@ def _per_tau_exact(q: Potential, tau: float, n: int) -> tuple[float, float]:
 
 def _per_tau_grid(q: Potential, tau: float, n: int) -> tuple[float, float]:
     best = _BestTracker()
-
-    def gaps(ts):
-        vals = _symbol_gaps(q, tau, n, ts)
-        best.offer(vals, ts, ts - tau)
-        return vals
-
-    _grid_refine(gaps, (np.linspace(tau, 1.0, _T_GRID),),
-                 (1.0 - tau) / (_T_GRID - 1), tau, _T_REFINE_LEVELS, _T_TOP)
+    _grid_refine(lambda ts: _symbol_gaps(q, tau, n, ts),
+                 (np.linspace(tau, 1.0, _T_GRID),), (1.0 - tau) / (_T_GRID - 1),
+                 tau, _T_REFINE_LEVELS, _T_TOP, best)
     return best.value, best.t
 
 

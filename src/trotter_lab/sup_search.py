@@ -7,8 +7,8 @@ is non-smooth (step potentials) or highly oscillatory (tent trains), so
 `_search_triangle` probes each family's known near-maximizers, a coarse
 lattice on s >= `_S_MIN` and local grids around the best cells
 (`_grid_refine`, which `semigroup` also runs over t at one tau), on |I - S|
-here and on the symbol |e^{-I} - e^{-S}| in `semigroup.sup_symbol`.  All
-rank points by `_best_first` and keep their best in a `_BestTracker`.
+here and on the symbol |e^{-I} - e^{-S}| in `semigroup.sup_symbol`.  Each
+round evaluates each distinct point once and is ranked once (`_best_first`).
 Every reported value is an exact pointwise evaluation, hence a true lower
 bound; the certified upper bound is each family's `certified_upper_bound`.
 """
@@ -36,8 +36,8 @@ _S_MIN = 1e-9
 @dataclass(frozen=True)
 class SearchConfig:
     """Grid-search parameters: lattice points per axis, refinement rounds,
-    and ``max_evals``, a cap on probed (t, s) pairs; when it is exhausted
-    the search raises BudgetExceededError carrying the partial report.
+    and ``max_evals``, a cap on distinct probed (t, s) pairs; when it is
+    exhausted the search raises BudgetExceededError with the partial report.
     """
 
     coarse_grid: int = 256
@@ -57,10 +57,10 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchTrace:
     """How a search arrived at its value: the best value after the lattice
-    and each refinement round, the probes spent, and whether the budget ran
-    out.  ``kernel`` names the left-sum kernel the search ran (see
-    Potential.left_sum_kernel); it stays out of the rendered string, which
-    reports carry.
+    and each refinement round, the distinct points evaluated, and whether
+    the budget ran out.  ``kernel`` names the left-sum kernel the search ran
+    (see Potential.left_sum_kernel); it stays out of the rendered string,
+    which reports carry.
     """
 
     level_best: tuple[float, ...]
@@ -98,32 +98,40 @@ def _best_first(vals: np.ndarray, ts: np.ndarray, ss: np.ndarray,
 
 
 class _BestTracker:
-    """Running best point under the `_best_first` order."""
+    """Running best point under the `_best_first` order, and its value
+    after each round of `_grid_refine` (``level_best``)."""
 
-    value, t, s = -1.0, 1.0, 1.0
+    def __init__(self):
+        self.value, self.t, self.s = -1.0, 1.0, 1.0
+        self.level_best: list[float] = []
 
-    def offer(self, vals: np.ndarray, ts: np.ndarray, ss: np.ndarray):
-        i = _best_first(vals, ts, ss, 1)[0]
+    def offer(self, vals: np.ndarray, ts: np.ndarray, ss: np.ndarray, i: int):
         v, t, s = float(vals[i]), float(ts[i]), float(ss[i])
         if (v, -s, t) > (self.value, -self.s, self.t):
             self.value, self.t, self.s = v, t, s
 
 
-def _grid_refine(f, rows, spacing, lo, rounds, top, keep=None) -> None:
+def _grid_refine(f, rows, spacing, lo, rounds, top, best, keep=None) -> None:
     """Probe ``f(*rows)``, then ``rounds`` local grids around the ``top``
-    best points of each previous round under `_best_first`.
+    best points of each previous round under `_best_first`; each round's
+    best point goes to the tracker ``best``.
 
     ``rows`` holds one array per axis: (t, s), or (t,) for a per-tau symbol,
     whose s = t - tau orders points as t does.  A local grid spans x +-
     spacing, _REFINE_FACTOR + 1 points per axis clipped to [lo, 1] and
     filtered by ``keep``; the spacing then shrinks by _REFINE_FACTOR / 2.
-    ``f`` returns the values and records the rest (best point, budget)."""
+    Grids overlap, so ``f`` gets each distinct point of a round once; it
+    returns the values and records the rest (evals, budget)."""
     side = _REFINE_FACTOR + 1
     # idx[i, j]: axis i's entry in point j of a seed's grid, "ij" order
     idx = np.indices((side,) * len(rows)).reshape(len(rows), -1)
     vals = f(*rows)
-    for _ in range(rounds):
+    for level in range(rounds + 1):
         seeds = _best_first(vals, rows[0], rows[-1], top)
+        best.offer(vals, rows[0], rows[-1], seeds[0])
+        best.level_best.append(best.value)
+        if level == rounds:
+            return
         # one linspace row per seed, bit-equal to a linspace per seed: a
         # zero step in any row sends every row through linspace's
         # divide-first path, which is exact for the power of two factor
@@ -133,7 +141,10 @@ def _grid_refine(f, rows, spacing, lo, rounds, top, keep=None) -> None:
         if keep is not None:
             mask = keep(*rows)
             rows = tuple(x[mask] for x in rows)
-        vals = f(*rows)
+        # a point (t, s) is the complex number t + s*i, formed exactly
+        pts, inverse = np.unique(rows[0] + 1j * rows[-1], return_inverse=True)
+        vals = f(*(np.ascontiguousarray(x)
+                   for x in (pts.real, pts.imag)[:len(rows)]))[inverse]
         spacing = 2.0 * spacing / _REFINE_FACTOR
 
 
@@ -168,36 +179,32 @@ def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
     cfg = cfg if cfg is not None else SearchConfig()
     tracker = _BestTracker()
     evals = 0
-    level_best: list[float] = []
 
     def make_report(budget_hit: bool):
         return report(max(tracker.value, 0.0), DeltaPair(tracker.t, tracker.s),
-                      SearchTrace(tuple(level_best), evals, budget_hit,
+                      SearchTrace(tuple(tracker.level_best), evals, budget_hit,
                                   q.left_sum_kernel(n)))
 
-    def probe(ts, ss, level=True):
+    def probe(ts, ss):
         nonlocal evals
         if cfg.max_evals is not None and evals + len(ts) > cfg.max_evals:
             raise BudgetExceededError(
                 f"search budget {cfg.max_evals} exhausted at {evals} probes",
                 partial=make_report(True))
-        vals = objective(q.antiderivative(ts) - q.antiderivative(ss),
-                         left_darboux_sums(q, ts, ss, n))
         evals += len(ts)
-        tracker.offer(vals, ts, ss)
-        if level:
-            level_best.append(tracker.value)
-        return vals
+        return objective(q.antiderivative(ts) - q.antiderivative(ss),
+                         left_darboux_sums(q, ts, ss, n))
 
-    hints = default_hints(q, n)
-    probe(np.array([p.t for p in hints]), np.array([p.s for p in hints]),
-          level=False)
+    ts, ss = np.array([(p.t, p.s) for p in default_hints(q, n)]).T.copy()
+    vals = probe(ts, ss)
+    tracker.offer(vals, ts, ss, _best_first(vals, ts, ss, 1)[0])
     axis = np.linspace(_S_MIN, 1.0, cfg.coarse_grid)
     tg, sg = np.meshgrid(axis, axis, indexing="ij")
     on_triangle = sg <= tg
     _grid_refine(probe, (tg[on_triangle], sg[on_triangle]),
                  (1.0 - _S_MIN) / (cfg.coarse_grid - 1), _S_MIN,
-                 cfg.refine_levels, _TOP_CELLS, keep=lambda t, s: s <= t)
+                 cfg.refine_levels, _TOP_CELLS, tracker,
+                 keep=lambda t, s: s <= t)
     return make_report(False)
 
 

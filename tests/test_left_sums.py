@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import trotter_lab as tl
@@ -138,6 +138,44 @@ def test_steps_match_sampled(t, s, n, which):
 def test_cantor_matches_sampled_exactly(t, s, n, depth):
     q, _ = tl.build_cantor(depth)
     assert kernel(q, t, s, n)[0] == sampled(q, t, s, n)[0]
+
+
+def _brute_samples_left_of(b, t, s, n):
+    """sum(s + w*(k/n) < b) over k < n, sample by sample."""
+    points = s[:, :, None] + (t - s)[:, :, None] * (np.arange(n) / n)
+    return (points < b[None, :, None]).sum(axis=2)
+
+
+window = st.one_of(st.tuples(unit, unit), unit.map(lambda x: (x, x)))
+
+
+@PROPERTY
+@given(windows=st.lists(window, min_size=1, max_size=8),
+       free=st.lists(unit, max_size=4),
+       on_sample=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2047)),
+                          max_size=4),
+       n=st.integers(1, 64))
+@example(windows=[(0.5, 0.5), (0.2, 0.7), (0.9, 0.1)], free=[0.5],
+         on_sample=[(2, 0), (1, 0), (0, 0)], n=1)
+@example(windows=[(1.0, 0.0), (0.3, 0.3), (0.25, 0.75)], free=[],
+         on_sample=[(0, 1), (0, 2), (0, 3)], n=4)
+def test_samples_left_of_counts_like_brute_force(windows, free, on_sample, n):
+    # breakpoints anywhere and on sample points, which the right-open count
+    # leaves out; windows with t == s and t < s among them
+    t = np.array([w[0] for w in windows])[:, None]
+    s = np.array([w[1] for w in windows])[:, None]
+    on = [(i % len(windows), k % n) for i, k in on_sample]
+    b = np.array(free + [s[i, 0] + (t[i, 0] - s[i, 0]) * (k / n)
+                         for i, k in on])
+    assume(len(b))
+    got = potentials._samples_left_of(b, t, s, n)
+    forward = t[:, 0] >= s[:, 0]
+    assert np.array_equal(got[forward],
+                          _brute_samples_left_of(b, t, s, n)[forward])
+    # samples of a window with t < s run right to left: its count is n or
+    # 0 by s < b alone, and the piece-count kernel samples such windows
+    back = ~forward
+    assert np.array_equal(got[back], np.where(s[back] < b, n, 0))
 
 
 def _aligned_windows(q):

@@ -308,27 +308,39 @@ def test_per_tau_grid_ties_follow_the_search_order(monkeypatch):
     # a constant symbol ties exactly across t, so the seeds and t* come from
     # the tie-break: largest value, then smallest s = t - tau (smallest t)
     q = tl.Constant(0.7)
-    gaps = semigroup._symbol_gaps
+    gaps, best_first = semigroup._symbol_gaps, sup_search._best_first
     for tau, n in ((0.3, 7), (0.125, 16), (0.37, 5)):
-        probed = []
+        probed, ranked = [], []
 
         def recorded(q, tau, n, ts):
             probed.append((ts, gaps(q, tau, n, ts)))
             return probed[-1][1]
 
+        def ranking(vals, ts, ss, k):
+            ranked.append((vals, ts, best_first(vals, ts, ss, k)))
+            return ranked[-1][2]
+
         with monkeypatch.context() as mp:
             mp.setattr(semigroup, "_symbol_gaps", recorded)
+            mp.setattr(sup_search, "_best_first", ranking)
             value, t_star = semigroup._per_tau_grid(q, tau, n)
         ts = np.concatenate([t for t, _ in probed])
         vals = np.concatenate([v for _, v in probed])
         top = vals.max()
         assert np.count_nonzero(vals == top) > 1, (tau, n)
         assert (value, t_star) == (top, ts[vals == top].min()), (tau, n)
-        side = sup_search._REFINE_FACTOR + 1
-        for (t0, v0), (t1, _) in zip(probed, probed[1:]):
+        # each round is ranked once, on every point of its seed grids; the
+        # seeds are the smallest t among the tied best, and the next round
+        # probes each seed again and nothing farther than one spacing away
+        assert len(ranked) == len(probed) == semigroup._T_REFINE_LEVELS + 1
+        spacing = (1.0 - tau) / (semigroup._T_GRID - 1)
+        for (v0, t0, seeds), (t1, _) in zip(ranked, probed[1:]):
             want = np.sort(t0[v0 == v0.max()])[:semigroup._T_TOP]
-            centers = t1.reshape(-1, side)[:, side // 2]
-            assert np.allclose(centers, want, rtol=0, atol=1e-12), (tau, n)
+            assert np.array_equal(t0[seeds], want), (tau, n)
+            dist = np.abs(t1[None, :] - t0[seeds][:, None])
+            assert dist.min(axis=1).max() <= 1e-12, (tau, n)
+            assert dist.min(axis=0).max() <= spacing * (1 + 1e-9), (tau, n)
+            spacing *= 2.0 / sup_search._REFINE_FACTOR
 
 
 def test_per_tau_exact_vs_dense_grid():

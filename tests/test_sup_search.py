@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import trotter_lab as tl
-from trotter_lab import sup_search
+from trotter_lab import semigroup, sup_search
+from trotter_lab.quadrature import left_darboux_sums
 from trotter_lab.sup_search import default_hints
 
 SMALL = tl.SearchConfig(coarse_grid=32, refine_levels=2)
@@ -85,7 +86,8 @@ class _RunningMax:
 
 def _sup_search_per_seed(q, n, cfg):
     """The triangle search as a loop of hints, lattice and per-seed grids:
-    (r_n, argmax, level_best, evals)."""
+    (r_n, argmax, level_best, evals), evals counting the distinct points of
+    each probe."""
     tracker = _RunningMax()
     level_best, evals = [], 0
 
@@ -93,7 +95,7 @@ def _sup_search_per_seed(q, n, cfg):
         nonlocal evals
         ts, ss = np.asarray(ts, dtype=float), np.asarray(ss, dtype=float)
         vals = tl.riemann_errors(q, ts, ss, n)
-        evals += len(ts)
+        evals += len(set(zip(ts.tolist(), ss.tolist())))
         tracker.offer(vals, ts, ss)
         return vals, ts, ss
 
@@ -225,6 +227,49 @@ def test_budget_partial_keeps_hint_value():
     assert partial.method.budget_hit
     assert partial.r_n >= 0.0499
     assert partial.argmax.t == 1.0
+
+
+def test_refinement_rounds_probe_each_point_once(zoo, monkeypatch):
+    # neighbouring seed grids overlap and clipping folds edge grids onto
+    # each other; both grid searches evaluate each distinct point once
+    calls = []
+
+    def recording(q, t, s, n):
+        calls.append(set(zip(t.tolist(), s.tolist())))
+        assert len(calls[-1]) == len(t)
+        return left_darboux_sums(q, t, s, n)
+
+    monkeypatch.setattr(sup_search, "left_darboux_sums", recording)
+    monkeypatch.setattr(semigroup, "left_darboux_sums", recording)
+    for name, q in zoo:
+        for n in (3, 64):
+            calls.clear()
+            rep = tl.sup_riemann_error(q, n, SMALL)
+            # hints, lattice, then one call per refinement round
+            assert len(calls) == 2 + SMALL.refine_levels, (name, n)
+            assert rep.method.evals == sum(map(len, calls)), (name, n)
+            for tau in (0.3, 0.9):
+                calls.clear()
+                semigroup._per_tau_grid(q, tau, n)
+                assert len(calls) == 1 + semigroup._T_REFINE_LEVELS, (name, n)
+
+
+def test_budget_counts_distinct_points():
+    q = tl.HolderWeierstrass(0.5, 8)
+    spent = tl.sup_riemann_error(q, 16, SMALL)
+    # fewer than the 5 hints, 528 lattice points and 2 x 16 seed grids of
+    # 81 points that the search places
+    assert spent.method.evals < 5 + 32 * 33 // 2 + 2 * 16 * 81
+    cfg = tl.SearchConfig(coarse_grid=32, refine_levels=2,
+                          max_evals=spent.method.evals)
+    assert tl.sup_riemann_error(q, 16, cfg) == spent
+    with pytest.raises(tl.BudgetExceededError) as exc:
+        tl.sup_riemann_error(q, 16, tl.SearchConfig(
+            coarse_grid=32, refine_levels=2,
+            max_evals=spent.method.evals - 1))
+    # the last round does not fit: the partial report holds the rounds before
+    partial = exc.value.partial
+    assert partial.method.level_best == spent.method.level_best[:-1]
 
 
 def test_determinism():
