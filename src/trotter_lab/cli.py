@@ -26,6 +26,7 @@ import math
 import sys
 import warnings
 from datetime import datetime, timezone
+from functools import cache, partial
 
 import numpy as np
 
@@ -37,7 +38,8 @@ from .rates import fit_loglog
 from .semigroup import (GridFunction, operator_norm_oracle,
                         per_tau_operator_norm, strong_convergence_curve,
                         sup_symbol)
-from .sup_search import RiemannReport, SearchConfig, sup_riemann_error
+from .sup_search import (RiemannReport, SearchConfig, coarse_lattice,
+                         sup_riemann_error)
 
 COLUMNS = ("command", "potential", "n", "value", "lower", "upper",
            "argmax_t", "argmax_s", "verdict")
@@ -169,21 +171,27 @@ def write_report(path: str | None, fmt: str, meta: dict, rows: list[dict]) -> No
             fh.write(text)
 
 
-def _searches(q: Potential, ns: list[int], args, search=None
-              ) -> tuple[list, bool]:
-    """(results, exhausted): ``search``, else `sup_riemann_error` as bound at
-    call time, per n under the search flags, each with its own budget, up
-    to the first exhausted one, whose partial result ends the list."""
+def _searches(q: Potential, ns: list[int], args, *searches
+              ) -> tuple[list[list], bool]:
+    """(results per search, exhausted): each of ``searches`` (by default
+    `sup_riemann_error` as bound at call time) per n, sharing one lazy
+    `coarse_lattice`, with its own budget up to the first exhausted one,
+    whose partial result ends its list and the later searches' n list."""
     cfg = SearchConfig(coarse_grid=args.grid, refine_levels=args.refine,
                        max_evals=args.max_evals)
-    results = []
-    for n in ns:
+    searches = searches or (sup_riemann_error,)
+    lattice = cache(partial(coarse_lattice, q, ns, cfg))
+    sweeps, exhausted = [], False
+    for search in searches:
+        sweeps.append([])
         try:
-            results.append((search or sup_riemann_error)(q, n, cfg))
+            for n in ns:
+                sweeps[-1].append(search(q, n, cfg, lattice=lattice))
         except BudgetExceededError as exc:
-            results.append(exc.partial)
-            return results, True
-    return results, False
+            sweeps[-1].append(exc.partial)
+            exhausted = True
+        ns = ns[:len(sweeps[-1])]
+    return sweeps, exhausted
 
 
 def _report_row(command: str, label: str, rep: RiemannReport,
@@ -221,7 +229,7 @@ def cmd_rates(args) -> int:
     ns = parse_n_list(args.n)
     label = q.describe()
     meta = {"potential": label, "n_list": ns}
-    reports, exhausted = _searches(q, ns, args)
+    (reports,), exhausted = _searches(q, ns, args)
     rows = []
     for rep in reports:
         verdict = ""
@@ -246,7 +254,7 @@ def cmd_cantor(args) -> int:
         meta["merged_open_set"] = [[str(lo), str(hi)]
                                    for lo, hi in cons.merged_open_set]
     rows: list[dict] = []
-    reports, exhausted = _searches(q, [2 ** m for m in ms], args)
+    (reports,), exhausted = _searches(q, [2 ** m for m in ms], args)
     for m, rep in zip(ms, reports):
         # the floor holds for m <= depth; beyond it the finite step function's
         # error falls like 1/n and no floor is claimed
@@ -276,8 +284,8 @@ def cmd_oracle(args) -> int:
     label = q.describe()
     meta = {"potential": label, "n_list": ns, "m": args.m, "p": args.p}
     rows: list[dict] = []
-    reports, exhausted = _searches(q, ns, args)
-    symbols, missed = _searches(q, [r.n for r in reports], args, sup_symbol)
+    (reports, symbols), exhausted = _searches(q, ns, args,
+                                              sup_riemann_error, sup_symbol)
     for rep, (symbol, at) in zip(reports, symbols):
         n, lower, upper = rep.n, rep.lower_op_norm, rep.upper_op_norm
         # above the certified upper end is a contradiction; below the
@@ -296,7 +304,7 @@ def cmd_oracle(args) -> int:
                    else "REACHED" if probe >= low - 1e-12 else "SHORT")
         rows.append(_row("oracle/probe", label, n, probe, low, high,
                          tau, None, verdict))
-    return _finish(args, meta, rows, exhausted or missed)
+    return _finish(args, meta, rows, exhausted)
 
 
 def cmd_lie(args) -> int:
@@ -333,7 +341,7 @@ def cmd_strong(args) -> int:
     f = GridFunction.from_callable(lambda t: np.sin(np.pi * t) ** 2, args.m, args.p)
     curve = strong_convergence_curve(q, f, args.tau, ns)
     rows = [_row("strong/residual", label, n, resid) for n, resid in curve]
-    reports, exhausted = _searches(q, [n for n in ns if not n & (n - 1)], args)
+    (reports,), exhausted = _searches(q, [n for n in ns if not n & (n - 1)], args)
     rows += [_row("strong/norm-floor", label, rep.n, rep.lower_op_norm,
                   rep.lower_op_norm, rep.upper_op_norm) for rep in reports]
     resids = [r for _, r in curve]

@@ -195,7 +195,7 @@ class Potential:
 
     def left_sum_kernel(self, n: int) -> str:
         """Which kernel `left_sums` runs at n: "closed-form", "piece-count"
-        or "sampled"."""
+        or "sampled" (`sampled_left_sums` at n alone)."""
         return "sampled"
 
     def left_sums(self, t: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
@@ -203,23 +203,32 @@ class Potential:
 
         ``t`` and ``s`` are matching 1-D float arrays whose entries
         ``quadrature.left_darboux_sums`` has already checked against [0, 1],
-        so exact kernels check nothing.  This default samples q at
-        s + k*(t-s)/n for k = 0..n-1, about ``_SAMPLE_CHUNK`` points at a
-        time in one buffer per call, and still checks (and clips) the
-        samples through ``__call__``; families with an exact kernel
+        so exact kernels check nothing.  This default samples q
+        (`sampled_left_sums` at n alone); families with an exact kernel
         override it, and tests keep this loop as their reference.
         """
-        out = np.empty(t.shape)
-        block = max(1, _SAMPLE_CHUNK // n)
-        frac = np.arange(n) / n
-        buf = np.empty((min(block, len(t)), n))
+        return self.sampled_left_sums(t, s, [n])[0]
+
+    def sampled_left_sums(self, t, s, ns: list[int]) -> list[np.ndarray]:
+        """The left sums at each n of ``ns`` from one pass that samples q at
+        s + (t-s)*(k/N), k < N = max(ns), about ``_SAMPLE_CHUNK`` points at
+        a time in one buffer, checked (and clipped) through ``__call__``.
+        Each n must divide N: k/n and (k*N/n)/N round alike, so sample k of
+        n is sample k*N/n of N, and each sum is bit-equal to n's alone."""
+        top = max(ns)
+        out = [np.empty(t.shape) for _ in ns]
+        block = max(1, _SAMPLE_CHUNK // top)
+        frac = np.arange(top) / top
+        buf = np.empty((min(block, len(t)), top))
         for i in range(0, len(t), block):
             ss = s[i:i + block, None]
             w = t[i:i + block, None] - ss
             xi = buf[:len(w)]
             np.multiply(w, frac, out=xi)
             xi += ss
-            out[i:i + block] = self(xi).mean(axis=1) * w[:, 0]
+            vals = self(xi)
+            for n, sums in zip(ns, out):
+                sums[i:i + block] = vals[:, ::top // n].mean(axis=1) * w[:, 0]
         return out
 
     def _eval(self, t: np.ndarray) -> np.ndarray:

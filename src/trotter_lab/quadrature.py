@@ -10,7 +10,8 @@ Linear (and Constant, the zero-slope Linear) and HolderWeierstrass,
 per-piece sample counts for step potentials (PiecewiseConstant,
 CantorIndicator) with fewer interior breakpoints than n, and sampling q at
 the n points otherwise.  `left_darboux_sums` checks the window endpoints
-once, in front of every kernel.
+once, in front of every kernel; a search sweep's `coarse_lattice`, whose
+windows lie in [0, 1], samples once for several n without it.
 """
 
 from __future__ import annotations

@@ -206,8 +206,9 @@ def _per_tau_exact(q: Potential, tau: float, n: int) -> tuple[float, float]:
 
 def _per_tau_grid(q: Potential, tau: float, n: int) -> tuple[float, float]:
     best = _BestTracker()
-    _grid_refine(lambda ts: _symbol_gaps(q, tau, n, ts),
-                 (np.linspace(tau, 1.0, _T_GRID),), (1.0 - tau) / (_T_GRID - 1),
+    ts = np.linspace(tau, 1.0, _T_GRID)
+    _grid_refine(lambda t: _symbol_gaps(q, tau, n, t), (ts,),
+                 _symbol_gaps(q, tau, n, ts), (1.0 - tau) / (_T_GRID - 1),
                  tau, _T_REFINE_LEVELS, _T_TOP, best)
     return best.value, best.t
 
@@ -236,14 +237,14 @@ def per_tau_operator_norm(q: Potential, tau: float, n: int) -> float:
     return _per_tau_norm_argmax(q, tau, n)[0]
 
 
-def sup_symbol(q: Potential, n: int, cfg: SearchConfig | None = None
-               ) -> tuple[float, DeltaPair]:
+def sup_symbol(q: Potential, n: int, cfg: SearchConfig | None = None,
+               lattice=None) -> tuple[float, DeltaPair]:
     """(norm, (t*, s*)): the largest symbol |U(t, s) - V_n(t, s)| that
     the triangle search finds under ``cfg``, a lower bound on the sup over
     tau of the per-tau norm, at tau* = t* - s*; partial when exhausted."""
     return _search_triangle(
         q, n, cfg, lambda integ, sums: np.abs(np.exp(-integ) - np.exp(-sums)),
-        lambda value, argmax, trace: (value, argmax))
+        lambda value, argmax, trace: (value, argmax), lattice)
 
 
 def operator_norm_oracle(q: Potential, tau: float, n: int, p: float,

@@ -9,8 +9,10 @@ lattice on s >= `_S_MIN` and local grids around the best cells
 (`_grid_refine`, which `semigroup` also runs over t at one tau), on |I - S|
 here and on the symbol |e^{-I} - e^{-S}| in `semigroup.sup_symbol`.  Each
 round evaluates each distinct point once and is ranked once (`_best_first`).
-Every reported value is an exact pointwise evaluation, hence a true lower
-bound; the certified upper bound is each family's `certified_upper_bound`.
+The lattice does not depend on n: a sweep's searches share its
+`coarse_lattice`, which their ``lattice()`` returns.  Every reported value
+is an exact pointwise evaluation, hence a true lower bound; the certified
+upper bound is each family's `certified_upper_bound`.
 """
 
 from __future__ import annotations
@@ -111,10 +113,11 @@ class _BestTracker:
             self.value, self.t, self.s = v, t, s
 
 
-def _grid_refine(f, rows, spacing, lo, rounds, top, best, keep=None) -> None:
-    """Probe ``f(*rows)``, then ``rounds`` local grids around the ``top``
-    best points of each previous round under `_best_first`; each round's
-    best point goes to the tracker ``best``.
+def _grid_refine(f, rows, vals, spacing, lo, rounds, top, best,
+                 keep=None) -> None:
+    """From the values ``vals`` of ``f(*rows)``, probe ``rounds`` local
+    grids around the ``top`` best points of each previous round under
+    `_best_first`; each round's best point goes to the tracker ``best``.
 
     ``rows`` holds one array per axis: (t, s), or (t,) for a per-tau symbol,
     whose s = t - tau orders points as t does.  A local grid spans x +-
@@ -125,7 +128,6 @@ def _grid_refine(f, rows, spacing, lo, rounds, top, best, keep=None) -> None:
     side = _REFINE_FACTOR + 1
     # idx[i, j]: axis i's entry in point j of a seed's grid, "ij" order
     idx = np.indices((side,) * len(rows)).reshape(len(rows), -1)
-    vals = f(*rows)
     for level in range(rounds + 1):
         seeds = _best_first(vals, rows[0], rows[-1], top)
         best.offer(vals, rows[0], rows[-1], seeds[0])
@@ -168,12 +170,27 @@ def default_hints(q: Potential, n: int) -> list[DeltaPair]:
     return pts
 
 
+def coarse_lattice(q: Potential, ns: list[int], cfg: SearchConfig):
+    """(t, s, I, {n: S_n}) on the windows t >= s of linspace(_S_MIN, 1,
+    coarse_grid)^2: the integrals, and the sums of the sampled-kernel n of
+    ``ns`` that divide the largest, from one `Potential.sampled_left_sums`
+    pass."""
+    axis = np.linspace(_S_MIN, 1.0, cfg.coarse_grid)
+    t_at, s_at = np.tril_indices(cfg.coarse_grid)  # row-major, s <= t
+    ts, ss = axis[t_at], axis[s_at]
+    sampled = [n for n in ns if q.left_sum_kernel(n) == "sampled"]
+    group = sorted({n for n in sampled if max(sampled) % n == 0})
+    sums = q.sampled_left_sums(ts, ss, group) if group else []
+    return ts, ss, q.antiderivative(ts) - q.antiderivative(ss), dict(
+        zip(group, sums))
+
+
 def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
-                     objective, report):
+                     objective, report, lattice):
     """The largest ``objective(I, S)`` over integrals I and left sums S:
-    hints, the lattice, then ``refine_levels`` rounds around the
-    ``_TOP_CELLS`` best points.  ``report(value, argmax, trace)`` builds the
-    result, also the partial one of an exhausted budget."""
+    hints, the lattice (``lattice()``, else unshared), then ``refine_levels``
+    rounds around the ``_TOP_CELLS`` best points.  ``report(value, argmax,
+    trace)`` builds the result, also the partial one of an exhausted budget."""
     if n < 1:
         raise ValueError("n must be >= 1")
     cfg = cfg if cfg is not None else SearchConfig()
@@ -185,37 +202,40 @@ def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
                       SearchTrace(tuple(tracker.level_best), evals, budget_hit,
                                   q.left_sum_kernel(n)))
 
-    def probe(ts, ss):
+    def charge(count: int):
         nonlocal evals
-        if cfg.max_evals is not None and evals + len(ts) > cfg.max_evals:
+        if cfg.max_evals is not None and evals + count > cfg.max_evals:
             raise BudgetExceededError(
                 f"search budget {cfg.max_evals} exhausted at {evals} probes",
                 partial=make_report(True))
-        evals += len(ts)
+        evals += count
+
+    def probe(ts, ss):
+        charge(len(ts))
         return objective(q.antiderivative(ts) - q.antiderivative(ss),
                          left_darboux_sums(q, ts, ss, n))
 
     ts, ss = np.array([(p.t, p.s) for p in default_hints(q, n)]).T.copy()
     vals = probe(ts, ss)
     tracker.offer(vals, ts, ss, _best_first(vals, ts, ss, 1)[0])
-    axis = np.linspace(_S_MIN, 1.0, cfg.coarse_grid)
-    tg, sg = np.meshgrid(axis, axis, indexing="ij")
-    on_triangle = sg <= tg
-    _grid_refine(probe, (tg[on_triangle], sg[on_triangle]),
+    charge(cfg.coarse_grid * (cfg.coarse_grid + 1) // 2)  # lattice windows
+    ts, ss, integ, shared = lattice() if lattice else coarse_lattice(q, [], cfg)
+    sums = shared[n] if n in shared else left_darboux_sums(q, ts, ss, n)
+    _grid_refine(probe, (ts, ss), objective(integ, sums),
                  (1.0 - _S_MIN) / (cfg.coarse_grid - 1), _S_MIN,
                  cfg.refine_levels, _TOP_CELLS, tracker,
                  keep=lambda t, s: s <= t)
     return make_report(False)
 
 
-def sup_riemann_error(q: Potential, n: int,
-                      cfg: SearchConfig | None = None) -> RiemannReport:
+def sup_riemann_error(q: Potential, n: int, cfg: SearchConfig | None = None,
+                      lattice=None) -> RiemannReport:
     """The worst-case left-sum error |I - S| and its sandwich."""
     return _search_triangle(
         q, n, cfg, lambda integ, sums: np.abs(integ - sums),
         lambda r, argmax, trace: RiemannReport(
             n, r, argmax, math.exp(-q.sup_norm) * r,
-            q.certified_upper_bound(n), trace))
+            q.certified_upper_bound(n), trace), lattice)
 
 
 def trotter_error_sandwich(q: Potential, n: int,

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trotter_lab as tl
@@ -438,8 +439,9 @@ def test_oracle_coarse_tau_grid_is_unresolved(tmp_path, tau_grid, verdicts):
 
 
 def _patched_symbol_row(tmp_path, monkeypatch, symbol):
-    monkeypatch.setattr(cli, "sup_symbol",
-                        lambda q, n, cfg: (symbol, tl.DeltaPair(0.75, 0.25)))
+    # the oracle passes its sweep's shared lattice to the symbol search
+    monkeypatch.setattr(cli, "sup_symbol", lambda q, n, cfg, lattice:
+                        (symbol, tl.DeltaPair(0.75, 0.25)))
     rows = _symbol_rows(tmp_path, [
         "oracle", "--potential", "linear", "--n", "4", "--m", "2048",
         "--tau-grid", "16", "--grid", "32", "--refine", "1"])
@@ -634,3 +636,66 @@ def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _json_rows(tmp_path, argv, code):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--format", "json", "--output", str(out)]) == code
+    return json.loads(out.read_text())["rows"]
+
+
+def test_budget_sweep_rows_equal_single_searches(tmp_path):
+    # a budget that the n = 8 search fits and the n = 16 one does not: the
+    # sweeps stop where searches run alone would, with the same partial
+    # reports, though the sweep's searches share the lattice
+    q = parse_potential("tent:harmonic=6")
+    spent = tl.sup_riemann_error(q, 8, tl.SearchConfig(64, 2)).method.evals
+    cfg = tl.SearchConfig(64, 2, max_evals=spent)
+
+    def alone(search, ns):
+        out = []
+        for n in ns:
+            try:
+                out.append(search(q, n, cfg))
+            except tl.BudgetExceededError as exc:
+                return out + [exc.partial]
+        return out
+
+    reports = alone(tl.sup_riemann_error, [8, 16, 32])
+    assert [rep.method.budget_hit for rep in reports] == [False, True]
+    symbols = alone(tl.sup_symbol, [8, 16])
+    argv = ["--potential", "tent:harmonic=6", "--n", "8,16,32", "--grid",
+            "64", "--refine", "2", "--max-evals", str(spent)]
+    rows = _json_rows(tmp_path, ["rates"] + argv, 3)
+    assert [(r["n"], r["value"], r["argmax_t"], r["argmax_s"])
+            for r in rows] == [(rep.n, rep.r_n, rep.argmax.t, rep.argmax.s)
+                               for rep in reports]
+    rows = _json_rows(tmp_path, ["oracle", "--m", "4096"] + argv, 3)
+    assert [(r["n"], r["value"], r["argmax_t"], r["argmax_s"])
+            for r in rows if r["command"] == "oracle/symbol"] == [
+        (rep.n, value, at.t, at.s)
+        for rep, (value, at) in zip(reports, symbols)]
+
+
+def test_rates_sweep_samples_the_lattice_once(monkeypatch):
+    # the lattice is sampled once, at the sweep's largest n; only the hints
+    # and the refinement rounds sample q at each n
+    q = parse_potential("tent:harmonic=6")
+    ns = [8, 16, 32, 64, 128, 256]
+    cfg = tl.SearchConfig()
+    side = tl.sup_search._REFINE_FACTOR + 1
+    per_n = (cfg.refine_levels * tl.sup_search._TOP_CELLS * side * side)
+    bound = (cfg.coarse_grid * (cfg.coarse_grid + 1) // 2 * max(ns)
+             + sum(n * (len(tl.sup_search.default_hints(q, n)) + per_n)
+                   for n in ns))
+    points = []
+    call = tl.Potential.__call__
+
+    def counted(self, t):
+        points.append(np.size(t))
+        return call(self, t)
+
+    monkeypatch.setattr(tl.Potential, "__call__", counted)
+    assert main(["rates", "--potential", "tent:harmonic=6", "--n", "8..256",
+                 "--output", os.devnull]) == 0
+    assert sum(points) <= bound

@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import trotter_lab as tl
-from trotter_lab import potentials
+from trotter_lab import potentials, sup_search
 from trotter_lab.potentials import Potential
 from trotter_lab.sup_search import default_hints
 
@@ -311,3 +311,45 @@ def test_sampled_kernel_holds_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+# sampled-kernel families of a sweep: tent:harmonic=6, the depth-10 Cantor
+# indicator (K = 1320) and a step with non-integer values (K = 1100), each
+# with K >= n on every list below
+SWEEP_FAMILIES = (
+    tl.build_tent_train([1.0 / j for j in range(1, 7)]),
+    tl.build_cantor(10)[0],
+    tl.PiecewiseConstant([Fraction(i, 1101) for i in range(1102)],
+                         [0.3 + (0.37 * i) % 1.9 for i in range(1101)]))
+SWEEP_LISTS = ([1, 2, 3, 4, 6, 12], [3, 5, 7], [2 ** m for m in range(3, 11)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(windows=st.lists(st.tuples(unit, unit), min_size=1, max_size=12),
+       which=st.integers(0, len(SWEEP_FAMILIES) - 1))
+def test_one_sampling_pass_is_bit_equal_to_each_n(windows, which):
+    # sample k of n is sample k*N/n of N, so the mean over every (N/n)-th
+    # sample of one pass at N is each divisor's own sampled sum
+    q = SWEEP_FAMILIES[which]
+    t = np.array([w[0] for w in windows])
+    s = np.array([w[1] for w in windows])
+    for ns in SWEEP_LISTS:
+        group = [n for n in ns if max(ns) % n == 0]
+        for n, got in zip(group, q.sampled_left_sums(t, s, group)):
+            assert q.left_sum_kernel(n) == "sampled"
+            assert got.tobytes() == kernel(q, t, s, n).tobytes(), (q, n)
+
+
+def test_sweep_lattice_sums_are_bit_equal_to_each_n():
+    # the divisors of the largest n share one pass; the other n have no
+    # shared sums, and the searches sum them alone
+    cfg = tl.SearchConfig(coarse_grid=24)
+    for q in SWEEP_FAMILIES:
+        for ns in SWEEP_LISTS:
+            ts, ss, integ, shared = sup_search.coarse_lattice(q, ns, cfg)
+            assert len(ts) == 24 * 25 // 2
+            assert sorted(shared) == [n for n in ns if max(ns) % n == 0]
+            for n, sums in shared.items():
+                assert sums.tobytes() == kernel(q, ts, ss, n).tobytes(), n
+            want = q.antiderivative(ts) - q.antiderivative(ss)
+            assert integ.tobytes() == want.tobytes()

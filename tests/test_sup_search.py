@@ -1,6 +1,7 @@
 """Worst-case search over the triangle: hints, refinement, certificates."""
 
 import math
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -297,3 +298,17 @@ def test_trace_names_kernel():
         rep = tl.sup_riemann_error(q, n, SMALL)
         assert rep.method.kernel == name
         assert name not in str(rep.method)
+
+
+def test_sweep_reports_equal_single_searches(zoo):
+    # a sweep's searches share one lattice, and the oracle's two searches
+    # share each n's sums: every report is the one the search gives alone
+    ns = [1, 2, 3, 4, 6, 12, 16, 64]
+    for name, q in zoo:
+        lattice = cache(partial(sup_search.coarse_lattice, q, ns, SMALL))
+        sweep = [tl.sup_riemann_error(q, n, SMALL, lattice=lattice)
+                 for n in ns]
+        sweep += [tl.sup_symbol(q, n, SMALL, lattice=lattice) for n in ns]
+        alone = [tl.sup_riemann_error(q, n, SMALL) for n in ns]
+        alone += [tl.sup_symbol(q, n, SMALL) for n in ns]
+        assert sweep == alone, name
