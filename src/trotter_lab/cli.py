@@ -9,7 +9,8 @@ the generated_at timestamp (CSV: first comment line; JSON: meta field).
 
 Exit codes: 0 success, 2 argument/spec errors, 3 search budget exhausted
 (every command but `lie` searches, and still writes the rows of the n values
-searched so far, flagged in the meta).  Warnings print as `warning: ...`.
+searched so far, the last one partial if its search probed any point,
+flagged in the meta).  Warnings print as `warning: ...`.
 
 Potential shorthands are plain text syntax over `potentials.from_spec`,
 which owns every parameter rule: the CLI and spec files accept the same
@@ -171,27 +172,25 @@ def write_report(path: str | None, fmt: str, meta: dict, rows: list[dict]) -> No
             fh.write(text)
 
 
-def _searches(q: Potential, ns: list[int], args, *searches
-              ) -> tuple[list[list], bool]:
-    """(results per search, exhausted): each of ``searches`` (by default
-    `sup_riemann_error` as bound at call time) per n, sharing one lazy
-    `coarse_lattice`, with its own budget up to the first exhausted one,
-    whose partial result ends its list and the later searches' n list."""
+def _searches(q: Potential, ns: list[int], args, search=None
+              ) -> tuple[list, bool]:
+    """(results, exhausted): ``search`` (by default `sup_riemann_error` as
+    bound at call time) per n, sharing one lazy `coarse_lattice`, each with
+    its own budget, up to the first exhausted one, whose partial result
+    ends the list if that search probed anything."""
     cfg = SearchConfig(coarse_grid=args.grid, refine_levels=args.refine,
                        max_evals=args.max_evals)
-    searches = searches or (sup_riemann_error,)
+    search = search or sup_riemann_error
     lattice = cache(partial(coarse_lattice, q, ns, cfg))
-    sweeps, exhausted = [], False
-    for search in searches:
-        sweeps.append([])
-        try:
-            for n in ns:
-                sweeps[-1].append(search(q, n, cfg, lattice=lattice))
-        except BudgetExceededError as exc:
-            sweeps[-1].append(exc.partial)
-            exhausted = True
-        ns = ns[:len(sweeps[-1])]
-    return sweeps, exhausted
+    results = []
+    try:
+        for n in ns:
+            results.append(search(q, n, cfg, lattice=lattice))
+    except BudgetExceededError as exc:
+        if exc.partial is not None:
+            results.append(exc.partial)
+        return results, True
+    return results, False
 
 
 def _report_row(command: str, label: str, rep: RiemannReport,
@@ -229,7 +228,7 @@ def cmd_rates(args) -> int:
     ns = parse_n_list(args.n)
     label = q.describe()
     meta = {"potential": label, "n_list": ns}
-    (reports,), exhausted = _searches(q, ns, args)
+    reports, exhausted = _searches(q, ns, args)
     rows = []
     for rep in reports:
         verdict = ""
@@ -254,7 +253,7 @@ def cmd_cantor(args) -> int:
         meta["merged_open_set"] = [[str(lo), str(hi)]
                                    for lo, hi in cons.merged_open_set]
     rows: list[dict] = []
-    (reports,), exhausted = _searches(q, [2 ** m for m in ms], args)
+    reports, exhausted = _searches(q, [2 ** m for m in ms], args)
     for m, rep in zip(ms, reports):
         # the floor holds for m <= depth; beyond it the finite step function's
         # error falls like 1/n and no floor is claimed
@@ -284,15 +283,13 @@ def cmd_oracle(args) -> int:
     label = q.describe()
     meta = {"potential": label, "n_list": ns, "m": args.m, "p": args.p}
     rows: list[dict] = []
-    (reports, symbols), exhausted = _searches(q, ns, args,
-                                              sup_riemann_error, sup_symbol)
-    for rep, (symbol, at) in zip(reports, symbols):
-        n, lower, upper = rep.n, rep.lower_op_norm, rep.upper_op_norm
-        # above the certified upper end is a contradiction; below the
-        # searched lower end only says the two searches refined apart
-        verdict = ("OUTSIDE" if symbol > upper + 1e-3 else
-                   "UNRESOLVED" if symbol < lower - 1e-3 else "CONTAINED")
-        rows.append(_row("oracle/symbol", label, n, symbol, lower, upper,
+    symbols, exhausted = _searches(q, ns, args, sup_symbol)
+    for n, (symbol, at) in zip(ns, symbols):
+        # the symbol max is itself a lower bound on the operator-norm
+        # error: only the certified upper end checks it
+        upper = q.certified_upper_bound(n)
+        verdict = "OUTSIDE" if symbol > upper + 1e-3 else "CONTAINED"
+        rows.append(_row("oracle/symbol", label, n, symbol, symbol, upper,
                          at.t, at.s, verdict))
         # compared with the per-tau symbol at the probe's tau, not the max
         tau = _probe_tau(at.width, n, args.m)
@@ -341,7 +338,7 @@ def cmd_strong(args) -> int:
     f = GridFunction.from_callable(lambda t: np.sin(np.pi * t) ** 2, args.m, args.p)
     curve = strong_convergence_curve(q, f, args.tau, ns)
     rows = [_row("strong/residual", label, n, resid) for n, resid in curve]
-    (reports,), exhausted = _searches(q, [n for n in ns if not n & (n - 1)], args)
+    reports, exhausted = _searches(q, [n for n in ns if not n & (n - 1)], args)
     rows += [_row("strong/norm-floor", label, rep.n, rep.lower_op_norm,
                   rep.lower_op_norm, rep.upper_op_norm) for rep in reports]
     resids = [r for _, r in curve]
@@ -434,7 +431,7 @@ def main(argv=None) -> int:
     warnings.showwarning = _print_warning
     try:
         return args.func(args)
-    except (TrotterLabError, ValueError, OSError) as exc:
+    except (TrotterLabError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

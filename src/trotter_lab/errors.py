@@ -14,7 +14,8 @@ class ResourceLimitError(TrotterLabError):
 class BudgetExceededError(TrotterLabError):
     """A search ran out of its evaluation budget.
 
-    The partial result found so far is attached as ``partial``.
+    The partial result found so far is attached as ``partial``, None when
+    nothing was probed.
     """
 
     def __init__(self, message: str, *, partial=None):

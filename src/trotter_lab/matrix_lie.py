@@ -140,8 +140,9 @@ def _draw_pair(dim: int, norm_bound: float, seed: int
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if norm_bound <= 0.0:
-        raise ValueError("norm_bound must be > 0")
+    if not 0.0 < norm_bound < math.inf:
+        raise ValueError(
+            f"norm_bound must be > 0 and finite, got {norm_bound}")
     rng = np.random.default_rng(seed)
 
     def draw() -> tuple[np.ndarray, float]:

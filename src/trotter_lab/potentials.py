@@ -432,8 +432,9 @@ class HolderWeierstrass(Potential):
     def __init__(self, beta: float, levels: int):
         if not 0.0 < beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if levels < 1:
-            raise ValueError("levels must be >= 1")
+        # pi 2^levels, the top frequency, overflows past 1022 levels
+        if not 1 <= levels <= 1022:
+            raise ValueError(f"levels must lie in [1, 1022], got {levels}")
         self.beta = float(beta)
         self.levels = int(levels)
         j = np.arange(1, levels + 1)
@@ -693,9 +694,16 @@ def build_tent_train(amplitudes: Sequence[float]) -> TentTrain | Constant:
     return TentTrain(amps)
 
 
+def _level_count(value) -> int:
+    count = int(value)
+    if count < 0:
+        raise ValueError(f"must be >= 0, got {count}")
+    return count
+
+
 def _tent_from_spec(param):
     """From 'amplitudes', or 'harmonic=L': the amplitudes 1/j, j = 1..L."""
-    levels = param("harmonic", int, None)
+    levels = param("harmonic", _level_count, None)
     if levels is None:
         return partial(build_tent_train, param("amplitudes", float, many=True))
     return lambda: build_tent_train([1.0 / j for j in range(1, levels + 1)])

@@ -9,10 +9,11 @@ its L^p norm equals the sup of a scalar symbol and is p-independent; at
 one tau the sup over t is exact for step potentials (event decomposition)
 and otherwise `sup_search._grid_refine` over t (s = t - tau).  The lines
 s = t - tau fill the triangle 0 < s <= t <= 1, so `sup_symbol` takes the
-sup over tau as one triangle search.  The oracle reads the per-tau norm
-off the discretized operators alone: when both shift by the same whole
-number of cells their difference is a weighted shift, whose weights are
-its image of the constant function 1.
+sup over tau as one triangle search.  Its value is a true lower bound on
+the operator-norm error, and the lower end of the `oracle` report.  The
+oracle reads the per-tau norm off the discretized operators alone: when
+both shift by the same whole number of cells their difference is a
+weighted shift, whose weights are its image of the constant function 1.
 """
 
 from __future__ import annotations

@@ -2,14 +2,16 @@
 
 The quantity of interest is the essential supremum over the triangle of
 the pointwise left-sum error; its value sandwiches the operator-norm
-splitting error between e^{-sup_norm} and 1 times itself.  The landscape
-is non-smooth (step potentials) or highly oscillatory (tent trains), so
-`_search_triangle` probes each family's known near-maximizers, a coarse
-lattice on s >= `_S_MIN` and local grids around the best cells
+splitting error between e^{-sup_norm} and 1 times itself.  The symbol
+|e^{-I} - e^{-S}| is at least e^{-sup_norm} |I - S| at every window and is
+itself a lower bound, so `oracle` runs only the symbol search.  The
+landscape is non-smooth (step potentials) or highly oscillatory (tent
+trains), so `_search_triangle` probes each family's known near-maximizers,
+a coarse lattice on s >= `_S_MIN` and local grids around the best cells
 (`_grid_refine`, which `semigroup` also runs over t at one tau), on |I - S|
-here and on the symbol |e^{-I} - e^{-S}| in `semigroup.sup_symbol`.  Each
-round evaluates each distinct point once and is ranked once (`_best_first`).
-The lattice does not depend on n: a sweep's searches share its
+here and on the symbol in `semigroup.sup_symbol`.  Each round evaluates
+each distinct point once and is ranked once (`_best_first`).  The
+lattice does not depend on n: a sweep's searches share its
 `coarse_lattice`, which their ``lattice()`` returns.  Every reported value
 is an exact pointwise evaluation, hence a true lower bound; the certified
 upper bound is each family's `certified_upper_bound`.
@@ -190,7 +192,8 @@ def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
     """The largest ``objective(I, S)`` over integrals I and left sums S:
     hints, the lattice (``lattice()``, else unshared), then ``refine_levels``
     rounds around the ``_TOP_CELLS`` best points.  ``report(value, argmax,
-    trace)`` builds the result, also the partial one of an exhausted budget."""
+    trace)`` builds the result, also the partial one of an exhausted budget,
+    which is None when the budget ran out before the first probe."""
     if n < 1:
         raise ValueError("n must be >= 1")
     cfg = cfg if cfg is not None else SearchConfig()
@@ -207,7 +210,7 @@ def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
         if cfg.max_evals is not None and evals + count > cfg.max_evals:
             raise BudgetExceededError(
                 f"search budget {cfg.max_evals} exhausted at {evals} probes",
-                partial=make_report(True))
+                partial=make_report(True) if evals else None)
         evals += count
 
     def probe(ts, ss):

@@ -95,6 +95,13 @@ def test_exit_code_bad_search_config(tmp_path, capsys, monkeypatch, argv,
 @pytest.mark.parametrize("argv, message", [
     (["lie", "--n", "8..16", "--dim", "0"], "dim must be >= 1"),
     (["lie", "--n", "8..16", "--norm-bound", "0"], "norm_bound must be > 0"),
+    (["lie", "--n", "8..16", "--norm-bound", "nan"],
+     "norm_bound must be > 0 and finite, got nan"),
+    (["lie", "--n", "8..16", "--norm-bound", "inf"],
+     "norm_bound must be > 0 and finite, got inf"),
+    # expm's norm cap raises OverflowError, a bad-input error too
+    (["lie", "--n", "8..16", "--dim", "2", "--norm-bound", "1e6"],
+     "exceeds cap"),
 ])
 def test_exit_code_bad_matrix_pair(tmp_path, capsys, monkeypatch, argv,
                                    message):
@@ -106,7 +113,8 @@ def _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv,
                                    message):
     def no_search(*args):
         raise AssertionError("a search ran before the arguments were checked")
-    monkeypatch.setattr(cli, "sup_riemann_error", no_search)
+    for search in ("sup_riemann_error", "sup_symbol"):
+        monkeypatch.setattr(cli, search, no_search)
     out = tmp_path / "report.csv"
     code = main(argv + ["--output", str(out)])
     assert code == 2
@@ -456,14 +464,6 @@ def test_oracle_symbol_above_upper_is_outside(tmp_path, monkeypatch):
     assert row["verdict"] == "OUTSIDE"
 
 
-def test_oracle_symbol_below_lower_is_unresolved(tmp_path, monkeypatch):
-    # below the searched lower end only says that the symbol search and
-    # the left-sum search refined different points
-    row = _patched_symbol_row(tmp_path, monkeypatch, 0.0)
-    assert float(row["lower"]) > 1e-3
-    assert row["verdict"] == "UNRESOLVED"
-
-
 @pytest.mark.parametrize("steps", [
     "pw:breakpoints=0+1,values=0.3", "pw:breakpoints=0+1/2+1,values=0.3+0.3"],
     ids=["one-piece", "equal-pieces"])
@@ -582,6 +582,10 @@ def test_exit_code_spec_error(tmp_path, capsys):
         assert main(["strong", "--potential", "linear", "--n", "2..8",
                      "--m", "1024", "--tau", tau]) == 2
         assert "error: tau must be >= 0" in capsys.readouterr().err
+    # a finite tau whose shift overflows a whole number of cells
+    assert main(["strong", "--potential", "linear", "--n", "2..8",
+                 "--m", "64", "--tau", "1e308"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("potential, named", [
@@ -593,6 +597,10 @@ def test_exit_code_spec_error(tmp_path, capsys):
     ("linear:slop=2", "'slop'"),
     # past the Cantor size cap: the misspelt name is checked before a build
     ("cantor:depth=100,dpth=1", "'dpth'"),
+    # a negative level count is no empty train
+    ("tent:harmonic=-3", "'harmonic'"),
+    # pi 2^1023 overflows, which would make q NaN
+    ("weier:beta=0.5,levels=1023", "levels must lie in [1, 1022]"),
 ])
 def test_exit_code_bad_potential_parameter(tmp_path, capsys, potential, named):
     if isinstance(potential, dict):
@@ -623,6 +631,22 @@ def test_exit_code_budget(tmp_path, argv):
     assert rows  # partial rows written
 
 
+@pytest.mark.parametrize("argv", [
+    ["rates", "--potential", "linear", "--n", "8..64"],
+    ["cantor", "--depth", "2", "--m", "1..3"],
+    ["oracle", "--potential", "linear", "--n", "4,16", "--m", "4096"],
+], ids=lambda argv: argv[0])
+def test_budget_spent_before_the_first_probe_writes_no_row(tmp_path, argv):
+    # 3 evals do not admit the 5 hints: no window was probed, so there is
+    # no value, verdict or probe tau to report
+    out = tmp_path / "partial.csv"
+    assert main(argv + ["--grid", "16", "--refine", "1", "--max-evals", "3",
+                        "--output", str(out)]) == 3
+    comments, rows = _read_csv(out)
+    assert "# budget_exhausted=True" in comments
+    assert rows == []
+
+
 def test_stdout_default(capsys):
     code = main(["rates", "--potential", "linear", "--n", "8..64",
                  "--grid", "16", "--refine", "1"])
@@ -645,9 +669,10 @@ def _json_rows(tmp_path, argv, code):
 
 
 def test_budget_sweep_rows_equal_single_searches(tmp_path):
-    # a budget that the n = 8 search fits and the n = 16 one does not: the
-    # sweeps stop where searches run alone would, with the same partial
-    # reports, though the sweep's searches share the lattice
+    # a budget that the n = 8 left-sum search fits and the n = 16 one does
+    # not: the sweeps stop where searches run alone would, with the same
+    # partial reports, though the sweep's searches share the lattice; the
+    # oracle's symbol searches run alone over the whole n list
     q = parse_potential("tent:harmonic=6")
     spent = tl.sup_riemann_error(q, 8, tl.SearchConfig(64, 2)).method.evals
     cfg = tl.SearchConfig(64, 2, max_evals=spent)
@@ -663,7 +688,7 @@ def test_budget_sweep_rows_equal_single_searches(tmp_path):
 
     reports = alone(tl.sup_riemann_error, [8, 16, 32])
     assert [rep.method.budget_hit for rep in reports] == [False, True]
-    symbols = alone(tl.sup_symbol, [8, 16])
+    symbols = alone(tl.sup_symbol, [8, 16, 32])
     argv = ["--potential", "tent:harmonic=6", "--n", "8,16,32", "--grid",
             "64", "--refine", "2", "--max-evals", str(spent)]
     rows = _json_rows(tmp_path, ["rates"] + argv, 3)
@@ -673,8 +698,36 @@ def test_budget_sweep_rows_equal_single_searches(tmp_path):
     rows = _json_rows(tmp_path, ["oracle", "--m", "4096"] + argv, 3)
     assert [(r["n"], r["value"], r["argmax_t"], r["argmax_s"])
             for r in rows if r["command"] == "oracle/symbol"] == [
-        (rep.n, value, at.t, at.s)
-        for rep, (value, at) in zip(reports, symbols)]
+        (n, value, at.t, at.s) for n, (value, at) in zip([8, 16, 32], symbols)]
+
+
+def test_oracle_runs_one_symbol_search_per_n(tmp_path, monkeypatch):
+    # the symbol max is the row's lower end, so each n costs one triangle
+    # search and no left-sum search runs
+    q = parse_potential("tent:harmonic=6")
+    ns = [4, 16, 64]
+    symbols = [tl.sup_symbol(q, n, tl.SearchConfig(32, 1)) for n in ns]
+    search, calls = tl.sup_search._search_triangle, []
+
+    def counted(q, n, *args):
+        calls.append(n)
+        return search(q, n, *args)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("oracle ran a left-sum search")
+
+    for module in (tl.sup_search, tl.semigroup):
+        monkeypatch.setattr(module, "_search_triangle", counted)
+    monkeypatch.setattr(cli, "sup_riemann_error", no_search)
+    rows = _json_rows(tmp_path, [
+        "oracle", "--potential", "tent:harmonic=6", "--n", "4,16,64",
+        "--m", "4096", "--grid", "32", "--refine", "1"], 0)
+    assert calls == ns
+    assert [(r["n"], r["value"], r["lower"], r["upper"], r["argmax_t"],
+             r["argmax_s"], r["verdict"])
+            for r in rows if r["command"] == "oracle/symbol"] == [
+        (n, value, value, q.certified_upper_bound(n), at.t, at.s, "CONTAINED")
+        for n, (value, at) in zip(ns, symbols)]
 
 
 def test_rates_sweep_samples_the_lattice_once(monkeypatch):

@@ -113,7 +113,7 @@ def test_lie_error_validation():
         tl.lie_error(a, b, 1.0, [0, 2])
     with pytest.raises(ValueError, match="dim must be >= 1"):
         tl.random_matrix_pair(0, 1.0, 0)
-    for bound in (0.0, -1.0):
+    for bound in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="norm_bound must be > 0"):
             tl.random_matrix_pair(3, bound, 0)
 

@@ -213,6 +213,10 @@ def test_weierstrass_beta_validation(beta):
 def test_weierstrass_levels_validation():
     with pytest.raises(ValueError):
         tl.HolderWeierstrass(0.5, 0)
+    # pi 2^1023 overflows to inf, which would make q NaN
+    with pytest.raises(ValueError, match=r"levels must lie in \[1, 1022\]"):
+        tl.HolderWeierstrass(0.5, 1023)
+    assert np.isfinite(tl.HolderWeierstrass(0.5, 1022)(0.3))
 
 
 def test_tent_geometry():
@@ -456,6 +460,7 @@ def test_spec_alias_matches_canonical_kind(alias):
     ({"kind": "pw", "params": {"breakpoints": ["0", "1/0", "1"],
                                "values": [1, 0]}}, "'breakpoints'"),
     ({"kind": "cantor", "params": {"depth": None}}, "'depth'"),
+    ({"kind": "tent", "params": {"harmonic": -3}}, "'harmonic'"),
 ])
 def test_from_spec_names_the_bad_parameter(spec, named):
     with pytest.raises(ValueError) as exc:
