@@ -316,8 +316,8 @@ def cmd_lie(args) -> int:
         if k == 0:
             first = A, B
         res = telescoping_residual(A, B, tau=1.0, n=8)
-        # the drawn target norms never exceed the true ones, so this scale
-        # is at most e^{||A|| + ||B||} and res / scale is no smaller
+        # the drawn target norms equal the true ones up to roundoff, so
+        # this scale is e^{||A|| + ||B||} without a second norm per matrix
         scale = math.exp(norm_a + norm_b)
         worst = max(worst, res / scale)
         worst_scale = max(worst_scale, res)

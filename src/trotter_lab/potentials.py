@@ -183,9 +183,9 @@ class Potential:
     def _window_bound(self, n: int, width: float) -> float:
         return self.holder_meta.error_bound(n, width)
 
-    def corner_hints(self) -> list[tuple[float, float]]:
-        """Windows (t, s) known to nearly maximize the left-sum error, which
-        a sup search probes first; none by default."""
+    def corner_hints(self, n: int = 1) -> list[tuple[float, float]]:
+        """Windows (t, s) known to nearly maximize the left-sum error at n,
+        which a sup search probes first; none by default."""
         return []
 
     def corner_floor(self, m: int) -> float | None:
@@ -642,10 +642,19 @@ class CantorIndicator(PiecewiseConstant):
         window (eps_m/2, 1 - eps_m/2) vanish identically."""
         return 1.0 / (3.0 * 2.0 ** (2 * m + 2))
 
-    def corner_hints(self):
-        """The windows (1 - eps_m/2, eps_m/2) for m = 1..depth."""
-        return [(1.0 - 0.5 * eps, 0.5 * eps)
-                for eps in map(self.corner_width, range(1, self.depth + 1))]
+    def corner_hints(self, n=1):
+        """The windows (1 - eps_m/2, eps_m/2) for m = 1..depth, and for n
+        not a power of two the window (eps_m/2 + n/2^m, eps_m/2), with 2^m
+        the smallest power of two above n, when m <= depth: its samples lie
+        eps_m/2 right of the points k/2^m, inside intervals removed at
+        levels <= m, so its left sums at n vanish too."""
+        hints = [(1.0 - 0.5 * eps, 0.5 * eps)
+                 for eps in map(self.corner_width, range(1, self.depth + 1))]
+        m = (n - 1).bit_length()
+        if n & (n - 1) and m <= self.depth:
+            half = 0.5 * self.corner_width(m)
+            hints.append((half + n / 2.0 ** m, half))
+        return hints
 
     def params(self):
         return {"depth": self.depth}

@@ -273,7 +273,14 @@ def operator_norm_oracle(q: Potential, tau: float, n: int, p: float,
 
 def strong_convergence_curve(q: Potential, f: GridFunction, tau: float,
                              ns: list[int]) -> list[tuple[int, float]]:
-    """Residuals ||exact f - splitting_n f||_p along an increasing n list."""
+    """Residuals ||exact f - splitting_n f||_p along an increasing n list.
+
+    tau must lie in [0, 1): from tau = 1 on both evolutions shift every
+    sample off [0, 1], and every residual would be a vacuous 0.
+    """
+    _check_tau(tau)
+    if tau >= 1.0:
+        raise ValueError(f"tau must be < 1, got {tau}")
     if not ns:
         raise ValueError("ns must be non-empty")
     if any(a >= b for a, b in zip(ns, ns[1:])):

@@ -157,8 +157,8 @@ def default_hints(q: Potential, n: int) -> list[DeltaPair]:
 
     Always includes the long-window corner (1, _S_MIN) plus a few
     alignment-breaking offsets of order 1/n, then the family's own
-    ``corner_hints`` (for Cantor indicators, the windows on which the
-    dyadic left sums vanish identically).
+    ``corner_hints(n)`` (for Cantor indicators, the windows on which the
+    left sums vanish identically).
     """
     pts = [DeltaPair(1.0, _S_MIN)]
     for num in (1.0, 2.0):
@@ -168,7 +168,7 @@ def default_hints(q: Potential, n: int) -> list[DeltaPair]:
         t = 1.0 - num / (3.0 * n)
         if _S_MIN < t:
             pts.append(DeltaPair(t, _S_MIN))
-    pts.extend(DeltaPair(t, s) for t, s in q.corner_hints())
+    pts.extend(DeltaPair(t, s) for t, s in q.corner_hints(n))
     return pts
 
 

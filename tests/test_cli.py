@@ -519,6 +519,24 @@ def test_cantor_beyond_depth_claims_no_floor(tmp_path):
     assert [r["verdict"] for r in data] == ["FLOOR_OK"] * 3 + ["NO_FLOOR"] * 5
 
 
+def test_cantor_rates_reach_the_window_at_non_dyadic_n(tmp_path):
+    # the window (eps_m/2 + n/2^m, eps_m/2) has a zero left sum at every n
+    # with 2^(m-1) < n < 2^m, m <= depth; the search reached 0.37x of it
+    # at n = 96 before the hint
+    q, _ = tl.build_cantor(8)
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--potential", "cantor:depth=8",
+                 "--n", "12,24,48,96,192", "--output", str(out)]) == 0
+    rows = [r for r in _read_csv(out)[1] if r["command"] == "rates"]
+    assert [int(r["n"]) for r in rows] == [12, 24, 48, 96, 192]
+    for r in rows:
+        n = int(r["n"])
+        m = n.bit_length()
+        half = 0.5 * q.corner_width(m)
+        window = q.antiderivative(half + n / 2.0 ** m) - q.antiderivative(half)
+        assert float(r["value"]) >= 0.99 * window, n
+
+
 def test_strong_report(tmp_path):
     out = tmp_path / "strong.csv"
     code = main(["strong", "--potential", "cantor:depth=2", "--n", "2..32",
@@ -586,6 +604,17 @@ def test_exit_code_spec_error(tmp_path, capsys):
     assert main(["strong", "--potential", "linear", "--n", "2..8",
                  "--m", "64", "--tau", "1e308"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("tau", ["1", "2", "1e308"])
+def test_strong_rejects_tau_from_one_on(capsys, tau):
+    # from tau = 1 on every residual is 0 and the summary would read
+    # DECREASING on no evidence; an overflowing tau gets the same message
+    assert main(["strong", "--potential", "linear", "--n", "2..8",
+                 "--m", "64", "--tau", tau]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: tau must be < 1, got")
 
 
 @pytest.mark.parametrize("potential, named", [

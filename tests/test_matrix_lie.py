@@ -1,12 +1,22 @@
 """Finite-dimensional product-formula checks: telescoping and O(1/n)."""
 
+import contextlib
+import importlib.util
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trotter_lab as tl
+from trotter_lab.cli import main
 from trotter_lab.matrix_lie import _draw_pair
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_expm_zero_and_diagonal():
@@ -51,6 +61,18 @@ def test_spectral_norm_matches_svd():
         want = np.linalg.norm(mat, 2)
         got = tl.spectral_norm(mat)
         assert abs(got - want) <= 1e-8 * max(1.0, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1),
+       exponent=st.floats(-8.0, 2.0))
+def test_spectral_norm_is_exact_at_every_scale(dim, seed, exponent):
+    # an absolute stopping rule stops early once ||cG||^2 is far below 1
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    mat = 10.0 ** exponent * g
+    want = np.linalg.norm(mat, 2)
+    assert abs(tl.spectral_norm(mat) - want) <= 1e-12 * want
 
 
 def test_telescoping_trivial():
@@ -166,11 +188,35 @@ def _draw_by_hand(dim, norm_bound, seed):
 
 @pytest.mark.parametrize("dim", [4, 16])
 def test_drawn_target_norms_bound_the_true_norms(dim):
-    # the lie check scales by e^{target_a + target_b}; targets at or below
-    # the true norms keep that check at least as strict as exact norms
+    # the lie check scales by e^{target_a + target_b}; targets equal to the
+    # true norms up to roundoff make that check the one with exact norms
     for seed in range(32):
         a, b, norm_a, norm_b = _draw_pair(dim, 2.0, seed)
         for got, want in zip((a, b), _draw_by_hand(dim, 2.0, seed)):
             assert np.array_equal(got, want)
         for mat, target in ((a, norm_a), (b, norm_b)):
-            assert target <= np.linalg.norm(mat, 2) <= target * (1 + 1e-3), seed
+            assert abs(np.linalg.norm(mat, 2) - target) <= 1e-12 * target, seed
+
+
+def test_lie_rows_match_the_bench_reference():
+    # lie_error still reads its norms from the power iteration whose values
+    # the reference rows hold; the check's own tolerances apply
+    spec = importlib.util.spec_from_file_location("bench_check",
+                                                  BENCH / "check.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    argv = "lie --n 16..4096 --trials 400 --dim 16 --seed 3".split()
+    reference = json.loads((BENCH / "reference.json").read_text())
+    want = [r for r in reference[" ".join(argv)]
+            if r[0] in ("lie/error", "lie/telescoping")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + ["--format", "json"]) == 0
+    got = [r for r in check.compact_rows(json.loads(out.getvalue())["rows"])
+           if r[0] in ("lie/error", "lie/telescoping")]
+    assert [r[:2] for r in got] == [r[:2] for r in want]
+    assert len(got) == 10
+    for (command, n, value, verdict), (_, _, ref, ref_verdict) in zip(got, want):
+        assert abs(value - ref) <= check.REL_TOL * abs(ref) + check.ABS_TOL, (
+            command, n)
+        assert verdict == ref_verdict

@@ -559,6 +559,15 @@ def test_strong_curve_examples():
         tl.strong_convergence_curve(q3, f, 0.5, [])
 
 
+@pytest.mark.parametrize("tau", [1.0, 2.0, 1e308])
+def test_strong_curve_rejects_tau_from_one_on(tau):
+    # both evolutions shift every sample off [0, 1], so every residual
+    # would be a vacuous 0; a tau whose shift overflows is named too
+    f = _smooth(64)
+    with pytest.raises(ValueError, match=r"tau must be < 1, got"):
+        tl.strong_convergence_curve(tl.Linear(), f, tau, [2, 4])
+
+
 def test_strong_curve_no_warnings_when_aligned():
     f = _smooth(4096)
     q3, _ = tl.build_cantor(3)

@@ -209,6 +209,26 @@ def test_family_hints_and_step_breakpoints():
         assert len(default_hints(other, 8)) == len(hints) - 3
 
 
+def test_cantor_hints_add_a_window_at_non_dyadic_n():
+    q, _ = tl.build_cantor(8)
+    # at n = 2^m the hints are the dyadic windows alone: no added probe
+    for m in range(12):
+        assert q.corner_hints(2 ** m) == q.corner_hints()
+    for n in (3, 12, 96, 192, 255):
+        m = (n - 1).bit_length()  # 2^(m-1) < n < 2^m
+        half = 0.5 * q.corner_width(m)
+        t, s = q.corner_hints(n)[-1]
+        assert q.corner_hints(n)[:-1] == q.corner_hints()
+        assert (t, s) == (half + n / 2.0 ** m, half)
+        assert [(p.t, p.s) for p in default_hints(q, n)][-1] == (t, s)
+        # every sample sits in a removed interval: the left sum is 0 and
+        # the error is the whole integral over the window
+        assert left_darboux_sums(q, np.array([t]), np.array([s]), n)[0] == 0.0
+        assert q.antiderivative(t) - q.antiderivative(s) > 0.47
+    # 2^9 > 2^depth: no window is claimed
+    assert q.corner_hints(384) == q.corner_hints()
+
+
 def test_budget_exceeded_before_any_probe():
     # the budget does not admit the 5 hints: nothing was probed, so there
     # is no partial report to make up
