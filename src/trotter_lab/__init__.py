@@ -17,12 +17,11 @@ from .potentials import (CantorConstruction, CantorIndicator, Constant,
 from .quadrature import (DeltaPair, PropagatorGap, integrate,
                          left_darboux_sum, left_darboux_sums, propagators,
                          riemann_error, riemann_errors)
-from .sup_search import (RiemannReport, SearchConfig, SearchTrace,
-                         sup_riemann_error, trotter_error_sandwich)
+from .sup_search import (SearchConfig, SearchReport, SearchTrace,
+                         sup_riemann_error, sup_symbol, trotter_error_sandwich)
 from .semigroup import (GridFunction, apply_exact, apply_mult_semigroup,
                         apply_shift, apply_trotter, operator_norm_oracle,
-                        per_tau_operator_norm, strong_convergence_curve,
-                        sup_symbol)
+                        per_tau_operator_norm, strong_convergence_curve)
 from .matrix_lie import (expm, lie_error, random_matrix_pair, spectral_norm,
                          telescoping_residual)
 from .rates import (HolderCheck, RateFit, SlowConvergenceTable, fit_loglog,
@@ -38,11 +37,10 @@ __all__ = [
     "build_cantor", "build_tent_train", "from_spec",
     "DeltaPair", "PropagatorGap", "integrate", "left_darboux_sum",
     "left_darboux_sums", "riemann_error", "riemann_errors", "propagators",
-    "SearchConfig", "SearchTrace", "RiemannReport", "sup_riemann_error",
-    "trotter_error_sandwich",
+    "SearchConfig", "SearchTrace", "SearchReport", "sup_riemann_error",
+    "sup_symbol", "trotter_error_sandwich",
     "GridFunction", "apply_shift", "apply_mult_semigroup", "apply_exact",
-    "apply_trotter", "per_tau_operator_norm", "sup_symbol",
-    "operator_norm_oracle",
+    "apply_trotter", "per_tau_operator_norm", "operator_norm_oracle",
     "strong_convergence_curve",
     "expm", "spectral_norm", "telescoping_residual", "lie_error",
     "random_matrix_pair",

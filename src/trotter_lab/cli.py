@@ -37,10 +37,9 @@ from .matrix_lie import _draw_pair, lie_error, telescoping_residual
 from .potentials import Potential, build_cantor, from_spec
 from .rates import fit_loglog
 from .semigroup import (GridFunction, operator_norm_oracle,
-                        per_tau_operator_norm, strong_convergence_curve,
-                        sup_symbol)
-from .sup_search import (RiemannReport, SearchConfig, coarse_lattice,
-                         sup_riemann_error)
+                        per_tau_operator_norm, strong_convergence_curve)
+from .sup_search import (SearchConfig, SearchReport, coarse_lattice,
+                         sup_riemann_error, sup_symbol)
 
 COLUMNS = ("command", "potential", "n", "value", "lower", "upper",
            "argmax_t", "argmax_s", "verdict")
@@ -172,15 +171,14 @@ def write_report(path: str | None, fmt: str, meta: dict, rows: list[dict]) -> No
             fh.write(text)
 
 
-def _searches(q: Potential, ns: list[int], args, search=None
-              ) -> tuple[list, bool]:
-    """(results, exhausted): ``search`` (by default `sup_riemann_error` as
-    bound at call time) per n, sharing one lazy `coarse_lattice`, each with
-    its own budget, up to the first exhausted one, whose partial result
-    ends the list if that search probed anything."""
+def _searches(q: Potential, ns: list[int], args, search
+              ) -> tuple[list[SearchReport], bool]:
+    """(reports, exhausted): ``search`` per n, sharing one lazy
+    `coarse_lattice`, each with its own budget, up to the first exhausted
+    one, whose partial report ends the list if that search probed
+    anything."""
     cfg = SearchConfig(coarse_grid=args.grid, refine_levels=args.refine,
                        max_evals=args.max_evals)
-    search = search or sup_riemann_error
     lattice = cache(partial(coarse_lattice, q, ns, cfg))
     results = []
     try:
@@ -193,11 +191,13 @@ def _searches(q: Potential, ns: list[int], args, search=None
     return results, False
 
 
-def _report_row(command: str, label: str, rep: RiemannReport,
-                verdict: str) -> dict:
-    """The row of one search: r_n, its sandwich and its argmax."""
-    return _row(command, label, rep.n, rep.r_n, rep.lower_op_norm,
-                rep.upper_op_norm, rep.argmax.t, rep.argmax.s, verdict)
+def _report_row(command: str, label: str, q: Potential, rep: SearchReport,
+                verdict: str = "") -> dict:
+    """The row of one search: its value, which is its own lower end, the
+    certified upper end and the argmax."""
+    return _row(command, label, rep.n, rep.value, rep.value,
+                q.certified_upper_bound(rep.n), rep.argmax.t, rep.argmax.s,
+                verdict)
 
 
 def _fit_rows(command: str, label: str, points: list, meta: dict
@@ -228,16 +228,16 @@ def cmd_rates(args) -> int:
     ns = parse_n_list(args.n)
     label = q.describe()
     meta = {"potential": label, "n_list": ns}
-    reports, exhausted = _searches(q, ns, args)
+    reports, exhausted = _searches(q, ns, args, sup_riemann_error)
     rows = []
     for rep in reports:
         verdict = ""
         if q.holder_meta:
-            verdict = ("HOLDER_OK" if rep.r_n <= q.holder_meta.error_bound(rep.n)
+            verdict = ("HOLDER_OK" if rep.value <= q.holder_meta.error_bound(rep.n)
                        else "HOLDER_VIOLATION")
-        rows.append(_report_row("rates", label, rep, verdict))
+        rows.append(_report_row("rates", label, q, rep, verdict))
     rows += _fit_rows("rates/fit", label,
-                      [(rep.n, rep.r_n) for rep in reports], meta)
+                      [(rep.n, rep.value) for rep in reports], meta)
     return _finish(args, meta, rows, exhausted)
 
 
@@ -253,17 +253,18 @@ def cmd_cantor(args) -> int:
         meta["merged_open_set"] = [[str(lo), str(hi)]
                                    for lo, hi in cons.merged_open_set]
     rows: list[dict] = []
-    reports, exhausted = _searches(q, [2 ** m for m in ms], args)
+    reports, exhausted = _searches(q, [2 ** m for m in ms], args,
+                                   sup_riemann_error)
     for m, rep in zip(ms, reports):
         # the floor holds for m <= depth; beyond it the finite step function's
         # error falls like 1/n and no floor is claimed
         floor = float(cons.complement_measure) - 2.0 * q.corner_width(m)
         verdict = ("NO_FLOOR" if m > args.depth else
-                   "FLOOR_OK" if rep.r_n >= floor else "FLOOR_MISS")
-        rows.append(_report_row("cantor", label, rep, verdict))
+                   "FLOOR_OK" if rep.value >= floor else "FLOOR_MISS")
+        rows.append(_report_row("cantor", label, q, rep, verdict))
     if len(reports) >= 4:
-        fit = fit_loglog([(rep.n, rep.r_n) for rep in reports])
-        rows.append(_row("cantor/fit", label, 0, min(rep.r_n for rep in reports),
+        fit = fit_loglog([(rep.n, rep.value) for rep in reports])
+        rows.append(_row("cantor/fit", label, 0, min(rep.value for rep in reports),
                          verdict=fit.verdict_label))
         meta["verdict"] = fit.verdict_label
     return _finish(args, meta, rows, exhausted)
@@ -284,15 +285,14 @@ def cmd_oracle(args) -> int:
     meta = {"potential": label, "n_list": ns, "m": args.m, "p": args.p}
     rows: list[dict] = []
     symbols, exhausted = _searches(q, ns, args, sup_symbol)
-    for n, (symbol, at) in zip(ns, symbols):
+    for n, rep in zip(ns, symbols):
         # the symbol max is itself a lower bound on the operator-norm
         # error: only the certified upper end checks it
-        upper = q.certified_upper_bound(n)
-        verdict = "OUTSIDE" if symbol > upper + 1e-3 else "CONTAINED"
-        rows.append(_row("oracle/symbol", label, n, symbol, symbol, upper,
-                         at.t, at.s, verdict))
+        verdict = ("OUTSIDE" if rep.value > q.certified_upper_bound(n) + 1e-3
+                   else "CONTAINED")
+        rows.append(_report_row("oracle/symbol", label, q, rep, verdict))
         # compared with the per-tau symbol at the probe's tau, not the max
-        tau = _probe_tau(at.width, n, args.m)
+        tau = _probe_tau(rep.argmax.width, n, args.m)
         probe = operator_norm_oracle(q, tau, n, args.p, m=args.m)
         norm = per_tau_operator_norm(q, tau, n)
         low, high = 0.95 * norm, norm + 2.0 * q.sup_norm / args.m
@@ -338,9 +338,10 @@ def cmd_strong(args) -> int:
     f = GridFunction.from_callable(lambda t: np.sin(np.pi * t) ** 2, args.m, args.p)
     curve = strong_convergence_curve(q, f, args.tau, ns)
     rows = [_row("strong/residual", label, n, resid) for n, resid in curve]
-    reports, exhausted = _searches(q, [n for n in ns if not n & (n - 1)], args)
-    rows += [_row("strong/norm-floor", label, rep.n, rep.lower_op_norm,
-                  rep.lower_op_norm, rep.upper_op_norm) for rep in reports]
+    reports, exhausted = _searches(q, [n for n in ns if not n & (n - 1)], args,
+                                   sup_symbol)
+    rows += [_report_row("strong/norm-floor", label, q, rep)
+             for rep in reports]
     resids = [r for _, r in curve]
     decreasing = all(b <= a + 1e-3 for a, b in zip(resids, resids[1:]))
     rows.append(_row("strong/summary", label, 0, resids[-1],
@@ -395,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default=None, help="level list, e.g. 1..6")
 
     p = command("oracle", cmd_oracle,
-                "symbol norm vs sandwich vs discrete operator norm",
+                "symbol max and its certified bracket vs the discrete "
+                "operator norm",
                 ("--potential", "--p") + _SEARCH)
     p.add_argument("--n", default="4,16,64")
     p.add_argument("--m", type=_positive_int, default=65536,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .potentials import Potential
 from .quadrature import DeltaPair, riemann_error
-from .sup_search import _S_MIN, RiemannReport
+from .sup_search import _S_MIN, SearchReport
 
 ZERO_THRESHOLD = 1e-12
 NONCONV_FLOOR = 0.1
@@ -111,7 +111,7 @@ class HolderCheck:
 
 
 def holder_bound_check(q: Potential,
-                       reports: Sequence[RiemannReport]) -> HolderCheck:
+                       reports: Sequence[SearchReport]) -> HolderCheck:
     """Check every searched value against the certificate bound."""
     if q.holder_meta is None:
         raise ValueError("potential carries no Holder certificate")
@@ -119,10 +119,10 @@ def holder_bound_check(q: Potential,
     violations = []
     for rep in reports:
         bound = q.holder_meta.error_bound(rep.n)
-        margin = bound - rep.r_n
+        margin = bound - rep.value
         margins.append((rep.n, margin))
         if margin < 0.0:
-            violations.append((rep.n, rep.r_n, bound))
+            violations.append((rep.n, rep.value, bound))
     return HolderCheck(passed=not violations, margins=tuple(margins),
                        violations=tuple(violations))
 

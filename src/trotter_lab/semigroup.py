@@ -8,12 +8,11 @@ multiplication operator composed with an isometric-up-to-cutoff shift, so
 its L^p norm equals the sup of a scalar symbol and is p-independent; at
 one tau the sup over t is exact for step potentials (event decomposition)
 and otherwise `sup_search._grid_refine` over t (s = t - tau).  The lines
-s = t - tau fill the triangle 0 < s <= t <= 1, so `sup_symbol` takes the
-sup over tau as one triangle search.  Its value is a true lower bound on
-the operator-norm error, and the lower end of the `oracle` report.  The
-oracle reads the per-tau norm off the discretized operators alone: when
-both shift by the same whole number of cells their difference is a
-weighted shift, whose weights are its image of the constant function 1.
+s = t - tau fill the triangle 0 < s <= t <= 1, so `sup_search.sup_symbol`
+takes the sup over tau as one triangle search.  The oracle reads the
+per-tau norm off the discretized operators alone: when both shift by the
+same whole number of cells their difference is a weighted shift, whose
+weights are its image of the constant function 1.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ import numpy as np
 
 from .errors import GridResolutionWarning
 from .potentials import Potential
-from .quadrature import DeltaPair, left_darboux_sums
-from .sup_search import (SearchConfig, _BestTracker, _grid_refine,
-                         _search_triangle)
+from .quadrature import left_darboux_sums
+from .sup_search import _BestTracker, _grid_refine
 
 # tau*m farther than this from an integer triggers a rounding warning
 _ROUND_TOL = 1e-9
@@ -238,16 +236,6 @@ def per_tau_operator_norm(q: Potential, tau: float, n: int) -> float:
     return _per_tau_norm_argmax(q, tau, n)[0]
 
 
-def sup_symbol(q: Potential, n: int, cfg: SearchConfig | None = None,
-               lattice=None) -> tuple[float, DeltaPair]:
-    """(norm, (t*, s*)): the largest symbol |U(t, s) - V_n(t, s)| that
-    the triangle search finds under ``cfg``, a lower bound on the sup over
-    tau of the per-tau norm, at tau* = t* - s*; partial when exhausted."""
-    return _search_triangle(
-        q, n, cfg, lambda integ, sums: np.abs(np.exp(-integ) - np.exp(-sums)),
-        lambda value, argmax, trace: (value, argmax), lattice)
-
-
 def operator_norm_oracle(q: Potential, tau: float, n: int, p: float,
                          m: int = 65536) -> float:
     """The discrete L^p norm of exact evolution minus the n-step splitting.
@@ -275,12 +263,16 @@ def strong_convergence_curve(q: Potential, f: GridFunction, tau: float,
                              ns: list[int]) -> list[tuple[int, float]]:
     """Residuals ||exact f - splitting_n f||_p along an increasing n list.
 
-    tau must lie in [0, 1): from tau = 1 on both evolutions shift every
-    sample off [0, 1], and every residual would be a vacuous 0.
+    tau must lie in [0, 1) and round to fewer than m cells: otherwise both
+    evolutions shift every sample off [0, 1], and every residual would be
+    a vacuous 0.
     """
     _check_tau(tau)
     if tau >= 1.0:
         raise ValueError(f"tau must be < 1, got {tau}")
+    if _cells(tau, f.m) >= f.m:
+        raise ValueError(f"tau {tau} rounds to the whole m = {f.m} cell "
+                         f"grid: every residual would be a vacuous 0")
     if not ns:
         raise ValueError("ns must be non-empty")
     if any(a >= b for a, b in zip(ns, ns[1:])):

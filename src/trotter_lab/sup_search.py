@@ -1,25 +1,23 @@
-"""Worst-case Riemann-error search over the triangle 0 < s <= t <= 1.
+"""Worst-case search over the triangle 0 < s <= t <= 1.
 
-The quantity of interest is the essential supremum over the triangle of
-the pointwise left-sum error; its value sandwiches the operator-norm
-splitting error between e^{-sup_norm} and 1 times itself.  The symbol
-|e^{-I} - e^{-S}| is at least e^{-sup_norm} |I - S| at every window and is
-itself a lower bound, so `oracle` runs only the symbol search.  The
+Two objectives of the integral I and the n-step left sum S over a window
+(s, t) are searched: the left-sum error |I - S| (`sup_riemann_error`) and
+the symbol |e^{-I} - e^{-S}| (`sup_symbol`), whose sup over the triangle
+is the sup over tau of the operator-norm splitting error.  Each value the
+search reports is an exact pointwise evaluation, hence a true lower bound
+on its sup; the symbol max is therefore the lower end of every operator-norm
+bracket, and each family's `certified_upper_bound` its upper end.  The
 landscape is non-smooth (step potentials) or highly oscillatory (tent
 trains), so `_search_triangle` probes each family's known near-maximizers,
 a coarse lattice on s >= `_S_MIN` and local grids around the best cells
-(`_grid_refine`, which `semigroup` also runs over t at one tau), on |I - S|
-here and on the symbol in `semigroup.sup_symbol`.  Each round evaluates
-each distinct point once and is ranked once (`_best_first`).  The
-lattice does not depend on n: a sweep's searches share its
-`coarse_lattice`, which their ``lattice()`` returns.  Every reported value
-is an exact pointwise evaluation, hence a true lower bound; the certified
-upper bound is each family's `certified_upper_bound`.
+(`_grid_refine`, which `semigroup` also runs over t at one tau).  Each
+round evaluates each distinct point once and is ranked once
+(`_best_first`).  The lattice does not depend on n: a sweep's searches
+share its `coarse_lattice`, which their ``lattice()`` returns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +77,12 @@ class SearchTrace:
 
 
 @dataclass(frozen=True)
-class RiemannReport:
-    """Best found sup estimate with its operator-norm sandwich."""
+class SearchReport:
+    """The largest value a triangle search found at n, where, and how."""
 
     n: int
-    r_n: float
+    value: float
     argmax: DeltaPair
-    lower_op_norm: float
-    upper_op_norm: float
     method: SearchTrace
 
 
@@ -188,12 +184,12 @@ def coarse_lattice(q: Potential, ns: list[int], cfg: SearchConfig):
 
 
 def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
-                     objective, report, lattice):
+                     objective, lattice) -> SearchReport:
     """The largest ``objective(I, S)`` over integrals I and left sums S:
     hints, the lattice (``lattice()``, else unshared), then ``refine_levels``
-    rounds around the ``_TOP_CELLS`` best points.  ``report(value, argmax,
-    trace)`` builds the result, also the partial one of an exhausted budget,
-    which is None when the budget ran out before the first probe."""
+    rounds around the ``_TOP_CELLS`` best points.  An exhausted budget
+    carries the partial report, None when it ran out before the first
+    probe."""
     if n < 1:
         raise ValueError("n must be >= 1")
     cfg = cfg if cfg is not None else SearchConfig()
@@ -201,9 +197,10 @@ def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
     evals = 0
 
     def make_report(budget_hit: bool):
-        return report(max(tracker.value, 0.0), DeltaPair(tracker.t, tracker.s),
-                      SearchTrace(tuple(tracker.level_best), evals, budget_hit,
-                                  q.left_sum_kernel(n)))
+        return SearchReport(
+            n, max(tracker.value, 0.0), DeltaPair(tracker.t, tracker.s),
+            SearchTrace(tuple(tracker.level_best), evals, budget_hit,
+                        q.left_sum_kernel(n)))
 
     def charge(count: int):
         nonlocal evals
@@ -232,22 +229,26 @@ def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
 
 
 def sup_riemann_error(q: Potential, n: int, cfg: SearchConfig | None = None,
-                      lattice=None) -> RiemannReport:
-    """The worst-case left-sum error |I - S| and its sandwich."""
+                      lattice=None) -> SearchReport:
+    """The worst-case left-sum error |I - S| that the search finds."""
     return _search_triangle(
-        q, n, cfg, lambda integ, sums: np.abs(integ - sums),
-        lambda r, argmax, trace: RiemannReport(
-            n, r, argmax, math.exp(-q.sup_norm) * r,
-            q.certified_upper_bound(n), trace), lattice)
+        q, n, cfg, lambda integ, sums: np.abs(integ - sums), lattice)
+
+
+def sup_symbol(q: Potential, n: int, cfg: SearchConfig | None = None,
+               lattice=None) -> SearchReport:
+    """The largest symbol |U(t, s) - V_n(t, s)| = |e^{-I} - e^{-S}| that the
+    search finds: a lower bound on the sup over tau of the operator-norm
+    splitting error, at tau* = t* - s*."""
+    return _search_triangle(
+        q, n, cfg, lambda integ, sums: np.abs(np.exp(-integ) - np.exp(-sums)),
+        lattice)
 
 
 def trotter_error_sandwich(q: Potential, n: int,
                            cfg: SearchConfig | None = None
                            ) -> tuple[float, float]:
-    """Two-sided bracket for the sup-over-tau operator-norm splitting error.
-
-    Lower end: e^{-sup_norm} times the search value (a true lower bound).
-    Upper end: the family's certified bound on the left-sum error.
-    """
-    rep = sup_riemann_error(q, n, cfg)
-    return rep.lower_op_norm, rep.upper_op_norm
+    """Two-sided bracket for the sup-over-tau operator-norm splitting error:
+    the symbol max (a true lower bound) and the family's certified bound on
+    the left-sum error, which caps the symbol."""
+    return sup_symbol(q, n, cfg).value, q.certified_upper_bound(n)

@@ -58,15 +58,15 @@ def test_criterion_2_holder_rates():
     ns = [2 ** k for k in range(3, 13)]
     cfg = tl.SearchConfig(coarse_grid=32, refine_levels=1)
     lin_reports = [tl.sup_riemann_error(tl.Linear(), n, cfg) for n in ns]
-    rel = max(abs(rep.r_n * 2 * rep.n - 1.0) for rep in lin_reports)
-    lin_fit = tl.fit_loglog([(rep.n, rep.r_n) for rep in lin_reports])
+    rel = max(abs(rep.value * 2 * rep.n - 1.0) for rep in lin_reports)
+    lin_fit = tl.fit_loglog([(rep.n, rep.value) for rep in lin_reports])
     lin_ok = rel <= 1e-6 and abs(lin_fit.slope + 1.0) <= 0.05
 
     q = tl.HolderWeierstrass(0.5, 12)
     wcfg = tl.SearchConfig(coarse_grid=128, refine_levels=2)
     reports = [tl.sup_riemann_error(q, n, wcfg) for n in ns]
     check = tl.holder_bound_check(q, reports)
-    wfit = tl.fit_loglog([(rep.n, rep.r_n) for rep in reports])
+    wfit = tl.fit_loglog([(rep.n, rep.value) for rep in reports])
     weier_ok = check.passed and wfit.slope <= -0.4
 
     _verdict(2, "Lipschitz/Holder rate", lin_ok and weier_ok,
@@ -77,7 +77,7 @@ def test_criterion_2_holder_rates():
 def test_criterion_3_commuting_exactness():
     cfg = tl.SearchConfig(coarse_grid=32, refine_levels=1)
     q = tl.Constant(1.0)
-    worst_r = max(tl.sup_riemann_error(q, n, cfg).r_n
+    worst_r = max(tl.sup_riemann_error(q, n, cfg).value
                   for n in (1, 2, 3, 8, 64, 1024))
     worst_tau = max(tl.per_tau_operator_norm(q, j / 32, n)
                     for n in (1, 5, 16) for j in range(33))

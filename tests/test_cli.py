@@ -449,7 +449,8 @@ def test_oracle_coarse_tau_grid_is_unresolved(tmp_path, tau_grid, verdicts):
 def _patched_symbol_row(tmp_path, monkeypatch, symbol):
     # the oracle passes its sweep's shared lattice to the symbol search
     monkeypatch.setattr(cli, "sup_symbol", lambda q, n, cfg, lattice:
-                        (symbol, tl.DeltaPair(0.75, 0.25)))
+                        tl.SearchReport(n, symbol, tl.DeltaPair(0.75, 0.25),
+                                        tl.SearchTrace((symbol,), 1)))
     rows = _symbol_rows(tmp_path, [
         "oracle", "--potential", "linear", "--n", "4", "--m", "2048",
         "--tau-grid", "16", "--grid", "32", "--refine", "1"])
@@ -617,6 +618,16 @@ def test_strong_rejects_tau_from_one_on(capsys, tau):
     assert err.startswith("error: tau must be < 1, got")
 
 
+def test_strong_rejects_tau_that_rounds_to_the_grid(capsys):
+    # tau < 1, but 0.999 * 64 rounds to all 64 cells: every residual would
+    # be 0 and the summary DECREASING on no evidence
+    assert main(["strong", "--potential", "linear", "--n", "2..8",
+                 "--m", "64", "--tau", "0.999"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: tau 0.999 rounds to the whole m = 64")
+
+
 @pytest.mark.parametrize("potential, named", [
     ({"kind": "weierstrass", "params": {"beta": 0.5}}, "'levels'"),
     ({"kind": "cantor"}, "'depth'"),
@@ -701,7 +712,7 @@ def test_budget_sweep_rows_equal_single_searches(tmp_path):
     # a budget that the n = 8 left-sum search fits and the n = 16 one does
     # not: the sweeps stop where searches run alone would, with the same
     # partial reports, though the sweep's searches share the lattice; the
-    # oracle's symbol searches run alone over the whole n list
+    # symbol searches of oracle and strong run alone over the whole n list
     q = parse_potential("tent:harmonic=6")
     spent = tl.sup_riemann_error(q, 8, tl.SearchConfig(64, 2)).method.evals
     cfg = tl.SearchConfig(64, 2, max_evals=spent)
@@ -720,14 +731,40 @@ def test_budget_sweep_rows_equal_single_searches(tmp_path):
     symbols = alone(tl.sup_symbol, [8, 16, 32])
     argv = ["--potential", "tent:harmonic=6", "--n", "8,16,32", "--grid",
             "64", "--refine", "2", "--max-evals", str(spent)]
-    rows = _json_rows(tmp_path, ["rates"] + argv, 3)
-    assert [(r["n"], r["value"], r["argmax_t"], r["argmax_s"])
-            for r in rows] == [(rep.n, rep.r_n, rep.argmax.t, rep.argmax.s)
-                               for rep in reports]
-    rows = _json_rows(tmp_path, ["oracle", "--m", "4096"] + argv, 3)
-    assert [(r["n"], r["value"], r["argmax_t"], r["argmax_s"])
-            for r in rows if r["command"] == "oracle/symbol"] == [
-        (n, value, at.t, at.s) for n, (value, at) in zip([8, 16, 32], symbols)]
+    for head, command, searched in (
+            (["rates"], "rates", reports),
+            (["oracle", "--m", "4096"], "oracle/symbol", symbols),
+            (["strong", "--m", "4096"], "strong/norm-floor", symbols)):
+        rows = _json_rows(tmp_path, head + argv, 3)
+        assert [(r["n"], r["value"], r["lower"], r["upper"], r["argmax_t"],
+                 r["argmax_s"]) for r in rows if r["command"] == command] == [
+            (rep.n, rep.value, rep.value, q.certified_upper_bound(rep.n),
+             rep.argmax.t, rep.argmax.s) for rep in searched], command
+
+
+SEARCHED = ("rates", "cantor", "oracle/symbol", "strong/norm-floor")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--potential", "weier:beta=0.5,levels=6", "--n", "8..64"],
+    ["rates", "--potential", "pw:breakpoints=0+1/3+1,values=2+0.5",
+     "--n", "3,8,9"],
+    ["cantor", "--depth", "3", "--m", "1..5"],
+    ["oracle", "--potential", "tent:harmonic=6", "--n", "4,16", "--m",
+     "4096"],
+    ["strong", "--potential", "linear", "--n", "2..8", "--m", "1024"],
+    ["strong", "--potential", "cantor:depth=3", "--n", "2..16", "--m",
+     "4096"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_searched_rows_bracket_their_value(tmp_path, argv):
+    # every searched row's value is its own lower end, under its certified
+    # upper end
+    rows = [r for r in _json_rows(tmp_path, argv + ["--grid", "32",
+                                                    "--refine", "1"], 0)
+            if r["command"] in SEARCHED]
+    assert rows
+    for r in rows:
+        assert r["lower"] <= r["value"] <= r["upper"], r
 
 
 def test_oracle_runs_one_symbol_search_per_n(tmp_path, monkeypatch):
@@ -745,8 +782,7 @@ def test_oracle_runs_one_symbol_search_per_n(tmp_path, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("oracle ran a left-sum search")
 
-    for module in (tl.sup_search, tl.semigroup):
-        monkeypatch.setattr(module, "_search_triangle", counted)
+    monkeypatch.setattr(tl.sup_search, "_search_triangle", counted)
     monkeypatch.setattr(cli, "sup_riemann_error", no_search)
     rows = _json_rows(tmp_path, [
         "oracle", "--potential", "tent:harmonic=6", "--n", "4,16,64",
@@ -755,8 +791,8 @@ def test_oracle_runs_one_symbol_search_per_n(tmp_path, monkeypatch):
     assert [(r["n"], r["value"], r["lower"], r["upper"], r["argmax_t"],
              r["argmax_s"], r["verdict"])
             for r in rows if r["command"] == "oracle/symbol"] == [
-        (n, value, value, q.certified_upper_bound(n), at.t, at.s, "CONTAINED")
-        for n, (value, at) in zip(ns, symbols)]
+        (rep.n, rep.value, rep.value, q.certified_upper_bound(rep.n),
+         rep.argmax.t, rep.argmax.s, "CONTAINED") for rep in symbols]
 
 
 def test_rates_sweep_samples_the_lattice_once(monkeypatch):

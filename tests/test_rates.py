@@ -147,9 +147,8 @@ def test_holder_check_requires_certificate():
 
 def test_holder_check_flags_violation():
     q = tl.Linear()
-    fake = tl.RiemannReport(
-        n=4, r_n=0.9, argmax=tl.DeltaPair(1.0, 1e-9),
-        lower_op_norm=0.3, upper_op_norm=1.0,
+    fake = tl.SearchReport(
+        n=4, value=0.9, argmax=tl.DeltaPair(1.0, 1e-9),
         method=SearchTrace((0.9,), 1))
     check = tl.holder_bound_check(q, [fake])
     assert not check.passed
@@ -211,12 +210,12 @@ def test_decreasing_to_zero_reflection():
     # continuous families head to zero along the sweep; the indicator
     # family stays pinned near its measure on the dyadic subsequence
     ns = [2 ** k for k in range(3, 10)]
-    lin = [tl.sup_riemann_error(tl.Linear(), n, SMALL).r_n for n in ns]
+    lin = [tl.sup_riemann_error(tl.Linear(), n, SMALL).value for n in ns]
     assert all(b < a for a, b in zip(lin, lin[1:]))
     assert lin[-1] < 1e-3
 
     q = tl.HolderWeierstrass(0.5, 8)
-    wei = [tl.sup_riemann_error(q, n, SMALL).r_n for n in ns]
+    wei = [tl.sup_riemann_error(q, n, SMALL).value for n in ns]
     assert all(b < a for a, b in zip(wei, wei[1:]))
 
     tent = tl.build_tent_train([1.0 / j for j in range(1, 7)])

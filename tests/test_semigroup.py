@@ -435,7 +435,8 @@ def test_symbol_search_reaches_the_tau_sweep(name):
     # 0.9956 (pw, n = 16), so it need not reach the sweep everywhere
     q = SWEEP_FAMILIES[name]
     for n in (1, 3, 16):
-        symbol, at = tl.sup_symbol(q, n)
+        rep = tl.sup_symbol(q, n)
+        symbol, at = rep.value, rep.argmax
         sweep = max(semigroup._per_tau_norm_argmax(q, j / 32, n)[0]
                     for j in range(1, 33))
         assert symbol >= 0.99 * sweep - 1e-15, (n, symbol, sweep)
@@ -446,16 +447,19 @@ def test_symbol_search_reaches_the_tau_sweep(name):
 def test_symbol_search_value_and_budget():
     # the value is the symbol at its argmax, so a true lower bound on the
     # per-tau norm at tau* = t* - s*; the budget counts as in
-    # sup_riemann_error, and an exhausted one leaves the partial pair
+    # sup_riemann_error, and an exhausted one leaves the partial report
     q = SWEEP_FAMILIES["tent"]
     cfg = tl.SearchConfig(coarse_grid=32, refine_levels=1)
-    symbol, at = tl.sup_symbol(q, 8, cfg)
-    assert symbol == pytest.approx(tl.propagators(q, at, 8).gap, rel=1e-12)
-    partial = sup_search.sup_riemann_error(q, 8, cfg).method.evals
+    rep = tl.sup_symbol(q, 8, cfg)
+    assert rep.value == pytest.approx(tl.propagators(q, rep.argmax, 8).gap,
+                                      rel=1e-12)
+    spent = sup_search.sup_riemann_error(q, 8, cfg).method.evals
     with pytest.raises(tl.BudgetExceededError) as info:
-        tl.sup_symbol(q, 8, tl.SearchConfig(32, 1, max_evals=partial // 2))
-    value, argmax = info.value.partial
-    assert 0.0 <= value <= symbol and isinstance(argmax, tl.DeltaPair)
+        tl.sup_symbol(q, 8, tl.SearchConfig(32, 1, max_evals=spent // 2))
+    partial = info.value.partial
+    assert partial.method.budget_hit and partial.n == 8
+    assert 0.0 <= partial.value <= rep.value
+    assert isinstance(partial.argmax, tl.DeltaPair)
 
 
 def test_symbol_search_argument_errors():
@@ -566,6 +570,18 @@ def test_strong_curve_rejects_tau_from_one_on(tau):
     f = _smooth(64)
     with pytest.raises(ValueError, match=r"tau must be < 1, got"):
         tl.strong_convergence_curve(tl.Linear(), f, tau, [2, 4])
+
+
+@pytest.mark.parametrize("tau, m", [(0.999, 64), (1.0 - 1.0 / 256, 128)])
+def test_strong_curve_rejects_tau_rounding_to_the_grid(tau, m):
+    # tau < 1 that rounds to m cells shifts the whole grid off [0, 1] too
+    with pytest.raises(ValueError, match=rf"tau {tau} rounds to the whole "
+                                         rf"m = {m} cell grid"):
+        tl.strong_convergence_curve(tl.Linear(), _smooth(m), tau, [2, 4])
+    # one cell short of the grid leaves a residual to measure
+    (_, resid), = tl.strong_convergence_curve(tl.Linear(), _smooth(m),
+                                              (m - 1) / m, [1])
+    assert resid > 0.0
 
 
 def test_strong_curve_no_warnings_when_aligned():

@@ -32,28 +32,29 @@ def test_invalid_n():
 
 def test_constant_is_exact():
     rep = tl.sup_riemann_error(tl.Constant(1.0), 6, SMALL)
-    assert rep.r_n <= 1e-12
-    assert rep.upper_op_norm == 0.0
-    assert rep.lower_op_norm <= 1e-12
+    assert rep.value <= 1e-12
+    assert tl.sup_symbol(tl.Constant(1.0), 6, SMALL).value <= 1e-12
     lo, up = tl.trotter_error_sandwich(tl.Constant(1.0), 6, SMALL)
     assert lo <= 1e-12 and up == 0.0
 
 
 def test_linear_example():
     rep = tl.sup_riemann_error(tl.Linear(), 10, SMALL)
-    assert abs(rep.r_n - 0.05) < 1e-6
+    assert abs(rep.value - 0.05) < 1e-6
     # maximizer sits at the long-window corner, up to refine-grid ulps
     assert rep.argmax.t >= 1.0 - 1e-12
     assert rep.argmax.s <= 2.0 * sup_search._S_MIN
+    # the lower end is the symbol max, at least e^{-sup_norm} r_n
     lo, up = tl.trotter_error_sandwich(tl.Linear(), 10, SMALL)
-    assert abs(lo - math.exp(-1.0) * 0.05) < 1e-7
+    assert lo == tl.sup_symbol(tl.Linear(), 10, SMALL).value
+    assert lo >= math.exp(-1.0) * 0.05
     assert up == 0.05  # exact closed-form certificate slope/(2n)
 
 
 def test_cantor_hint_floor():
     q3, _ = tl.build_cantor(3)
     rep = tl.sup_riemann_error(q3, 4, SMALL)
-    assert rep.r_n >= 21.0 / 32 - 2.0 / 384
+    assert rep.value >= 21.0 / 32 - 2.0 / 384
     eps2 = 1.0 / 384
     assert rep.argmax.s <= eps2
     lo, _ = tl.trotter_error_sandwich(q3, 4, SMALL)
@@ -65,7 +66,7 @@ def test_anytime_lower_bound(zoo):
     for name, q in zoo:
         rep = tl.sup_riemann_error(q, 5, SMALL)
         again = tl.riemann_error(q, rep.argmax, 5)
-        assert again == rep.r_n, name
+        assert again == rep.value, name
 
 
 class _RunningMax:
@@ -87,7 +88,7 @@ class _RunningMax:
 
 def _sup_search_per_seed(q, n, cfg):
     """The triangle search as a loop of hints, lattice and per-seed grids:
-    (r_n, argmax, level_best, evals), evals counting the distinct points of
+    (value, argmax, level_best, evals), evals counting the distinct points of
     each probe."""
     tracker = _RunningMax()
     level_best, evals = [], 0
@@ -134,7 +135,7 @@ def test_search_bit_equal_to_per_seed_loop(zoo, grid, refine):
     for name, q in zoo:
         for n in (1, 3, 8, 33, 256):
             rep = tl.sup_riemann_error(q, n, cfg)
-            got = (rep.r_n, rep.argmax, rep.method.level_best,
+            got = (rep.value, rep.argmax, rep.method.level_best,
                    rep.method.evals)
             assert got == _sup_search_per_seed(q, n, cfg), (name, n)
 
@@ -150,9 +151,10 @@ def test_refinement_monotone():
 def test_certified_containment(zoo):
     for name, q in zoo:
         for n in (2, 9, 30):
-            rep = tl.sup_riemann_error(q, n, SMALL)
-            if rep.upper_op_norm is not None:
-                assert rep.r_n <= rep.upper_op_norm + 1e-15, (name, n)
+            upper = q.certified_upper_bound(n)
+            for search in (tl.sup_riemann_error, tl.sup_symbol):
+                rep = search(q, n, SMALL)
+                assert rep.value <= upper + 1e-15, (name, search, n)
 
 
 def test_holder_ceiling():
@@ -160,7 +162,7 @@ def test_holder_ceiling():
     L = q.holder_meta.constant
     for n in (4, 16, 64, 256):
         rep = tl.sup_riemann_error(q, n, SMALL)
-        assert rep.r_n <= L / math.sqrt(n)
+        assert rep.value <= L / math.sqrt(n)
 
 
 def test_certified_upper_bound_values():
@@ -177,9 +179,9 @@ def test_certified_upper_bound_values():
 def test_every_family_is_certified(zoo):
     for name, q in zoo:
         assert isinstance(q.certified_upper_bound(9), float), name
-        rep = tl.sup_riemann_error(q, 9, SMALL)
         assert tl.trotter_error_sandwich(q, 9, SMALL) == (
-            rep.lower_op_norm, rep.upper_op_norm), name
+            tl.sup_symbol(q, 9, SMALL).value,
+            q.certified_upper_bound(9)), name
 
 
 def test_holder_certificate_bound_is_shared():
@@ -190,7 +192,7 @@ def test_holder_certificate_bound_is_shared():
         assert cert.error_bound(n) == q.certified_upper_bound(n)
     reps = [tl.sup_riemann_error(q, n, SMALL) for n in (4, 16)]
     margins = tl.holder_bound_check(q, reps).margins
-    assert margins == tuple((r.n, cert.error_bound(r.n) - r.r_n) for r in reps)
+    assert margins == tuple((r.n, cert.error_bound(r.n) - r.value) for r in reps)
 
 
 def test_family_hints_and_step_breakpoints():
@@ -246,7 +248,7 @@ def test_budget_partial_keeps_hint_value():
         tl.sup_riemann_error(tl.Linear(), 10, cfg)
     partial = exc.value.partial
     assert partial.method.budget_hit
-    assert partial.r_n >= 0.0499
+    assert partial.value >= 0.0499
     assert partial.argmax.t == 1.0
 
 
