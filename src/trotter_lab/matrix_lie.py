@@ -5,16 +5,18 @@ scipy's scaling-and-squaring Pade implementation behind a cap of 200 on
 the operator 2-norm; the Frobenius norm bounds the 2-norm from above, so
 the cap costs one cheap norm unless the Frobenius norm exceeds it.  scipy
 is imported on the first `expm` call, so importing the package does not
-load it.  `spectral_norm` is the operator 2-norm from one LAPACK SVD.  Only
-`lie_error` still reads its norms from `_power_norm`, a power iteration to a
-fixed absolute tolerance, because the recorded `lie/error` reference rows hold
-that iteration's values.
+load it.  `spectral_norm` is the operator 2-norm from one Hermitian
+eigenvalue problem, the largest eigenvalue of the max-abs-scaled Gram
+matrix.  Only `lie_error` still reads its norms from `_power_norm`, a power
+iteration to a fixed absolute tolerance, because the recorded `lie/error`
+reference rows hold that iteration's values.
 
-`telescoping_residual` sums the telescoping identity as it goes: one running
-sum and one running power of E, three matrix products per step.  The random
-pairs come from `_draw_pair`, which also returns each matrix's target norm,
-the norm it was scaled to; the `lie` experiment scales its residual check by
-e^{norm_a + norm_b} from those targets instead of estimating the norms again.
+`telescoping_residual` sums the telescoping identity by binary doubling,
+carrying the powers of P and E along, so n steps take O(log n) matrix
+products.  The random pairs come from `_draw_pair`, which also returns each
+matrix's target norm, the norm it was scaled to; the `lie` experiment scales
+its residual check by e^{norm_a + norm_b} from those targets instead of
+estimating the norms again.
 """
 
 from __future__ import annotations
@@ -41,8 +43,19 @@ def _as_square(M) -> np.ndarray:
 
 
 def spectral_norm(M) -> float:
-    """Largest singular value, from one SVD."""
-    return float(np.linalg.norm(_as_square(M), 2))
+    """Largest singular value, the root of the top eigenvalue of M^H M.
+
+    M is first divided by its largest entry modulus c, so the Gram matrix
+    neither overflows nor underflows at any entry scale; the zero matrix
+    has norm exactly 0.
+    """
+    A = _as_square(M)
+    c = float(np.max(np.abs(A)))
+    if c == 0.0:
+        return 0.0
+    X = A / c
+    lam = float(np.linalg.eigvalsh(X.conj().T @ X)[-1])
+    return c * math.sqrt(max(lam, 0.0))
 
 
 def _power_norm(M) -> float:
@@ -80,7 +93,7 @@ def expm(M) -> np.ndarray:
     import scipy.linalg  # the only scipy use; kept off the import path
 
     A = _as_square(M)
-    # ||A||_2 <= ||A||_F, so the SVD only runs near the cap
+    # ||A||_2 <= ||A||_F, so spectral_norm only runs near the cap
     if np.linalg.norm(A) > _NORM_CAP:
         nrm = spectral_norm(A)
         if nrm > _NORM_CAP:
@@ -94,9 +107,13 @@ def telescoping_residual(A, B, tau: float, n: int) -> float:
 
     With P = e^{-tau A/n} e^{-tau B/n} and E = e^{-tau (A+B)/n},
     P^n - e^{-tau(A+B)} equals sum_{k<n} P^{n-1-k} (P - E) E^k exactly;
-    the returned spectral norm of the difference is pure roundoff.  The sum
-    is accumulated as T_1 = P - E, T_{j+1} = P T_j + (P - E) E^j, keeping
-    one running E^j, so T_n is the sum in three matrix products per step.
+    the returned spectral norm of the difference is pure roundoff.  With
+    X_m = sum_{k<m} P^{m-1-k} (P - E) E^k, so X_1 = P - E, the bits of n
+    below the top one turn X_m into X_{2m} = P^m X_m + X_m E^m and, on a
+    set bit, X_{m+1} = P X_m + (P - E) E^m, carrying P^m and E^m along:
+    O(log n) matrix products, 12 at n = 8.  The left side keeps the fourth
+    exponential e^{-tau(A+B)} rather than E^n, so the check also tests that
+    the exponentials compose.
     """
     A = _as_square(A)
     B = _as_square(B)
@@ -107,14 +124,17 @@ def telescoping_residual(A, B, tau: float, n: int) -> float:
     step = tau / n
     P = expm(-step * A) @ expm(-step * B)
     E = expm(-step * (A + B))
-    lhs = np.linalg.matrix_power(P, n) - expm(-tau * (A + B))
-
     mid = P - E
-    rhs = mid
-    e_pow = np.eye(A.shape[0], dtype=complex)
-    for _ in range(n - 1):
-        e_pow = e_pow @ E
-        rhs = P @ rhs + mid @ e_pow
+    rhs, p_pow, e_pow = mid, P, E
+    for bit in bin(n)[3:]:
+        rhs = p_pow @ rhs + rhs @ e_pow
+        p_pow = p_pow @ p_pow
+        e_pow = e_pow @ e_pow
+        if bit == "1":
+            rhs = P @ rhs + mid @ e_pow
+            p_pow = P @ p_pow
+            e_pow = e_pow @ E
+    lhs = p_pow - expm(-tau * (A + B))
     return spectral_norm(lhs - rhs)
 
 
