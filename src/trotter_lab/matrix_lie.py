@@ -1,15 +1,17 @@
 """Finite-dimensional splitting identities: telescoping sum and O(1/n) rate.
 
-Matrices are plain complex ndarrays.  The matrix exponential delegates to
-scipy's scaling-and-squaring Pade implementation behind a cap of 200 on
-the operator 2-norm; the Frobenius norm bounds the 2-norm from above, so
-the cap costs one cheap norm unless the Frobenius norm exceeds it.  scipy
-is imported on the first `expm` call, so importing the package does not
-load it.  `spectral_norm` is the operator 2-norm from one Hermitian
-eigenvalue problem, the largest eigenvalue of the max-abs-scaled Gram
-matrix.  Only `lie_error` still reads its norms from `_power_norm`, a power
-iteration to a fixed absolute tolerance, because the recorded `lie/error`
-reference rows hold that iteration's values.
+Matrices are plain complex ndarrays, and numpy is the only dependency.
+`expm` is the scaling-and-squaring Pade method of N. J. Higham, "The
+scaling and squaring method for the matrix exponential revisited", SIAM J.
+Matrix Anal. Appl. 26(4), 2005: the first degree m in {3, 5, 7, 9} whose
+threshold theta_m bounds the 1-norm of A, else m = 13 on A / 2^s and s
+squarings.  It refuses matrices whose operator 2-norm exceeds a cap of 200;
+d * max|a_ij| bounds the 2-norm from above, so the cap costs no norm
+computation unless that bound exceeds it.  `spectral_norm` is the operator
+2-norm from one Hermitian eigenvalue problem, the largest eigenvalue of the
+max-abs-scaled Gram matrix.  Only `lie_error` still reads its norms from
+`_power_norm`, a power iteration to a fixed absolute tolerance, because the
+recorded `lie/error` reference rows hold that iteration's values.
 
 `telescoping_residual` sums the telescoping identity by binary doubling,
 carrying the powers of P and E along, so n steps take O(log n) matrix
@@ -31,6 +33,16 @@ _NORM_TOL = 1e-10
 _NORM_MAX_ITER = 10000
 # expm refuses matrices whose operator 2-norm exceeds this
 _NORM_CAP = 200.0
+# Higham (2005), Table 2.3: the largest 1-norm of A at which the [m/m] Pade
+# approximant of e^A has a backward error below the double unit roundoff
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068e0,
+          13: 5.371920351148152e0}
+# numerator coefficients b_k = (2m - k)! / (k! (m - k)!), so b_m = 1; the
+# denominator's are (-1)^k b_k
+_PADE = {m: [math.factorial(2 * m - k)
+             / (math.factorial(k) * math.factorial(m - k))
+             for k in range(m + 1)] for m in _THETA}
 
 
 def _as_square(M) -> np.ndarray:
@@ -47,12 +59,12 @@ def spectral_norm(M) -> float:
 
     M is first divided by its largest entry modulus c, so the Gram matrix
     neither overflows nor underflows at any entry scale; the zero matrix
-    has norm exactly 0.
+    has norm exactly 0, and one whose largest modulus overflows has inf.
     """
     A = _as_square(M)
     c = float(np.max(np.abs(A)))
-    if c == 0.0:
-        return 0.0
+    if c == 0.0 or c == math.inf:  # an entry modulus can overflow
+        return c
     X = A / c
     lam = float(np.linalg.eigvalsh(X.conj().T @ X)[-1])
     return c * math.sqrt(max(lam, 0.0))
@@ -88,18 +100,55 @@ def _power_norm(M) -> float:
     return math.sqrt(max(lam, 0.0))
 
 
-def expm(M) -> np.ndarray:
-    """e^M by scaling and squaring; refuses norms beyond ``_NORM_CAP``."""
-    import scipy.linalg  # the only scipy use; kept off the import path
+def _pade(A: np.ndarray, m: int) -> np.ndarray:
+    """The [m/m] Pade approximant (V - U)^{-1} (V + U) of e^A.
 
+    U holds the odd and V the even terms of the numerator.  Degree 13
+    evaluates its terms above A^6 through A^6, as in Higham (2005), so
+    every degree takes at most six matrix products and one solve.
+    """
+    b = _PADE[m]
+    a2 = A @ A
+    pows = [a2]
+    while len(pows) < (3 if m == 13 else m // 2):
+        pows.append(pows[-1] @ a2)
+    u = b[3] * a2
+    v = b[2] * a2
+    for k, p in enumerate(pows[1:], 2):
+        u += b[2 * k + 1] * p
+        v += b[2 * k] * p
+    if m == 13:
+        a4, a6 = pows[1:]
+        u += a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        v += a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+    diag = slice(None, None, A.shape[0] + 1)  # of the flattened matrix
+    u.reshape(-1)[diag] += b[1]
+    v.reshape(-1)[diag] += b[0]
+    U = A @ u
+    return np.linalg.solve(v - U, v + U)
+
+
+def expm(M) -> np.ndarray:
+    """e^M by Pade scaling and squaring; refuses norms beyond ``_NORM_CAP``."""
     A = _as_square(M)
-    # ||A||_2 <= ||A||_F, so spectral_norm only runs near the cap
-    if np.linalg.norm(A) > _NORM_CAP:
+    moduli = np.abs(A)
+    # ||A||_2 <= ||A||_F <= d max|a_ij|, so spectral_norm only runs near
+    # the cap; the product is a Python float and overflows to inf silently.
+    # initial=0.0 lets the 0 x 0 matrix through, its own exponential
+    if A.shape[0] * float(moduli.max(initial=0.0)) > _NORM_CAP:
         nrm = spectral_norm(A)
         if nrm > _NORM_CAP:
             raise OverflowError(
                 f"matrix norm {nrm:.3g} exceeds cap {_NORM_CAP:.3g}")
-    return scipy.linalg.expm(A)
+    norm1 = float(moduli.sum(axis=0).max(initial=0.0))
+    for m in (3, 5, 7, 9):
+        if norm1 <= _THETA[m]:
+            return _pade(A, m)
+    s = max(0, math.ceil(math.log2(norm1 / _THETA[13])))
+    X = _pade(A * 2.0 ** -s, 13)
+    for _ in range(s):
+        X = X @ X
+    return X
 
 
 def telescoping_residual(A, B, tau: float, n: int) -> float:

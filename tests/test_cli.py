@@ -102,6 +102,9 @@ def test_exit_code_bad_search_config(tmp_path, capsys, monkeypatch, argv,
     # expm's norm cap raises OverflowError, a bad-input error too
     (["lie", "--n", "8..16", "--dim", "2", "--norm-bound", "1e6"],
      "exceeds cap"),
+    # entries near 1e300 overflow a Frobenius norm, not the cap's pre-check
+    (["lie", "--n", "8..16", "--dim", "2", "--norm-bound", "1e300"],
+     "exceeds cap"),
 ])
 def test_exit_code_bad_matrix_pair(tmp_path, capsys, monkeypatch, argv,
                                    message):
@@ -120,6 +123,7 @@ def _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert "warning:" not in err
     assert not out.exists()
 
 
@@ -185,10 +189,13 @@ def _run_module(*args):
 
 
 def test_import_does_not_load_scipy():
-    code = ("import sys, trotter_lab.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    assert _run_module("-c", code).stdout.strip() == "[]"
+    # expm needs only numpy, so a whole lie run loads no scipy either
+    loaded = ("print(sorted(m for m in sys.modules "
+              "if m == 'scipy' or m.startswith('scipy.'))); ")
+    code = ("import os, sys, trotter_lab.cli; " + loaded +
+            "trotter_lab.cli.main(['lie', '--n', '8..16', '--trials', '2', "
+            "'--output', os.devnull]); " + loaded)
+    assert _run_module("-c", code).stdout.split() == ["[]", "[]"]
 
 
 def test_warnings_name_no_source_file():

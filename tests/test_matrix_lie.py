@@ -7,6 +7,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,14 @@ from hypothesis import strategies as st
 
 import trotter_lab as tl
 from trotter_lab.cli import main
-from trotter_lab.matrix_lie import _draw_pair
+from trotter_lab.matrix_lie import _NORM_CAP, _THETA, _draw_pair
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_expm_zero_and_diagonal():
-    assert np.allclose(tl.expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
+    for dim in (0, 1, 2, 5, 16):
+        assert np.array_equal(tl.expm(np.zeros((dim, dim))), np.eye(dim))
     got = tl.expm(np.diag([-1.0, 0.5]))
     assert np.allclose(np.diag(got), [math.exp(-1.0), math.exp(0.5)], atol=1e-14)
 
@@ -37,6 +39,10 @@ def test_expm_validation():
         tl.expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(OverflowError):
         tl.expm(np.diag([300.0, 0.0]))
+    # |a_11| = 2.4e308 overflows to inf, and so does the 2-norm; pytest
+    # turns any RuntimeWarning on the way into an error
+    with pytest.raises(OverflowError, match="matrix norm inf exceeds cap"):
+        tl.expm(np.array([[1.7e308 + 1.7e308j, 0.0], [0.0, 0.0]]))
 
 
 def test_expm_cap_is_on_the_two_norm():
@@ -47,10 +53,40 @@ def test_expm_cap_is_on_the_two_norm():
         tl.expm(np.diag([250.0, 1.0]))
 
 
+# 1-norm intervals (low, high] that select each Pade branch: degrees 3 to 9
+# unscaled, degree 13 with s = 0 and with s = 3 squarings
+_BRANCHES = {"m3": (0.0, _THETA[3]), "m5": (_THETA[3], _THETA[5]),
+             "m7": (_THETA[5], _THETA[7]), "m9": (_THETA[7], _THETA[9]),
+             "m13": (_THETA[9], _THETA[13]),
+             "m13s3": (4 * _THETA[13], 8 * _THETA[13])}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16])
+@pytest.mark.parametrize("branch", [*_BRANCHES, "cap"])
+def test_expm_matches_mpmath(dim, branch):
+    # the relative condition number of e^A grows like ||A||, so near the
+    # cap of 200 a correct kernel reads up to 2e-14 here; the bound is five
+    # times that, and a wrong coefficient or power reads 1e-10 or worse
+    rng = np.random.default_rng(dim)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if branch == "cap":
+        a = g * (0.95 * _NORM_CAP / np.linalg.norm(g, 2))
+    else:
+        low, high = _BRANCHES[branch]
+        a = g * ((low + high) / 2 / np.abs(g).sum(axis=0).max())
+        assert low < np.abs(a).sum(axis=0).max() <= high
+    with mpmath.workdps(30):
+        want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(),
+                        dtype=complex)
+    got = tl.expm(a)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_spectral_norm_known_values():
     assert tl.spectral_norm(np.diag([3.0, -1.0])) == pytest.approx(3.0, abs=1e-10)
     assert tl.spectral_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0, abs=1e-10)
     assert tl.spectral_norm(np.zeros((4, 4))) == 0.0
+    assert tl.spectral_norm(np.diag([1.7e308 + 1.7e308j, 0.0])) == math.inf
 
 
 def test_spectral_norm_matches_svd():
