@@ -227,8 +227,10 @@ class Potential:
             np.multiply(w, frac, out=xi)
             xi += ss
             vals = self(xi)
+            # the sum over n, as np.mean divides it: bit-equal, one call less
             for n, sums in zip(ns, out):
-                sums[i:i + block] = vals[:, ::top // n].mean(axis=1) * w[:, 0]
+                total = vals[:, ::top // n].sum(axis=1)
+                sums[i:i + block] = total / n * w[:, 0]
         return out
 
     def _eval(self, t: np.ndarray) -> np.ndarray:
@@ -389,7 +391,8 @@ class PiecewiseConstant(Potential):
 
     def left_sums(self, t, s, n):
         """Counts the samples at or right of each of the K interior
-        breakpoints b, in O(K) per window when K < n.
+        breakpoints b, in O(K) per window when K < n: the piece-count
+        kernel is `piece_count_left_sums` at n alone.
 
         The sum is (n v_0 + sum_b (n - k_b) dv_b) / n * (t - s) with k_b the
         samples left of b and dv_b the jump at b, which for integer-valued
@@ -398,21 +401,39 @@ class PiecewiseConstant(Potential):
         """
         if self.left_sum_kernel(n) == "sampled":
             return super().left_sums(t, s, n)
+        return self.piece_count_left_sums(t, s, [n])[0]
+
+    def piece_count_left_sums(self, t, s, ns: list[int]) -> list[np.ndarray]:
+        """The piece-count left sums at each n of ``ns`` from one count at
+        N = max(ns), about ``_PIECE_BLOCK`` pair x breakpoint elements at a
+        time.  Each n must divide N: sample k of n is sample k*N/n of N, and
+        the samples do not decrease in k, so the samples of n left of b are
+        the multiples of r = N/n below k_b(N), and k_b(n) = ceil(k_b(N)/r)
+        exactly.  Each sum is bit-equal to n's alone."""
         bp = self.step_breakpoints[1:-1]
         if not len(bp):  # no jump: round like the antiderivative
-            return self._vals[0] * t - self._vals[0] * s
+            return [self._vals[0] * t - self._vals[0] * s for _ in ns]
+        top = max(ns)
         jumps = np.diff(self._vals)
-        out = np.empty(t.shape)
-        block = max(1, _PIECE_BLOCK // max(1, len(bp)))
+        out = [np.empty(t.shape) for _ in ns]
+        block = max(1, _PIECE_BLOCK // len(bp))
         for i in range(0, len(t), block):
             tt = t[i:i + block, None]
             ss = s[i:i + block, None]
-            k = _samples_left_of(bp, tt, ss, n)
-            total = n * self._vals[0] + ((n - k) * jumps).sum(axis=1)
-            out[i:i + block] = total / n * (tt[:, 0] - ss[:, 0])
+            k_top = _samples_left_of(bp, tt, ss, top)
+            w = tt[:, 0] - ss[:, 0]
+            for n, sums in zip(ns, out):
+                # k/r is exact or at least 1/r from an integer, far beyond
+                # its rounding error, so the float ceil is the integer one
+                r = top // n
+                k = k_top if r == 1 else np.ceil(k_top / r)
+                total = n * self._vals[0] + ((n - k) * jumps).sum(axis=1)
+                sums[i:i + block] = total / n * w
         back = t < s
         if back.any():
-            out[back] = super().left_sums(t[back], s[back], n)
+            for sums, resampled in zip(
+                    out, self.sampled_left_sums(t[back], s[back], ns)):
+                sums[back] = resampled
         return out
 
     def params(self):
@@ -621,8 +642,14 @@ class CantorIndicator(PiecewiseConstant):
         if raw_count > _CANTOR_MAX_PIECES:
             raise ResourceLimitError(f"depth {depth} needs {raw_count} "
                                      f"intervals > cap {_CANTOR_MAX_PIECES}")
-        merged = _merge_open_intervals(
-            iv for n in range(1, depth + 1) for iv in _cantor_level_intervals(n))
+        # integer numerators over 2^(2 depth + 2), which every level's
+        # endpoints share; Fractions only for the merged endpoints
+        denom = 2 ** (2 * depth + 2)
+        merged_num = _merge_open_intervals(
+            iv for n in range(1, depth + 1)
+            for iv in _cantor_level_intervals(n, depth))
+        merged = tuple((Fraction(lo, denom), Fraction(hi, denom))
+                       for lo, hi in merged_num)
         bps: list[Fraction] = [Fraction(0)]
         vals: list[float] = []
         for lo, hi in merged:
@@ -634,7 +661,8 @@ class CantorIndicator(PiecewiseConstant):
         super().__init__(bps, vals)
         self.depth = depth
         self.construction = CantorConstruction(
-            depth, merged, 1 - sum((hi - lo for lo, hi in merged), Fraction(0)))
+            depth, merged,
+            Fraction(denom - sum(hi - lo for lo, hi in merged_num), denom))
 
     @staticmethod
     def corner_width(m: int) -> float:
@@ -660,19 +688,21 @@ class CantorIndicator(PiecewiseConstant):
         return {"depth": self.depth}
 
 
-def _cantor_level_intervals(n: int):
-    """The open intervals removed at level n, left to right."""
-    hw = Fraction(1, 2 ** (2 * n + 2))
-    yield Fraction(0), hw
-    for k in range(1, 2 ** n):
-        c = Fraction(k, 2 ** n)
+def _cantor_level_intervals(n: int, depth: int):
+    """The open intervals removed at level n <= depth, left to right, as
+    integer numerators over the common denominator 2^(2 depth + 2)."""
+    one = 2 ** (2 * depth + 2)
+    hw = 2 ** (2 * (depth - n))  # 1/2^(2n+2)
+    step = one >> n  # 1/2^n
+    yield 0, hw
+    for c in range(step, one, step):
         yield c - hw, c + hw
-    yield Fraction(1) - hw, Fraction(1)
+    yield one - hw, one
 
 
 def _merge_open_intervals(ivs):
     """Disjoint normal form of a union of open intervals (exact)."""
-    merged: list[list[Fraction]] = []
+    merged: list[list] = []
     for lo, hi in sorted(ivs):
         # touching open intervals stay separate: their shared endpoint
         # is not removed, so (a,b) u (b,c) is not an interval

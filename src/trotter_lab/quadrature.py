@@ -11,7 +11,8 @@ per-piece sample counts for step potentials (PiecewiseConstant,
 CantorIndicator) with fewer interior breakpoints than n, and sampling q at
 the n points otherwise.  `left_darboux_sums` checks the window endpoints
 once, in front of every kernel; a search sweep's `coarse_lattice`, whose
-windows lie in [0, 1], samples once for several n without it.
+windows lie in [0, 1], samples once, or counts once, for several n without
+it.
 """
 
 from __future__ import annotations

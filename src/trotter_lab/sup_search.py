@@ -13,7 +13,9 @@ a coarse lattice on s >= `_S_MIN` and local grids around the best cells
 (`_grid_refine`, which `semigroup` also runs over t at one tau).  Each
 round evaluates each distinct point once and is ranked once
 (`_best_first`).  The lattice does not depend on n: a sweep's searches
-share its `coarse_lattice`, which their ``lattice()`` returns.
+share its `coarse_lattice`, which their ``lattice()`` returns, with one
+sampling pass for the sweep's sampled-kernel n and one breakpoint count for
+its piece-count n.
 """
 
 from __future__ import annotations
@@ -170,17 +172,23 @@ def default_hints(q: Potential, n: int) -> list[DeltaPair]:
 
 def coarse_lattice(q: Potential, ns: list[int], cfg: SearchConfig):
     """(t, s, I, {n: S_n}) on the windows t >= s of linspace(_S_MIN, 1,
-    coarse_grid)^2: the integrals, and the sums of the sampled-kernel n of
-    ``ns`` that divide the largest, from one `Potential.sampled_left_sums`
-    pass."""
+    coarse_grid)^2: the integrals, and the sums of each kernel's dividing
+    group, the n of ``ns`` with that kernel that divide the largest of
+    them.  The sampled group takes one `Potential.sampled_left_sums` pass,
+    the piece-count group one `PiecewiseConstant.piece_count_left_sums`
+    count; both are bit-equal to each n's own sums."""
     axis = np.linspace(_S_MIN, 1.0, cfg.coarse_grid)
     t_at, s_at = np.tril_indices(cfg.coarse_grid)  # row-major, s <= t
     ts, ss = axis[t_at], axis[s_at]
-    sampled = [n for n in ns if q.left_sum_kernel(n) == "sampled"]
-    group = sorted({n for n in sampled if max(sampled) % n == 0})
-    sums = q.sampled_left_sums(ts, ss, group) if group else []
-    return ts, ss, q.antiderivative(ts) - q.antiderivative(ss), dict(
-        zip(group, sums))
+    shared = {}
+    for kernel in ("sampled", "piece-count"):
+        kns = [n for n in ns if q.left_sum_kernel(n) == kernel]
+        group = sorted({n for n in kns if max(kns) % n == 0})
+        if group:
+            one_pass = (q.sampled_left_sums if kernel == "sampled"
+                        else q.piece_count_left_sums)
+            shared.update(zip(group, one_pass(ts, ss, group)))
+    return ts, ss, q.antiderivative(ts) - q.antiderivative(ss), shared
 
 
 def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,

@@ -178,6 +178,66 @@ def test_samples_left_of_counts_like_brute_force(windows, free, on_sample, n):
     assert np.array_equal(got[back], np.where(s[back] < b, n, 0))
 
 
+# step families of the shared count: the 3-piece pw, Cantor depths 3 and 6
+# (K = 16, 88), a step with non-integer values and one with no jump
+COUNT_FAMILIES = (STEPS[1], tl.build_cantor(3)[0], tl.build_cantor(6)[0],
+                  STEPS[2], tl.PiecewiseConstant([0, Fraction(1, 2), 1],
+                                                 [0.3, 0.3]))
+
+
+def _brute_piece_count_sums(q, t, s, n):
+    """The piece-count rule at n alone with a sample-by-sample count: no
+    jump rounds like the antiderivative, and windows with t < s sample."""
+    if not q.internal_breakpoint_count:
+        return q._vals[0] * t - q._vals[0] * s
+    bp = q.step_breakpoints[1:-1]
+    k = _brute_samples_left_of(bp, t[:, None], s[:, None], n)
+    total = n * q._vals[0] + ((n - k) * np.diff(q._vals)).sum(axis=1)
+    out = total / n * (t - s)
+    back = t < s
+    out[back] = sampled(q, t[back], s[back], n)
+    return out
+
+
+# an endpoint anywhere, or on a breakpoint of the family (index mod K + 2)
+endpoint = st.tuples(st.booleans(), st.integers(0, 1 << 20), unit)
+
+
+@PROPERTY
+@given(which=st.integers(0, len(COUNT_FAMILIES) - 1),
+       ends=st.lists(st.tuples(endpoint, endpoint, st.booleans()),
+                     min_size=1, max_size=8),
+       above=st.integers(1, 24), twos=st.integers(0, 3),
+       three=st.booleans())
+@example(which=1, ends=[((True, 17, 0.0), (True, 0, 0.0), False),
+                        ((True, 0, 0.0), (True, 17, 0.0), False),
+                        ((True, 9, 0.0), (True, 3, 0.0), False),
+                        ((True, 5, 0.0), (True, 2, 0.0), False),
+                        ((True, 4, 0.0), (True, 4, 0.0), True)],
+         above=15, twos=3, three=False)
+def test_one_count_is_bit_equal_to_each_n(which, ends, above, twos, three):
+    # every piece-count n that divides N reads ceil(k_b(N) / (N/n)) off the
+    # count at N: windows on breakpoints (dyadic ones for Cantor, which
+    # the samples hit exactly), t == s and t < s among them
+    q = COUNT_FAMILIES[which]
+    bps = [float(b) for b in q.breakpoints]
+
+    def at(end):
+        on_bp, i, x = end
+        return bps[i % len(bps)] if on_bp else x
+
+    t = np.array([at(a) for a, _, _ in ends])
+    s = np.array([at(a) if same else at(b) for a, b, same in ends])
+    k = q.internal_breakpoint_count
+    top = (k + above) * 2 ** twos * (3 if three else 1)
+    group = [n for n in range(k + 1, top + 1) if top % n == 0]
+    for n, got in zip(group, q.piece_count_left_sums(t, s, group)):
+        assert q.left_sum_kernel(n) == "piece-count"
+        want = _brute_piece_count_sums(q, t, s, n)
+        assert got.tobytes() == want.tobytes(), (q, n)
+        assert got.tobytes() == kernel(q, t, s, n).tobytes(), (q, n)
+
+
 def _aligned_windows(q):
     bps = [float(b) for b in q.breakpoints]
     pairs = [(hi, lo) for lo in bps for hi in bps if lo <= hi]
@@ -321,7 +381,11 @@ SWEEP_FAMILIES = (
     tl.build_cantor(10)[0],
     tl.PiecewiseConstant([Fraction(i, 1101) for i in range(1102)],
                          [0.3 + (0.37 * i) % 1.9 for i in range(1101)]))
-SWEEP_LISTS = ([1, 2, 3, 4, 6, 12], [3, 5, 7], [2 ** m for m in range(3, 11)])
+SWEEP_LISTS = ([1, 2, 3, 4, 6, 12], [3, 5, 7], [2 ** m for m in range(3, 11)],
+               [12, 16, 18, 24, 36, 48, 72])
+# step potentials whose sweeps above include piece-count n: the 3-piece pw
+# (K = 2), Cantor depth 3 (K = 16) and the non-integer-valued step (K = 2)
+STEP_SWEEP_FAMILIES = (STEPS[1], tl.build_cantor(3)[0], STEPS[2])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -340,16 +404,30 @@ def test_one_sampling_pass_is_bit_equal_to_each_n(windows, which):
             assert got.tobytes() == kernel(q, t, s, n).tobytes(), (q, n)
 
 
+def _dividing_groups(q, ns):
+    """The n of ``ns`` that divide the largest n of their own kernel."""
+    by_kernel = {}
+    for n in ns:
+        by_kernel.setdefault(q.left_sum_kernel(n), []).append(n)
+    return sorted(n for kns in by_kernel.values() for n in kns
+                  if max(kns) % n == 0)
+
+
 def test_sweep_lattice_sums_are_bit_equal_to_each_n():
-    # the divisors of the largest n share one pass; the other n have no
-    # shared sums, and the searches sum them alone
+    # the divisors of each kernel's largest n share one pass (sampled) or
+    # one count (piece-count); the other n have no shared sums, and the
+    # searches sum them alone
     cfg = tl.SearchConfig(coarse_grid=24)
-    for q in SWEEP_FAMILIES:
+    counted = set()
+    for q in SWEEP_FAMILIES + STEP_SWEEP_FAMILIES:
         for ns in SWEEP_LISTS:
             ts, ss, integ, shared = sup_search.coarse_lattice(q, ns, cfg)
             assert len(ts) == 24 * 25 // 2
-            assert sorted(shared) == [n for n in ns if max(ns) % n == 0]
+            assert sorted(shared) == _dividing_groups(q, ns)
+            counted |= {(q, n) for n in shared
+                        if q.left_sum_kernel(n) == "piece-count"}
             for n, sums in shared.items():
                 assert sums.tobytes() == kernel(q, ts, ss, n).tobytes(), n
             want = q.antiderivative(ts) - q.antiderivative(ss)
             assert integ.tobytes() == want.tobytes()
+    assert {q for q, _ in counted} == set(STEP_SWEEP_FAMILIES)

@@ -109,11 +109,47 @@ def test_cantor_complement_at_least_half(depth):
 
 def test_cantor_level_measure_and_disjointness():
     from trotter_lab.potentials import _cantor_level_intervals
-    for n in range(1, 6):
-        level = list(_cantor_level_intervals(n))
-        assert sum(hi - lo for lo, hi in level) == Fraction(1, 2 ** (n + 1))
-        for (a1, b1), (a2, b2) in zip(level, level[1:]):
-            assert b1 <= a2  # mutually disjoint within a level
+    for depth in range(1, 6):
+        for n in range(1, depth + 1):
+            level = list(_cantor_level_intervals(n, depth))
+            assert sum(hi - lo for lo, hi in level) == (
+                2 ** (2 * depth + 2) // 2 ** (n + 1))
+            for (a1, b1), (a2, b2) in zip(level, level[1:]):
+                assert b1 <= a2  # mutually disjoint within a level
+
+
+def _fraction_cantor_merge(depth):
+    """The construction on Fractions, interval by interval: the levels'
+    open intervals, sorted and merged, and the measure that survives."""
+    ivs = []
+    for n in range(1, depth + 1):
+        hw = Fraction(1, 2 ** (2 * n + 2))
+        ivs.append((Fraction(0), hw))
+        ivs += [(Fraction(k, 2 ** n) - hw, Fraction(k, 2 ** n) + hw)
+                for k in range(1, 2 ** n)]
+        ivs.append((1 - hw, Fraction(1)))
+    merged = []
+    for lo, hi in sorted(ivs):
+        if merged and lo < merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    merged = tuple((lo, hi) for lo, hi in merged)
+    return merged, 1 - sum((hi - lo for lo, hi in merged), Fraction(0))
+
+
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_cantor_integer_merge_equals_the_fraction_merge(depth):
+    # the construction merges integer numerators over 2^(2 depth + 2)
+    merged, measure = _fraction_cantor_merge(depth)
+    q, cons = tl.build_cantor(depth)
+    assert cons.merged_open_set == merged
+    assert all(type(x) is Fraction
+               for iv in cons.merged_open_set for x in iv)
+    assert cons.complement_measure == measure
+    ends = sorted({x for iv in merged for x in iv} - {Fraction(0),
+                                                      Fraction(1)})
+    assert q.breakpoints == (Fraction(0), *ends, Fraction(1))
 
 
 @pytest.mark.parametrize("depth", [1, 3, 6])
