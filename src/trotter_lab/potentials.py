@@ -16,10 +16,13 @@ piece on [a, b) at its left endpoint, and the value of the last piece at
 t = 1.  This pins an everywhere-defined representative; it differs from
 the underlying a.e. class only on the finite breakpoint set.
 
-Step potentials find the piece of a point in a table over the 2^16 dyadic
-cells [c/2^16, (c+1)/2^16); only points in the cells that a breakpoint
-splits fall back to a binary search (``searchsorted``) over the
-breakpoints, so the result is the same as searching every point.
+Step potentials keep two tables over the 2^16 dyadic cells
+[c/2^16, (c+1)/2^16): the value of each cell's piece (float64, 512 kB),
+NaN where a breakpoint splits the cell, and the piece of each cell's left
+edge (int32, 256 kB).  A sample reads the value table once; a point in a
+split cell starts at its cell's first piece and compares itself with each
+breakpoint the cell holds, so the result is the same as a binary search
+(``searchsorted``) over the breakpoints, which runs only at construction.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ _SAMPLE_CHUNK = 1 << 15
 # TentTrain tabulates its first levels on a dyadic node grid; 16 levels
 # take 2^17 + 1 nodes, about 3 MB for the three tables.
 _TENT_TABLE_LEVELS = 16
-# PiecewiseConstant tabulates the piece of each of 2^16 dyadic cells, 512 kB
-# of indices.
+# PiecewiseConstant tabulates 2^16 + 1 dyadic cells: a float64 value table
+# (512 kB) and an int32 first-piece table (256 kB), 768 kB per potential.
 _STEP_TABLE_BITS = 16
 # Cap on the raw interval count of a fat-Cantor construction; depth 18 is
 # the deepest under it.
@@ -341,15 +344,22 @@ class PiecewiseConstant(Potential):
         self._vals = np.array([v for v, jump in zip(vals, jumps) if jump])
         widths = np.diff(self.step_breakpoints)
         self._cum = np.concatenate(([0.0], np.cumsum(self._vals * widths)))
-        # Piece of each dyadic cell, or -1 where a breakpoint splits it; the
-        # piece index is monotone in t, so a cell whose two ends share a
-        # piece holds no breakpoint.  The last entry is the piece of t = 1.
+        # Per dyadic cell: the value of its piece, NaN where a breakpoint
+        # splits it, and the piece of its left edge, stored as ~piece (< 0)
+        # where split; the last entries are those of t = 1.  The binary
+        # search runs here only.
         edges = np.ldexp(np.arange(2.0 ** _STEP_TABLE_BITS + 1),
                          -_STEP_TABLE_BITS)
-        first = self._search_piece(edges[:-1])
-        last = self._search_piece(np.nextafter(edges[1:], 0.0))
-        self._cell_piece = np.append(np.where(first == last, first, -1),
-                                     len(self._vals) - 1)
+        first = self._search_piece(edges).astype(np.int32)
+        inside = np.searchsorted(self.step_breakpoints, edges[1:], side="left")
+        inside -= 1 + first[:-1]  # breakpoints b with c/2^16 < b < (c+1)/2^16
+        split = np.flatnonzero(inside)
+        # comparisons per point in a split cell
+        self._split_depth = int(inside.max())
+        self._cell_val = self._vals[first]
+        self._cell_val[split] = np.nan
+        first[split] = ~first[split]
+        self._cell_piece = first
         super().__init__(sup_norm=max(vals))
 
     @property
@@ -358,21 +368,50 @@ class PiecewiseConstant(Potential):
         return len(self.step_breakpoints) - 2
 
     def _search_piece(self, t):
-        idx = np.searchsorted(self.step_breakpoints, t, side="right") - 1
-        return np.clip(idx, 0, len(self._vals) - 1)
+        idx = np.searchsorted(self.step_breakpoints, t, side="right")
+        idx -= 1
+        return np.clip(idx, 0, len(self._vals) - 1, out=idx)
+
+    def _split_piece(self, first, t):
+        """Piece of points t in split cells from the piece ``first`` of each
+        cell's left edge: one comparison t >= b per breakpoint b the cell
+        holds, moving to the next piece while t is at or right of its start.
+        Points never reach 1 = b_K here, so the index stays in range."""
+        bp = self.step_breakpoints
+        for _ in range(self._split_depth):
+            first = first + (t >= bp[first + 1])
+        return first
+
+    def _cells(self, t):
+        """Dyadic cell index floor(t 2^16) of each t in [0, 1]: the product
+        is exact and truncates in its cast to int."""
+        return np.multiply(t, float(1 << _STEP_TABLE_BITS), casting="unsafe",
+                           out=np.empty(t.shape, np.intp))
 
     def _piece_index(self, t):
-        """Piece of each t in [0, 1]: a cell-table read, with a binary
-        search only for the points in cells that a breakpoint splits."""
-        idx = np.take(self._cell_piece,
-                      np.ldexp(t, _STEP_TABLE_BITS).astype(np.intp))
-        mixed = idx < 0
-        if mixed.any():
-            idx[mixed] = self._search_piece(t[mixed])
+        """Piece of each t in [0, 1]: a read of the first-piece table, then
+        `_split_piece` for the points in cells that a breakpoint splits.
+        The index is widened to intp, which the antiderivative's three
+        gathers read faster than int32."""
+        idx = np.take(self._cell_piece, self._cells(t)).astype(np.intp)
+        split = idx < 0
+        if split.any():
+            at = np.flatnonzero(split)
+            np.put(idx, at, self._split_piece(~np.take(idx, at),
+                                              np.take(t, at)))
         return idx
 
     def _eval(self, t):
-        return np.take(self._vals, self._piece_index(t))
+        """One read of the cell value table per point; only the points in
+        split cells (NaN there) resolve their piece with `_split_piece`."""
+        cells = self._cells(t)
+        out = np.take(self._cell_val, cells)
+        at = np.flatnonzero(np.isnan(out))
+        if len(at):
+            first = ~np.take(self._cell_piece, np.take(cells, at))
+            np.put(out, at, np.take(self._vals,
+                                    self._split_piece(first, np.take(t, at))))
+        return out
 
     def _antiderivative(self, t):
         idx = self._piece_index(t)
@@ -491,18 +530,22 @@ class HolderWeierstrass(Potential):
         leaves the sum unchanged, so only its offset d in [-1/2, 1/2] from
         the nearest integer enters; sin(pi n d)/sin(pi d) stays accurate to
         a few ulps of n near resonance and is n at resonance (d == 0).
+        The terms that depend on h alone (d, the ratio and (n-1) d) are
+        computed once per distinct h, which lattices share, and gathered.
         """
         h = (t - s) / n
+        uh, at = np.unique(h, return_inverse=True)
+        at = at.reshape(h.shape)
         acc = np.zeros_like(h)
         for j, a in enumerate(self._amps, start=1):
-            d = np.ldexp(h, j - 1)
+            d = np.ldexp(uh, j - 1)
             d -= np.rint(d)
             resonant = d == 0.0
             safe = np.where(resonant, 0.5, d)
             ratio = np.where(resonant, float(n),
                              np.sin(np.pi * n * safe) / np.sin(np.pi * safe))
-            phase = np.fmod(np.ldexp(s, j), 2.0) + (n - 1) * d
-            acc += a * ratio * np.cos(np.pi * phase)
+            phase = np.fmod(np.ldexp(s, j), 2.0) + ((n - 1) * d)[at]
+            acc += (a * ratio)[at] * np.cos(np.pi * phase)
         return (t - s) * (self._m + acc / n) / (2.0 * self._m)
 
     def params(self):

@@ -126,6 +126,37 @@ def test_weierstrass_resonant_windows(t, s, n, levels):
     assert abs(kernel(q, t, s, n)[0] - mp_left_sum(q, t, s, n)) <= 1e-12
 
 
+def weierstrass_per_window(q, t, s, n):
+    """The closed-form Weierstrass left sums with every term computed per
+    window, as the kernel did before it shared the terms of equal widths."""
+    h = (t - s) / n
+    acc = np.zeros_like(h)
+    for j, a in enumerate(q._amps, start=1):
+        d = np.ldexp(h, j - 1)
+        d -= np.rint(d)
+        resonant = d == 0.0
+        safe = np.where(resonant, 0.5, d)
+        ratio = np.where(resonant, float(n),
+                         np.sin(np.pi * n * safe) / np.sin(np.pi * safe))
+        phase = np.fmod(np.ldexp(s, j), 2.0) + (n - 1) * d
+        acc += a * ratio * np.cos(np.pi * phase)
+    return (t - s) * (q._m + acc / n) / (2.0 * q._m)
+
+
+@pytest.mark.parametrize("levels", [1, 10, 24])
+@pytest.mark.parametrize("n", [1, 3, 8, 512])
+def test_weierstrass_shared_width_terms_are_bit_equal(n, levels):
+    # the lattice's 32,896 windows have 1,022 distinct widths; random
+    # windows, both orientations, nearly all distinct
+    q = tl.HolderWeierstrass(0.5, levels)
+    ts, ss, _, _ = sup_search.coarse_lattice(q, [], tl.SearchConfig())
+    rng = np.random.default_rng(n * 100 + levels)
+    t = np.concatenate((ts, rng.uniform(0.0, 1.0, 3000), [0.0, 1.0, 0.5]))
+    s = np.concatenate((ss, rng.uniform(0.0, 1.0, 3000), [0.0, 0.0, 0.5]))
+    want = weierstrass_per_window(q, t, s, n)
+    assert q.left_sums(t, s, n).tobytes() == want.tobytes()
+
+
 @PROPERTY
 @given(t=unit, s=unit, n=steps, which=st.integers(0, len(STEPS) - 1))
 def test_steps_match_sampled(t, s, n, which):

@@ -355,8 +355,9 @@ def test_tent_left_sums_match_brute_force(t, s, n, level):
     assert abs(got - want) <= 1e-12
 
 
-# Step potentials read their piece from a table over the cells
-# [c/2^16, (c+1)/2^16); these are checked against a plain binary search.
+# Step potentials read their value from a table over the cells
+# [c/2^16, (c+1)/2^16), comparing against the breakpoints only in the cells
+# that a breakpoint splits; these are checked against a plain binary search.
 CELL_BITS = 16
 STEP_POTENTIALS = {
     "thirds": tl.PiecewiseConstant(
@@ -364,17 +365,24 @@ STEP_POTENTIALS = {
         [1.0, 0.0, 2.0]),
     "sevenths": tl.PiecewiseConstant([Fraction(k, 7) for k in range(8)],
                                      [0.5, 3.0, 0.0, 1.0, 2.5, 0.25, 4.0]),
-    **{f"cantor{d}": tl.build_cantor(d)[0] for d in range(1, 11)},
-    # more pieces than cells: nearly every cell falls back to the search
+    **{f"cantor{d}": tl.build_cantor(d)[0] for d in range(1, 13)},
+    # more pieces than cells: nearly every cell is split, some twice
     "70000": tl.PiecewiseConstant([Fraction(k, 70_000) for k in range(70_001)],
                                   [float(k % 5) for k in range(70_000)]),
 }
 
 
 def step_oracle(q, x):
-    """q(x) and its antiderivative via searchsorted over the breakpoints."""
-    bp = np.array([float(b) for b in q.breakpoints])
-    vals = np.array(q.values)
+    """q(x) and its antiderivative via searchsorted over the breakpoints
+    where the value jumps (equal neighbours merged)."""
+    bp, vals = [q.breakpoints[0]], []
+    for b, v in zip(q.breakpoints[1:], q.values):
+        if vals and vals[-1] == v:
+            bp[-1] = b
+        else:
+            vals.append(v)
+            bp.append(b)
+    bp, vals = np.array([float(b) for b in bp]), np.array(vals)
     cum = np.concatenate(([0.0], np.cumsum(vals * np.diff(bp))))
     idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, len(vals) - 1)
     return vals[idx], cum[idx] + vals[idx] * (x - bp[idx])
@@ -388,6 +396,16 @@ def assert_step_matches_oracle(q, x):
     assert q.antiderivative(x[0]) == want_int[0]
 
 
+def breakpoints_and_cell_edges(q):
+    """Each breakpoint and one ulp either side, every cell edge and one ulp
+    below it, 0 and 1."""
+    bp = np.array([float(b) for b in q.breakpoints])
+    edges = np.ldexp(np.arange(2.0 ** CELL_BITS + 1), -CELL_BITS)
+    x = np.concatenate((bp, np.nextafter(bp, 0.0), np.nextafter(bp, 1.0),
+                        edges, np.nextafter(edges, 0.0), [0.0, 1.0]))
+    return x[(x >= 0.0) & (x <= 1.0)]
+
+
 @PROPERTY
 @given(xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
        name=st.sampled_from(sorted(STEP_POTENTIALS)))
@@ -398,12 +416,50 @@ def test_step_table_matches_search(xs, name):
 @pytest.mark.parametrize("name", sorted(STEP_POTENTIALS))
 def test_step_table_at_breakpoints_and_cell_edges(name):
     q = STEP_POTENTIALS[name]
-    bp = np.array([float(b) for b in q.breakpoints])
-    edges = np.ldexp(np.arange(2.0 ** CELL_BITS + 1), -CELL_BITS)
-    x = np.concatenate((bp, np.nextafter(bp, 0.0), np.nextafter(bp, 1.0),
-                        edges, np.nextafter(edges, 0.0), [0.0, 1.0]))
-    x = x[(x >= 0.0) & (x <= 1.0)]
+    assert_step_matches_oracle(q, breakpoints_and_cell_edges(q))
+
+
+# breakpoints on the 2^-20 grid, half of them inside cell 1000, so that
+# some cells hold two or more; values repeat, so equal neighbours merge
+GRID_BITS = 20
+grid_point = st.one_of(st.integers(1, 2 ** GRID_BITS - 1),
+                       st.integers(1000 * 16 + 1, 1000 * 16 + 15))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(nums=st.lists(grid_point, min_size=1, max_size=30, unique=True),
+       values=st.lists(st.sampled_from([0.1, 0.25, 1.5, 2.75]),
+                       min_size=31, max_size=31),
+       xs=st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_random_steps_match_search(nums, values, xs):
+    bps = [Fraction(0), *(Fraction(k, 2 ** GRID_BITS) for k in sorted(nums)),
+           Fraction(1)]
+    q = tl.PiecewiseConstant(bps, values[:len(bps) - 1])
+    x = np.concatenate((breakpoints_and_cell_edges(q), xs))
     assert_step_matches_oracle(q, x)
+
+
+def test_no_binary_search_after_construction(monkeypatch):
+    # once built, a step potential reads its tables and compares in split
+    # cells; np.searchsorted (its `_search_piece`) runs only at construction
+    q = STEP_POTENTIALS["70000"]
+    cantor = STEP_POTENTIALS["cantor10"]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("binary search after construction")
+
+    monkeypatch.setattr(np, "searchsorted", no_search)
+    monkeypatch.setattr(tl.PiecewiseConstant, "_search_piece", no_search)
+    x = breakpoints_and_cell_edges(q)
+    q(x)
+    q.antiderivative(x)
+    rng = np.random.default_rng(3)
+    s = rng.uniform(0.0, 1.0, 50)
+    t = rng.uniform(0.0, 1.0, 50)
+    for steps in (q, cantor):
+        steps.sampled_left_sums(t, s, [1, 4, 64])
+        steps.piece_count_left_sums(t, s, [2048, 4096])
+        tl.left_darboux_sums(steps, t, s, 8)
 
 
 def test_antiderivative_examples():
