@@ -1,14 +1,16 @@
 """Finite-dimensional splitting identities: telescoping sum and O(1/n) rate.
 
 Matrices are plain complex ndarrays, and numpy is the only dependency.
-`expm` is the scaling-and-squaring Pade method of N. J. Higham, "The
-scaling and squaring method for the matrix exponential revisited", SIAM J.
-Matrix Anal. Appl. 26(4), 2005: the first degree m in {3, 5, 7, 9} whose
-threshold theta_m bounds the 1-norm of A, else m = 13 on A / 2^s and s
-squarings.  It refuses matrices whose operator 2-norm exceeds a cap of 200;
-d * max|a_ij| bounds the 2-norm from above, so the cap costs no norm
-computation unless that bound exceeds it.  `spectral_norm` is the operator
-2-norm from one Hermitian eigenvalue problem, the largest eigenvalue of the
+`expm` is Taylor scaling and squaring with the degree thresholds theta_m of
+A. H. Al-Mohy and N. J. Higham, SIAM J. Sci. Comput. 33(2), 2011: the first
+m in {4, 6, 9, 12, 16} with theta_m >= ||A||_1, else m = 20 on A / 2^s and
+s squarings.  The Paterson-Stockmeyer scheme (SIAM J. Comput. 2(1), 1973)
+evaluates T_m in 2 to 7 matrix products and no linear solve.  It refuses
+matrices whose operator 2-norm exceeds a cap of 200; d * max|a_ij| bounds
+the 2-norm from above, so the cap costs no norm computation unless that
+bound exceeds it, and the entries are scanned for NaN and inf only when
+that maximum is not finite.  `spectral_norm` is the operator 2-norm from
+one Hermitian eigenvalue problem, the largest eigenvalue of the
 max-abs-scaled Gram matrix.  Only `lie_error` still reads its norms from
 `_power_norm`, a power iteration to a fixed absolute tolerance, because the
 recorded `lie/error` reference rows hold that iteration's values.
@@ -33,22 +35,30 @@ _NORM_TOL = 1e-10
 _NORM_MAX_ITER = 10000
 # expm refuses matrices whose operator 2-norm exceeds this
 _NORM_CAP = 200.0
-# Higham (2005), Table 2.3: the largest 1-norm of A at which the [m/m] Pade
-# approximant of e^A has a backward error below the double unit roundoff
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-          7: 9.504178996162932e-1, 9: 2.097847961257068e0,
-          13: 5.371920351148152e0}
-# numerator coefficients b_k = (2m - k)! / (k! (m - k)!), so b_m = 1; the
-# denominator's are (-1)^k b_k
-_PADE = {m: [math.factorial(2 * m - k)
-             / (math.factorial(k) * math.factorial(m - k))
-             for k in range(m + 1)] for m in _THETA}
+# Al-Mohy & Higham (2011): theta_m is the largest theta with sum_{k>m}
+# |c_k| theta^{k-1} <= 2^-53, c_k the coefficients of log(e^{-x} T_m(x)), a
+# backward error bound; Paterson-Stockmeyer evaluates T_m in blocks of p powers
+_THETA = {4: 3.3971688399769617e-4, 6: 9.065656407595102e-3,
+          9: 8.957760203223342e-2, 12: 0.299615891381158,
+          16: 0.7802874256626574, 20: 1.4382525968043367}
+_BLOCK = {4: 2, 6: 3, 9: 3, 12: 4, 16: 4, 20: 5}
+# row j holds the coefficients 1/(jp + i)! of A^0 .. A^p in block B_j; only
+# the top block reads A^p, whose coefficient is 1/m! (p divides every m)
+_COEF = {m: np.array([[1.0 / math.factorial(j * p + i)
+                       if i < p or j == m // p - 1 else 0.0
+                       for i in range(p + 1)] for j in range(m // p)])
+         for m, p in _BLOCK.items()}
 
 
-def _as_square(M) -> np.ndarray:
+def _square(M) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix")
+    return A
+
+
+def _as_square(M) -> np.ndarray:
+    A = _square(M)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     return A
@@ -100,55 +110,55 @@ def _power_norm(M) -> float:
     return math.sqrt(max(lam, 0.0))
 
 
-def _pade(A: np.ndarray, m: int) -> np.ndarray:
-    """The [m/m] Pade approximant (V - U)^{-1} (V + U) of e^A.
+def _taylor(A: np.ndarray, m: int, s: int) -> np.ndarray:
+    """T_m(A / 2^s), squared s times.
 
-    U holds the odd and V the even terms of the numerator.  Degree 13
-    evaluates its terms above A^6 through A^6, as in Higham (2005), so
-    every degree takes at most six matrix products and one solve.
+    The p + 1 powers I, A, .., A^p take p - 1 products, and one real product
+    of the coefficient table with them gives every block B_j; Horner's rule
+    on T_m = sum_j B_j (A^p)^j takes m / p - 1 more.  Every product writes
+    into one workspace, so a call allocates it and the returned copy only.
     """
-    b = _PADE[m]
-    a2 = A @ A
-    pows = [a2]
-    while len(pows) < (3 if m == 13 else m // 2):
-        pows.append(pows[-1] @ a2)
-    u = b[3] * a2
-    v = b[2] * a2
-    for k, p in enumerate(pows[1:], 2):
-        u += b[2 * k + 1] * p
-        v += b[2 * k] * p
-    if m == 13:
-        a4, a6 = pows[1:]
-        u += a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        v += a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-    diag = slice(None, None, A.shape[0] + 1)  # of the flattened matrix
-    u.reshape(-1)[diag] += b[1]
-    v.reshape(-1)[diag] += b[0]
-    U = A @ u
-    return np.linalg.solve(v - U, v + U)
+    p, q, d = _BLOCK[m], m // _BLOCK[m], A.shape[0]
+    work = np.empty((p + q + 2, d, d), dtype=complex)
+    pows, blocks, buf = work[:p + 1], work[p + 1:-1], work[-1]
+    pows[0] = np.eye(d)
+    np.multiply(A, 2.0 ** -s, out=pows[1])
+    for k in range(2, p + 1):
+        np.matmul(pows[k - 1], pows[1], out=pows[k])
+    np.matmul(_COEF[m], pows.view(np.float64).reshape(p + 1, 2 * d * d),
+              out=blocks.view(np.float64).reshape(q, 2 * d * d))
+    X = blocks[-1]
+    for block in blocks[-2::-1]:
+        np.matmul(X, pows[p], out=buf)
+        block += buf
+        X = block
+    for _ in range(s):
+        np.matmul(X, X, out=buf)
+        X, buf = buf, X
+    return X.copy()
 
 
 def expm(M) -> np.ndarray:
-    """e^M by Pade scaling and squaring; refuses norms beyond ``_NORM_CAP``."""
-    A = _as_square(M)
+    """e^M by Taylor scaling and squaring; refuses norms over ``_NORM_CAP``."""
+    A = _square(M)
     moduli = np.abs(A)
+    # only a NaN or inf entry makes max|a_ij| non-finite, so only then is the
+    # finiteness scan run; initial=0.0 lets the 0 x 0 matrix through
+    amax = float(moduli.max(initial=0.0))
+    if not math.isfinite(amax):
+        _as_square(A)
     # ||A||_2 <= ||A||_F <= d max|a_ij|, so spectral_norm only runs near
-    # the cap; the product is a Python float and overflows to inf silently.
-    # initial=0.0 lets the 0 x 0 matrix through, its own exponential
-    if A.shape[0] * float(moduli.max(initial=0.0)) > _NORM_CAP:
+    # the cap; the product is a Python float and overflows to inf silently
+    if A.shape[0] * amax > _NORM_CAP:
         nrm = spectral_norm(A)
         if nrm > _NORM_CAP:
             raise OverflowError(
                 f"matrix norm {nrm:.3g} exceeds cap {_NORM_CAP:.3g}")
     norm1 = float(moduli.sum(axis=0).max(initial=0.0))
-    for m in (3, 5, 7, 9):
-        if norm1 <= _THETA[m]:
-            return _pade(A, m)
-    s = max(0, math.ceil(math.log2(norm1 / _THETA[13])))
-    X = _pade(A * 2.0 ** -s, 13)
-    for _ in range(s):
-        X = X @ X
-    return X
+    for m, theta in _THETA.items():
+        if norm1 <= theta:
+            return _taylor(A, m, 0)
+    return _taylor(A, 20, math.ceil(math.log2(norm1 / _THETA[20])))
 
 
 def telescoping_residual(A, B, tau: float, n: int) -> float:
@@ -159,8 +169,9 @@ def telescoping_residual(A, B, tau: float, n: int) -> float:
     the returned spectral norm of the difference is pure roundoff.  With
     X_m = sum_{k<m} P^{m-1-k} (P - E) E^k, so X_1 = P - E, the bits of n
     below the top one turn X_m into X_{2m} = P^m X_m + X_m E^m and, on a
-    set bit, X_{m+1} = P X_m + (P - E) E^m, carrying P^m and E^m along:
-    O(log n) matrix products, 12 at n = 8.  The left side keeps the fourth
+    set bit, X_{m+1} = P^m (P - E) + X_m E, carrying P^m and E^m along
+    (the last round's E^m is never read, so it is not formed): O(log n)
+    matrix products, 11 at n = 8.  The left side keeps the fourth
     exponential e^{-tau(A+B)} rather than E^n, so the check also tests that
     the exponentials compose.
     """
@@ -175,14 +186,15 @@ def telescoping_residual(A, B, tau: float, n: int) -> float:
     E = expm(-step * (A + B))
     mid = P - E
     rhs, p_pow, e_pow = mid, P, E
-    for bit in bin(n)[3:]:
+    bits = bin(n)[3:]
+    for i, bit in enumerate(bits, 1):
         rhs = p_pow @ rhs + rhs @ e_pow
         p_pow = p_pow @ p_pow
-        e_pow = e_pow @ e_pow
         if bit == "1":
-            rhs = P @ rhs + mid @ e_pow
+            rhs = p_pow @ mid + rhs @ E
             p_pow = P @ p_pow
-            e_pow = e_pow @ E
+        if i < len(bits):
+            e_pow = e_pow @ e_pow @ E if bit == "1" else e_pow @ e_pow
     lhs = p_pow - expm(-tau * (A + B))
     return spectral_norm(lhs - rhs)
 

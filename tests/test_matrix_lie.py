@@ -35,8 +35,10 @@ def test_expm_nilpotent():
 def test_expm_validation():
     with pytest.raises(ValueError):
         tl.expm(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        tl.expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+    # a NaN or inf entry makes max|a_ij| non-finite, which starts the scan
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            tl.expm(np.array([[bad, 0.0], [0.0, 0.0]]))
     with pytest.raises(OverflowError):
         tl.expm(np.diag([300.0, 0.0]))
     # |a_11| = 2.4e308 overflows to inf, and so does the 2-norm; pytest
@@ -53,12 +55,11 @@ def test_expm_cap_is_on_the_two_norm():
         tl.expm(np.diag([250.0, 1.0]))
 
 
-# 1-norm intervals (low, high] that select each Pade branch: degrees 3 to 9
-# unscaled, degree 13 with s = 0 and with s = 3 squarings
-_BRANCHES = {"m3": (0.0, _THETA[3]), "m5": (_THETA[3], _THETA[5]),
-             "m7": (_THETA[5], _THETA[7]), "m9": (_THETA[7], _THETA[9]),
-             "m13": (_THETA[9], _THETA[13]),
-             "m13s3": (4 * _THETA[13], 8 * _THETA[13])}
+# 1-norm intervals (low, high] that select each Taylor degree unscaled, and
+# degree 20 on A / 2^3 with s = 3 squarings
+_BRANCHES = {f"m{m}": (low, _THETA[m])
+             for low, m in zip([0.0, *_THETA.values()], _THETA)}
+_BRANCHES["m20s3"] = (4 * _THETA[20], 8 * _THETA[20])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 16])
@@ -80,6 +81,52 @@ def test_expm_matches_mpmath(dim, branch):
                         dtype=complex)
     got = tl.expm(a)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _taylor_theta(m):
+    """The largest theta with sum_{k>m} |c_k| theta^{k-1} <= 2^-53.
+
+    c_k are the coefficients of log(e^{-x} T_m(x)) = log T_m(x) - x, from
+    (log f)' = f'/f.  They decay like rho^-k, rho the nearest zero of T_m
+    (1.9 at m = 4 to 6.5 at m = 20, each above 4 theta_m), so the terms
+    after the first 40 past m change the sum by less than 4^-40 of it.
+    """
+    terms = m + 40
+    with mpmath.workdps(40):
+        f = [1 / mpmath.factorial(k) if k <= m else mpmath.mpf(0)
+             for k in range(terms + 1)]
+        g = [mpmath.mpf(0)] * (terms + 1)
+        for k in range(1, terms + 1):
+            g[k] = f[k] - sum(j * g[j] * f[k - j] for j in range(1, k)) / k
+        c = [float(abs(g[k])) for k in range(m + 1, terms + 1)]
+    low, high = 0.0, 10.0
+    for _ in range(60):
+        mid = (low + high) / 2
+        if sum(ck * mid ** k for k, ck in enumerate(c, m)) <= 2.0 ** -53:
+            low = mid
+        else:
+            high = mid
+    return low
+
+
+def test_taylor_thresholds_match_their_backward_error_bound():
+    for m, theta in _THETA.items():
+        assert float(f"{_taylor_theta(m):.5g}") == float(f"{theta:.5g}"), m
+
+
+@pytest.mark.parametrize("dim", [0, 1, 16, 96])
+def test_expm_takes_no_solve(dim, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm called np.linalg.solve")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    rng = np.random.default_rng(dim)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    norm1 = max(np.abs(g).sum(axis=0).max(initial=0.0), 1.0)
+    # every degree unscaled, then degree 20 with 1 to 7 squarings
+    for target in [*_THETA.values(), 2.5, 50.0, 150.0]:
+        got = tl.expm(g * (target / norm1))
+        assert got.shape == (dim, dim) and np.all(np.isfinite(got))
 
 
 def test_spectral_norm_known_values():
@@ -187,6 +234,20 @@ def test_lie_error_validation():
     for bound in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="norm_bound must be > 0"):
             tl.random_matrix_pair(3, bound, 0)
+
+
+def test_non_finite_and_overflowing_tau():
+    # a non-finite tau gives non-finite exponents, refused as bad entries;
+    # tau = 1e300 gives finite ones beyond the cap
+    a, b = tl.random_matrix_pair(3, 1.0, 0)
+    checks = (lambda tau: tl.telescoping_residual(a, b, tau, 8),
+              lambda tau: tl.lie_error(a, b, tau, [1, 4]))
+    for check in checks:
+        for tau in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                check(tau)
+        with pytest.raises(OverflowError, match="exceeds cap"):
+            check(1e300)
 
 
 def test_random_pair_determinism_and_norms():
