@@ -60,6 +60,17 @@ def test_expm_cap_is_on_the_two_norm():
 _BRANCHES = {f"m{m}": (low, _THETA[m])
              for low, m in zip([0.0, *_THETA.values()], _THETA)}
 _BRANCHES["m20s3"] = (4 * _THETA[20], 8 * _THETA[20])
+# the bands of the Pade [m/m] thresholds of Higham (2005), kept as wider
+# norms between and past the Taylor ones: m13 reads degree 20 with 1 or 2
+# squarings, m13s3 reads degree 20 with 4 or 5
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0,
+               13: 5.371920351148152e0}
+_BRANCHES.update({"m3": (0.0, _PADE_THETA[3]),
+                  "m5": (_PADE_THETA[3], _PADE_THETA[5]),
+                  "m7": (_PADE_THETA[5], _PADE_THETA[7]),
+                  "m13": (_PADE_THETA[9], _PADE_THETA[13]),
+                  "m13s3": (4 * _PADE_THETA[13], 8 * _PADE_THETA[13])})
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 16])
