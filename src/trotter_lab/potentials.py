@@ -414,9 +414,16 @@ class PiecewiseConstant(Potential):
         return out
 
     def _antiderivative(self, t):
+        """cum[i] + vals[i] (t - b_i) at each point's piece i in two arrays,
+        bit-equal in either order; every i is in range, and mode "clip"
+        spares the gathers the bounds check that copies ``out``."""
         idx = self._piece_index(t)
-        return (self._cum[idx]
-                + self._vals[idx] * (t - self.step_breakpoints[idx]))
+        out = np.take(self.step_breakpoints, idx, mode="clip")
+        np.subtract(t, out, out=out)
+        part = np.take(self._vals, idx, mode="clip")
+        out *= part
+        out += np.take(self._cum, idx, out=part, mode="clip")
+        return out
 
     def _window_bound(self, n, width):
         """Only steps holding one of the K jumps err, each by at most

@@ -9,10 +9,11 @@ Left sums come from each family's `Potential.left_sums`: closed forms for
 Linear (and Constant, the zero-slope Linear) and HolderWeierstrass,
 per-piece sample counts for step potentials (PiecewiseConstant,
 CantorIndicator) with fewer interior breakpoints than n, and sampling q at
-the n points otherwise.  `left_darboux_sums` checks the window endpoints
-once, in front of every kernel; a search sweep's `coarse_lattice`, whose
-windows lie in [0, 1], samples once, or counts once, for several n without
-it.
+the n points otherwise.  `left_darboux_sums` and `riemann_errors` check
+each window endpoint once, in front of every kernel and antiderivative.  A
+search sweep's `coarse_lattice`, whose windows lie in [0, 1], computes its
+sums without that check: for a step potential from one fine grid per
+sampled n, and otherwise by one sampling pass, or one count, for several n.
 """
 
 from __future__ import annotations
@@ -56,6 +57,17 @@ def integrate(q: Potential, pt: DeltaPair) -> float:
     return max(0.0, float(val))
 
 
+def _windows(t, s):
+    """The window ends as matching 1-D float arrays, each checked once (a
+    NaN or an end outside [0, 1] beyond roundoff raises a ValueError), and
+    clipped into [0, 1] for the antiderivative: (t, s, t_in, s_in)."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if t.shape != s.shape:
+        raise ValueError("t and s must have matching shapes")
+    return t, s, _as_domain_array(t)[0], _as_domain_array(s)[0]
+
+
 def left_darboux_sums(q: Potential, t, s, n: int) -> np.ndarray:
     """Left Riemann sums for arrays of pairs, by the family's kernel.
 
@@ -65,12 +77,7 @@ def left_darboux_sums(q: Potential, t, s, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if t.shape != s.shape:
-        raise ValueError("t and s must have matching shapes")
-    _as_domain_array(t)
-    _as_domain_array(s)
+    t, s, _, _ = _windows(t, s)
     return q.left_sums(t, s, n)
 
 
@@ -80,12 +87,12 @@ def left_darboux_sum(q: Potential, pt: DeltaPair, n: int) -> float:
 
 
 def riemann_errors(q: Potential, t, s, n: int) -> np.ndarray:
-    """|integral - left sum| for arrays of pairs."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    integrals = q.antiderivative(t) - q.antiderivative(s)
-    sums = left_darboux_sums(q, t, s, n)
-    return np.abs(integrals - sums)
+    """|integral - left sum| for arrays of pairs, each end checked once."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    t, s, t_in, s_in = _windows(t, s)
+    integrals = q._antiderivative(t_in) - q._antiderivative(s_in)
+    return np.abs(integrals - q.left_sums(t, s, n))
 
 
 def riemann_error(q: Potential, pt: DeltaPair, n: int) -> float:

@@ -13,9 +13,9 @@ a coarse lattice on s >= `_S_MIN` and local grids around the best cells
 (`_grid_refine`, which `semigroup` also runs over t at one tau).  Each
 round evaluates each distinct point once and is ranked once
 (`_best_first`).  The lattice does not depend on n: a sweep's searches
-share its `coarse_lattice`, which their ``lattice()`` returns, with one
-sampling pass for the sweep's sampled-kernel n and one breakpoint count for
-its piece-count n.
+share its `coarse_lattice`, which their ``lattice()`` returns: one fine
+grid of q per sampled-kernel n of a step potential, else one sampling pass
+for the sampled-kernel n, and one breakpoint count for the piece-count n.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .potentials import Potential
+from .potentials import _SAMPLE_CHUNK, Potential
 from .quadrature import DeltaPair, left_darboux_sums
 
 # A refinement round spaces _REFINE_FACTOR + 1 points per axis around each
@@ -35,6 +35,12 @@ _REFINE_FACTOR = 8
 _TOP_CELLS = 16
 # The smallest s probed: the triangle is open at s = 0.
 _S_MIN = 1e-9
+# A step potential's fine grid of (G - 1) n + 1 points serves n while it is
+# at most eight sampling blocks (2 MiB, n <= 1028 at G = 256), where the
+# sampling pass of `cantor --m 1..10` holds ten 32,896-sum outputs at once.
+_FINE_MAX = 8 * _SAMPLE_CHUNK + 1
+# E: 32 units of 2^-53, above the 20 that bound |sample - fine point|
+_FINE_SLOP = 2.0 ** -48
 
 
 @dataclass(frozen=True)
@@ -170,25 +176,91 @@ def default_hints(q: Potential, n: int) -> list[DeltaPair]:
     return pts
 
 
+def _fine_points(m, h):
+    """Fine grid points fl(fl(m h) + _S_MIN) at whole numbers m, over m."""
+    m *= h
+    m += _S_MIN
+    return m
+
+
+def _fine_grid_sums(q: Potential, ts, ss, grid: int, n: int,
+                    buf: np.ndarray) -> np.ndarray:
+    """A step potential's left sums at n on the lattice windows from its
+    fine grid q(y_m), m <= (G - 1) n, held in ``buf``: bit-equal to n's own.
+
+    Sample k of window (x_i, x_j), fl(fl(fl(x_i - x_j) fl(k/n)) + x_j) with
+    x_i = fl(fl(i fl(fl(1 - a)/(G - 1))) + a) and a = _S_MIN, and y_m =
+    `_fine_points`(m, fl(fl(1 - a)/((G - 1) n))) at m = jn + (i - j)k both
+    approximate Y_m = a + (1 - a) m/((G - 1) n).  With u = 2^-53 and values
+    in [0, 1 + 20u], x_i and y_m (three roundings of a product <= 1, one of
+    a sum) lie within 4u of theirs, the width within 9u, its product with
+    fl(k/n) <= 1 within 11u and the sample within 16u, so |sample - y_m| <=
+    20u(1 + O(u)) < E.  So q(sample) = q(y_m) unless a breakpoint lies
+    within E of y_m (clipping into [0, 1] only moves a sample towards y_m):
+    such y_m read NaN, and the windows that read one are resampled.  Numpy
+    sums a strided row pairwise, as the sampled kernel does its contiguous
+    rows, while its stride i - j is below n; the other rows are copied.
+    """
+    size = (grid - 1) * n + 1
+    fine = buf[:size]
+    h = (1.0 - _S_MIN) / ((grid - 1) * n)
+    for lo in range(0, size, _SAMPLE_CHUNK):
+        hi = min(lo + _SAMPLE_CHUNK, size)
+        fine[lo:hi] = q(_fine_points(np.arange(lo, hi, dtype=float), h))
+    # the fine points within E of a breakpoint, among the four around it
+    bp = q.step_breakpoints[1:-1, None]
+    near = np.clip(np.floor((bp - _S_MIN) / h) + np.arange(-1.0, 3.0),
+                   0, size - 1)
+    hit = np.abs(_fine_points(near.copy(), h) - bp) <= _FINE_SLOP
+    fine[near[hit].astype(np.intp)] = np.nan
+    sums = np.empty(len(ts))
+    cols = np.arange(grid)
+    first = cols * (cols + 1) // 2  # window (i, 0) in row-major tril order
+    for d in range(grid):
+        rows = np.ndarray((grid - d, n), buffer=fine,
+                          strides=(n * fine.itemsize, d * fine.itemsize))
+        rows = rows.copy() if d >= n else rows
+        sums[first[d:] + cols[:grid - d]] = rows.sum(axis=1)
+    sums /= n
+    sums *= ts - ss
+    bad = np.isnan(sums)
+    sums[bad] = q.sampled_left_sums(ts[bad], ss[bad], [n])[0]
+    return sums
+
+
 def coarse_lattice(q: Potential, ns: list[int], cfg: SearchConfig):
-    """(t, s, I, {n: S_n}) on the windows t >= s of linspace(_S_MIN, 1,
-    coarse_grid)^2: the integrals, and the sums of each kernel's dividing
-    group, the n of ``ns`` with that kernel that divide the largest of
-    them.  The sampled group takes one `Potential.sampled_left_sums` pass,
-    the piece-count group one `PiecewiseConstant.piece_count_left_sums`
-    count; both are bit-equal to each n's own sums."""
-    axis = np.linspace(_S_MIN, 1.0, cfg.coarse_grid)
-    t_at, s_at = np.tril_indices(cfg.coarse_grid)  # row-major, s <= t
+    """(t, s, I, sums) on the windows t >= s of linspace(_S_MIN, 1,
+    coarse_grid)^2: the integrals, from the antiderivative at the G axis
+    points, and ``sums(n)``, n's lattice sums (bit-equal to its own) or
+    None.  A step potential's sampled-kernel n with at most ``_FINE_MAX``
+    fine points compute theirs from the fine grid when asked, in one
+    buffer, and keep none.  Other n share by kernel if they divide its
+    largest n in ``ns``: one `Potential.sampled_left_sums` pass, or one
+    `PiecewiseConstant.piece_count_left_sums` count, with the lattice."""
+    g = cfg.coarse_grid
+    axis = np.linspace(_S_MIN, 1.0, g)
+    t_at, s_at = np.tril_indices(g)  # row-major, s <= t
     ts, ss = axis[t_at], axis[s_at]
+    prim = q.antiderivative(axis)
+    fine = {n for n in ns if q.step_breakpoints is not None
+            and q.left_sum_kernel(n) == "sampled"
+            and (g - 1) * n + 1 <= _FINE_MAX}
+    buf = np.empty((g - 1) * max(fine) + 1) if fine else None
     shared = {}
     for kernel in ("sampled", "piece-count"):
-        kns = [n for n in ns if q.left_sum_kernel(n) == kernel]
+        kns = [n for n in ns if q.left_sum_kernel(n) == kernel
+               and n not in fine]
         group = sorted({n for n in kns if max(kns) % n == 0})
         if group:
             one_pass = (q.sampled_left_sums if kernel == "sampled"
                         else q.piece_count_left_sums)
             shared.update(zip(group, one_pass(ts, ss, group)))
-    return ts, ss, q.antiderivative(ts) - q.antiderivative(ss), shared
+
+    def sums(n):
+        if n in fine:
+            return _fine_grid_sums(q, ts, ss, g, n, buf)
+        return shared.get(n)
+    return ts, ss, prim[t_at] - prim[s_at], sums
 
 
 def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
@@ -220,15 +292,19 @@ def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
 
     def probe(ts, ss):
         charge(len(ts))
-        return objective(q.antiderivative(ts) - q.antiderivative(ss),
-                         left_darboux_sums(q, ts, ss, n))
+        # left_darboux_sums checks the ends once; hints are DeltaPairs and
+        # refinement grids are clipped, so no end needs clipping
+        sums = left_darboux_sums(q, ts, ss, n)
+        return objective(q._antiderivative(ts) - q._antiderivative(ss), sums)
 
     ts, ss = np.array([(p.t, p.s) for p in default_hints(q, n)]).T.copy()
     vals = probe(ts, ss)
     tracker.offer(vals, ts, ss, _best_first(vals, ts, ss, 1)[0])
     charge(cfg.coarse_grid * (cfg.coarse_grid + 1) // 2)  # lattice windows
     ts, ss, integ, shared = lattice() if lattice else coarse_lattice(q, [], cfg)
-    sums = shared[n] if n in shared else left_darboux_sums(q, ts, ss, n)
+    sums = shared(n)
+    if sums is None:
+        sums = left_darboux_sums(q, ts, ss, n)
     _grid_refine(probe, (ts, ss), objective(integ, sums),
                  (1.0 - _S_MIN) / (cfg.coarse_grid - 1), _S_MIN,
                  cfg.refine_levels, _TOP_CELLS, tracker,

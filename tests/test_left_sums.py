@@ -435,26 +435,33 @@ def test_one_sampling_pass_is_bit_equal_to_each_n(windows, which):
             assert got.tobytes() == kernel(q, t, s, n).tobytes(), (q, n)
 
 
-def _dividing_groups(q, ns):
-    """The n of ``ns`` that divide the largest n of their own kernel."""
+def _shared_ns(q, ns, grid):
+    """The n of ``ns`` with lattice sums: for a step potential every
+    sampled-kernel n whose fine grid fits, and otherwise the n that divide
+    the largest n of their own kernel."""
+    fine = {n for n in ns if q.step_breakpoints is not None
+            and q.left_sum_kernel(n) == "sampled"
+            and (grid - 1) * n + 1 <= sup_search._FINE_MAX}
     by_kernel = {}
     for n in ns:
-        by_kernel.setdefault(q.left_sum_kernel(n), []).append(n)
-    return sorted(n for kns in by_kernel.values() for n in kns
-                  if max(kns) % n == 0)
+        if n not in fine:
+            by_kernel.setdefault(q.left_sum_kernel(n), []).append(n)
+    return sorted(fine | {n for kns in by_kernel.values() for n in kns
+                          if max(kns) % n == 0})
 
 
 def test_sweep_lattice_sums_are_bit_equal_to_each_n():
-    # the divisors of each kernel's largest n share one pass (sampled) or
-    # one count (piece-count); the other n have no shared sums, and the
-    # searches sum them alone
+    # a step potential reads every sampled n's sums off its fine grid; the
+    # other n share by kernel when they divide its largest n (one sampling
+    # pass, or one count), and the searches sum the rest alone
     cfg = tl.SearchConfig(coarse_grid=24)
     counted = set()
     for q in SWEEP_FAMILIES + STEP_SWEEP_FAMILIES:
         for ns in SWEEP_LISTS:
-            ts, ss, integ, shared = sup_search.coarse_lattice(q, ns, cfg)
+            ts, ss, integ, sums_at = sup_search.coarse_lattice(q, ns, cfg)
             assert len(ts) == 24 * 25 // 2
-            assert sorted(shared) == _dividing_groups(q, ns)
+            shared = {n: x for n in ns if (x := sums_at(n)) is not None}
+            assert sorted(shared) == _shared_ns(q, ns, 24)
             counted |= {(q, n) for n in shared
                         if q.left_sum_kernel(n) == "piece-count"}
             for n, sums in shared.items():
@@ -462,3 +469,111 @@ def test_sweep_lattice_sums_are_bit_equal_to_each_n():
             want = q.antiderivative(ts) - q.antiderivative(ss)
             assert integ.tobytes() == want.tobytes()
     assert {q for q, _ in counted} == set(STEP_SWEEP_FAMILIES)
+
+
+def test_fine_grids_over_the_cap_share_one_sampling_pass(monkeypatch):
+    # with the cap at 24 fine points, only n = 1 fits at grid 24; the
+    # depth-10 Cantor indicator's other sampled n share one sampling pass
+    # when they divide the largest of them, as other families do
+    monkeypatch.setattr(sup_search, "_FINE_MAX", 24)
+    q = SWEEP_FAMILIES[1]
+    for ns in SWEEP_LISTS:
+        ts, ss, _, sums_at = sup_search.coarse_lattice(
+            q, ns, tl.SearchConfig(coarse_grid=24))
+        shared = {n: x for n in ns if (x := sums_at(n)) is not None}
+        assert sorted(shared) == _shared_ns(q, ns, 24)
+        assert ns != [3, 5, 7] or sorted(shared) == [7]
+        for n, sums in shared.items():
+            assert sums.tobytes() == kernel(q, ts, ss, n).tobytes(), n
+
+
+def _lattice_samples(grid, n):
+    """(sample, fine point) of every lattice window and k < n, the sample
+    as the sampled kernel forms it."""
+    axis = np.linspace(sup_search._S_MIN, 1.0, grid)
+    i, j = np.tril_indices(grid)
+    s = axis[j][:, None]
+    x = (axis[i][:, None] - s) * (np.arange(n) / n) + s
+    m = j[:, None] * n + (i - j)[:, None] * np.arange(n)
+    h = (1.0 - sup_search._S_MIN) / ((grid - 1) * n)
+    return x, sup_search._fine_points(m.astype(float), h)
+
+
+@pytest.mark.parametrize("grid, ns", [(2, [1, 2, 3, 1024]),
+                                      (3, [1, 5, 7, 96, 1000]),
+                                      (24, [1, 2, 3, 24, 100, 1024]),
+                                      (256, [1, 2, 3, 7, 16])])
+def test_lattice_samples_lie_within_slop_of_the_fine_grid(grid, ns):
+    # the roundoff lemma behind the fine grids: sample k of window (i, j)
+    # is within E of the fine point m = jn + (i - j)k: by the error
+    # analysis at most 20 units of 2^-53, where E is 32 units
+    for n in ns:
+        x, y = _lattice_samples(grid, n)
+        gap = np.abs(x - y).max()
+        assert gap <= 20 * 2.0 ** -53 < sup_search._FINE_SLOP, (grid, n, gap)
+
+
+def _random_step(draw, pieces, integer_values):
+    """A PiecewiseConstant with ``pieces`` pieces at random rational
+    breakpoints, integer or float values."""
+    cuts = draw(st.lists(st.integers(1, 9999), min_size=pieces - 1,
+                         max_size=pieces - 1, unique=True))
+    value = (st.integers(0, 3).map(float) if integer_values else
+             st.floats(0.0, 2.0, allow_subnormal=False))
+    vals = draw(st.lists(value, min_size=pieces, max_size=pieces))
+    return tl.PiecewiseConstant(
+        [Fraction(0), *sorted(Fraction(c, 10000) for c in cuts),
+         Fraction(1)], vals)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), pieces=st.integers(2, 48), integer_values=st.booleans(),
+       grid=st.sampled_from([2, 3, 7, 24, 33]))
+def test_fine_grid_sums_are_bit_equal_to_the_kernel(data, pieces,
+                                                    integer_values, grid):
+    # every sampled n, dividing the sweep's largest or not, and windows
+    # with d = i - j >= n, whose rows are copied before they are summed
+    q = _random_step(data.draw, pieces, integer_values)
+    k = q.internal_breakpoint_count
+    assume(k >= 1)
+    ns = data.draw(st.lists(st.integers(1, k), min_size=1, max_size=4,
+                            unique=True))
+    ts, ss, _, sums_at = sup_search.coarse_lattice(
+        q, ns, tl.SearchConfig(coarse_grid=grid))
+    for n in ns:
+        assert sums_at(n).tobytes() == kernel(q, ts, ss, n).tobytes(), n
+
+
+@pytest.mark.parametrize("offset", [0, 1, -3, 31], ids=lambda o: f"ulps{o}")
+def test_breakpoint_near_a_fine_point_resamples_its_windows(offset,
+                                                           monkeypatch):
+    # a breakpoint on the fine point m = 992 (grid 24, n = 64), or up to 31
+    # ulps from it, among 96 others: the windows that read m are resampled,
+    # and the sums stay the kernel's.  On the point, 3 of the 40 samples
+    # that read m fall left of it, where q(sample) != q(y_m)
+    grid, n, m = 24, 64, 992
+    h = (1.0 - sup_search._S_MIN) / ((grid - 1) * n)
+    y_m = float(sup_search._fine_points(float(m), h))
+    b = y_m + offset * np.spacing(y_m)
+    x, y = _lattice_samples(grid, n)
+    reads = x[y == y_m]
+    assert len(reads) == 40 and (reads < y_m).sum() == 3
+    # 97 interior breakpoints, at least n, so n samples
+    cuts = sorted({Fraction(k, 97) for k in range(1, 97)} | {Fraction(b)})
+    q = tl.PiecewiseConstant([0, *cuts, 1],
+                             [0.25 + 1.25 * (i % 2) for i in range(98)])
+    assert q.left_sum_kernel(n) == "sampled"
+    ts, ss, _, sums_at = sup_search.coarse_lattice(
+        q, [1, n], tl.SearchConfig(coarse_grid=grid))
+    resampled = []
+    sampled_left_sums = tl.Potential.sampled_left_sums
+
+    def recording(self, t, s, ns):
+        resampled.append(len(t))
+        return sampled_left_sums(self, t, s, ns)
+
+    monkeypatch.setattr(tl.Potential, "sampled_left_sums", recording)
+    sums = sums_at(n)
+    monkeypatch.undo()
+    assert len(resampled) == 1 and 0 < resampled[0] < len(ts)
+    assert sums.tobytes() == kernel(q, ts, ss, n).tobytes()
