@@ -201,6 +201,14 @@ class Potential:
         or "sampled" (`sampled_left_sums` at n alone)."""
         return "sampled"
 
+    def sample_shift_bound(self, n: int, gap: float) -> float | None:
+        """A proven e: moving each of a window's n samples by at most ``gap``
+        moves the sampled kernel's sum by at most e times the window's
+        computed width.  A step potential's is 0 where no breakpoint lies
+        within ``gap`` of a sample (callers resample the rest); None where
+        nothing is proven."""
+        return 0.0 if self.step_breakpoints is not None else None
+
     def left_sums(self, t: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
         """Left Riemann sums over the windows [s_i, t_i] on n equal steps.
 
@@ -643,6 +651,25 @@ class TentTrain(Potential):
         acc = np.take(self._node_int, i)
         acc += np.ldexp(cell, -self._table_bits)
         return _add_tent_integrals(acc, t, self._tail)
+
+    def sample_shift_bound(self, n, gap):
+        """4 (L gap + 2 delta + 2 (n + 1) u (S + delta)), a margin of 4 over
+        this proof, which drops (1 + O(nu)) factors.  With u = 2^-53, S =
+        sup_norm and J of the L levels tabulated, the computed q is off by
+        at most delta = (3L + 8) u S: a node value by (J + 1) u S (J exact
+        tents times a_j, summed), the cell term fl(fl(dq f) + q_i), f exact
+        and q linear on the cell, by three of those (dq reads two) and u S
+        per rounding: (3J + 6) u S; each of T = L - J tail levels (2^j t and
+        frac exact, the tent off by u) by 2 u a_j + u S.  So samples gap
+        apart read values within L gap + 2 delta, L the Holder constant (beta
+        = 1; clipping into [0, 1] moves no sample apart).  Summing n values
+        in [0, S + delta], in any order, errs by (n - 1) u n (S + delta); the
+        division by n and the product with w add u (S + delta) w each.
+        """
+        u = 2.0 ** -53
+        delta = (3 * self.levels + 8) * u * self.sup_norm
+        return 4.0 * (self.holder_meta.constant * gap + 2.0 * delta
+                      + 2.0 * (n + 1) * u * (self.sup_norm + delta))
 
     def corner_floor(self, m):
         """Levels j >= m vanish at every dyadic sample, leaving half their

@@ -14,8 +14,10 @@ a coarse lattice on s >= `_S_MIN` and local grids around the best cells
 round evaluates each distinct point once and is ranked once
 (`_best_first`).  The lattice does not depend on n: a sweep's searches
 share its `coarse_lattice`, which their ``lattice()`` returns: one fine
-grid of q per sampled-kernel n of a step potential, else one sampling pass
-for the sampled-kernel n, and one breakpoint count for the piece-count n.
+grid of q per sampled-kernel n of a family with a sample shift bound
+(exact for step potentials; for tent trains the search sums again each
+window whose ranking the slop could change), else one sampling pass for
+the sampled-kernel n, and one breakpoint count for the piece-count n.
 """
 
 from __future__ import annotations
@@ -185,8 +187,9 @@ def _fine_points(m, h):
 
 def _fine_grid_sums(q: Potential, ts, ss, grid: int, n: int,
                     buf: np.ndarray) -> np.ndarray:
-    """A step potential's left sums at n on the lattice windows from its
-    fine grid q(y_m), m <= (G - 1) n, held in ``buf``: bit-equal to n's own.
+    """The left sums at n on the lattice windows from the fine grid q(y_m),
+    m <= (G - 1) n, held in ``buf``: within (t - s) q.sample_shift_bound(n,
+    E) of n's own, and bit-equal to them for a step potential.
 
     Sample k of window (x_i, x_j), fl(fl(fl(x_i - x_j) fl(k/n)) + x_j) with
     x_i = fl(fl(i fl(fl(1 - a)/(G - 1))) + a) and a = _S_MIN, and y_m =
@@ -195,11 +198,12 @@ def _fine_grid_sums(q: Potential, ts, ss, grid: int, n: int,
     in [0, 1 + 20u], x_i and y_m (three roundings of a product <= 1, one of
     a sum) lie within 4u of theirs, the width within 9u, its product with
     fl(k/n) <= 1 within 11u and the sample within 16u, so |sample - y_m| <=
-    20u(1 + O(u)) < E.  So q(sample) = q(y_m) unless a breakpoint lies
-    within E of y_m (clipping into [0, 1] only moves a sample towards y_m):
-    such y_m read NaN, and the windows that read one are resampled.  Numpy
-    sums a strided row pairwise, as the sampled kernel does its contiguous
-    rows, while its stride i - j is below n; the other rows are copied.
+    20u(1 + O(u)) < E.  A step potential has q(sample) = q(y_m) unless a
+    breakpoint lies within E of y_m (clipping into [0, 1] only moves a
+    sample towards y_m): such y_m read NaN, and the windows that read one
+    are resampled.  Numpy sums a strided row pairwise, as the sampled kernel
+    does its contiguous rows, while its stride i - j is below n; the other
+    rows are gathered a block at a time and summed as contiguous rows.
     """
     size = (grid - 1) * n + 1
     fine = buf[:size]
@@ -207,20 +211,32 @@ def _fine_grid_sums(q: Potential, ts, ss, grid: int, n: int,
     for lo in range(0, size, _SAMPLE_CHUNK):
         hi = min(lo + _SAMPLE_CHUNK, size)
         fine[lo:hi] = q(_fine_points(np.arange(lo, hi, dtype=float), h))
-    # the fine points within E of a breakpoint, among the four around it
-    bp = q.step_breakpoints[1:-1, None]
-    near = np.clip(np.floor((bp - _S_MIN) / h) + np.arange(-1.0, 3.0),
-                   0, size - 1)
-    hit = np.abs(_fine_points(near.copy(), h) - bp) <= _FINE_SLOP
-    fine[near[hit].astype(np.intp)] = np.nan
+    if q.step_breakpoints is not None:
+        # the fine points within E of a breakpoint, among the four around it
+        bp = q.step_breakpoints[1:-1, None]
+        near = np.clip(np.floor((bp - _S_MIN) / h) + np.arange(-1.0, 3.0),
+                       0, size - 1)
+        hit = np.abs(_fine_points(near.copy(), h) - bp) <= _FINE_SLOP
+        fine[near[hit].astype(np.intp)] = np.nan
     sums = np.empty(len(ts))
     cols = np.arange(grid)
     first = cols * (cols + 1) // 2  # window (i, 0) in row-major tril order
-    for d in range(grid):
+    block = np.empty((max(_SAMPLE_CHUNK // n, grid - n), n))
+    a, j = np.tril_indices(max(grid - n, 0))  # row j of stride grid - 1 - a
+    at = first[grid - 1 - a + j] + j
+    done = used = 0
+    for d in range(grid - 1, -1, -1):
         rows = np.ndarray((grid - d, n), buffer=fine,
                           strides=(n * fine.itemsize, d * fine.itemsize))
-        rows = rows.copy() if d >= n else rows
-        sums[first[d:] + cols[:grid - d]] = rows.sum(axis=1)
+        if d < n:
+            sums[first[d:] + cols[:grid - d]] = rows.sum(axis=1)
+            continue
+        if used + grid - d > len(block):
+            sums[at[done:done + used]] = block[:used].sum(axis=1)
+            done, used = done + used, 0
+        block[used:used + grid - d] = rows
+        used += grid - d
+    sums[at[done:]] = block[:used].sum(axis=1)
     sums /= n
     sums *= ts - ss
     bad = np.isnan(sums)
@@ -231,20 +247,22 @@ def _fine_grid_sums(q: Potential, ts, ss, grid: int, n: int,
 def coarse_lattice(q: Potential, ns: list[int], cfg: SearchConfig):
     """(t, s, I, sums) on the windows t >= s of linspace(_S_MIN, 1,
     coarse_grid)^2: the integrals, from the antiderivative at the G axis
-    points, and ``sums(n)``, n's lattice sums (bit-equal to its own) or
-    None.  A step potential's sampled-kernel n with at most ``_FINE_MAX``
-    fine points compute theirs from the fine grid when asked, in one
-    buffer, and keep none.  Other n share by kernel if they divide its
-    largest n in ``ns``: one `Potential.sampled_left_sums` pass, or one
+    points, and ``sums(n)``: None, or n's lattice sums and their slop, a
+    float or per-window bound on their distance to n's own, 0 where equal.
+    A sampled-kernel n of a family with a `Potential.sample_shift_bound` e,
+    with at most ``_FINE_MAX`` fine points, computes its sums from the fine
+    grid when asked, in one buffer, and keeps none; its slop is (t - s) e
+    at E.  Other n share by kernel if they divide its largest n in ``ns``:
+    one `Potential.sampled_left_sums` pass, or one
     `PiecewiseConstant.piece_count_left_sums` count, with the lattice."""
     g = cfg.coarse_grid
     axis = np.linspace(_S_MIN, 1.0, g)
     t_at, s_at = np.tril_indices(g)  # row-major, s <= t
     ts, ss = axis[t_at], axis[s_at]
     prim = q.antiderivative(axis)
-    fine = {n for n in ns if q.step_breakpoints is not None
-            and q.left_sum_kernel(n) == "sampled"
-            and (g - 1) * n + 1 <= _FINE_MAX}
+    fine = {n: e for n in ns if q.left_sum_kernel(n) == "sampled"
+            and (g - 1) * n + 1 <= _FINE_MAX
+            and (e := q.sample_shift_bound(n, _FINE_SLOP)) is not None}
     buf = np.empty((g - 1) * max(fine) + 1) if fine else None
     shared = {}
     for kernel in ("sampled", "piece-count"):
@@ -258,8 +276,8 @@ def coarse_lattice(q: Potential, ns: list[int], cfg: SearchConfig):
 
     def sums(n):
         if n in fine:
-            return _fine_grid_sums(q, ts, ss, g, n, buf)
-        return shared.get(n)
+            return _fine_grid_sums(q, ts, ss, g, n, buf), (ts - ss) * fine[n]
+        return (shared[n], 0.0) if n in shared else None
     return ts, ss, prim[t_at] - prim[s_at], sums
 
 
@@ -302,10 +320,19 @@ def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
     tracker.offer(vals, ts, ss, _best_first(vals, ts, ss, 1)[0])
     charge(cfg.coarse_grid * (cfg.coarse_grid + 1) // 2)  # lattice windows
     ts, ss, integ, shared = lattice() if lattice else coarse_lattice(q, [], cfg)
-    sums = shared(n)
-    if sums is None:
-        sums = left_darboux_sums(q, ts, ss, n)
-    _grid_refine(probe, (ts, ss), objective(integ, sums),
+    sums, slop = shared(n) or (left_darboux_sums(q, ts, ss, n), 0.0)
+    vals = objective(integ, sums)
+    if np.any(slop):
+        # an exact sum moves a value by at most slop plus a few units of
+        # roundoff of 1 + value: a window more than 2 slop + 2^-40 (1 + c)
+        # below the _TOP_CELLS-th value c stays below `_best_first`'s cut,
+        # and only the others are summed again
+        cut = max(len(vals) - _TOP_CELLS, 0)
+        c = np.partition(vals, cut)[cut]
+        near = vals >= c - 2.0 * np.max(slop) - 2.0 ** -40 * (1.0 + c)
+        sums[near] = left_darboux_sums(q, ts[near], ss[near], n)
+        vals = objective(integ, sums)
+    _grid_refine(probe, (ts, ss), vals,
                  (1.0 - _S_MIN) / (cfg.coarse_grid - 1), _S_MIN,
                  cfg.refine_levels, _TOP_CELLS, tracker,
                  keep=lambda t, s: s <= t)

@@ -436,12 +436,13 @@ def test_one_sampling_pass_is_bit_equal_to_each_n(windows, which):
 
 
 def _shared_ns(q, ns, grid):
-    """The n of ``ns`` with lattice sums: for a step potential every
-    sampled-kernel n whose fine grid fits, and otherwise the n that divide
-    the largest n of their own kernel."""
-    fine = {n for n in ns if q.step_breakpoints is not None
-            and q.left_sum_kernel(n) == "sampled"
-            and (grid - 1) * n + 1 <= sup_search._FINE_MAX}
+    """The n of ``ns`` with lattice sums: every sampled-kernel n whose fine
+    grid fits, for a family that proves a sample shift bound (step
+    potentials and tent trains), and otherwise the n that divide the
+    largest n of their own kernel."""
+    fine = {n for n in ns if q.left_sum_kernel(n) == "sampled"
+            and (grid - 1) * n + 1 <= sup_search._FINE_MAX
+            and q.sample_shift_bound(n, sup_search._FINE_SLOP) is not None}
     by_kernel = {}
     for n in ns:
         if n not in fine:
@@ -451,9 +452,11 @@ def _shared_ns(q, ns, grid):
 
 
 def test_sweep_lattice_sums_are_bit_equal_to_each_n():
-    # a step potential reads every sampled n's sums off its fine grid; the
-    # other n share by kernel when they divide its largest n (one sampling
-    # pass, or one count), and the searches sum the rest alone
+    # a step potential or a tent train reads every sampled n's sums off its
+    # fine grid; the other n share by kernel when they divide its largest n
+    # (one sampling pass, or one count), and the searches sum the rest
+    # alone.  Every sum with slop 0 is bit-equal to n's own; a tent train's
+    # are within their slop of n's own, a slop far below its window width
     cfg = tl.SearchConfig(coarse_grid=24)
     counted = set()
     for q in SWEEP_FAMILIES + STEP_SWEEP_FAMILIES:
@@ -464,8 +467,16 @@ def test_sweep_lattice_sums_are_bit_equal_to_each_n():
             assert sorted(shared) == _shared_ns(q, ns, 24)
             counted |= {(q, n) for n in shared
                         if q.left_sum_kernel(n) == "piece-count"}
-            for n, sums in shared.items():
-                assert sums.tobytes() == kernel(q, ts, ss, n).tobytes(), n
+            for n, (sums, slop) in shared.items():
+                want = kernel(q, ts, ss, n)
+                if q.step_breakpoints is None:
+                    width = ts - ss
+                    assert np.all(np.abs(sums - want) <= slop), n
+                    assert np.all(slop <= 1e-9 * width), n
+                    assert np.all(slop[width > 0] > 0), n
+                else:
+                    assert np.all(slop == 0), n
+                    assert sums.tobytes() == want.tobytes(), n
             want = q.antiderivative(ts) - q.antiderivative(ss)
             assert integ.tobytes() == want.tobytes()
     assert {q for q, _ in counted} == set(STEP_SWEEP_FAMILIES)
@@ -483,7 +494,8 @@ def test_fine_grids_over_the_cap_share_one_sampling_pass(monkeypatch):
         shared = {n: x for n in ns if (x := sums_at(n)) is not None}
         assert sorted(shared) == _shared_ns(q, ns, 24)
         assert ns != [3, 5, 7] or sorted(shared) == [7]
-        for n, sums in shared.items():
+        for n, (sums, slop) in shared.items():
+            assert not np.any(slop)
             assert sums.tobytes() == kernel(q, ts, ss, n).tobytes(), n
 
 
@@ -541,7 +553,9 @@ def test_fine_grid_sums_are_bit_equal_to_the_kernel(data, pieces,
     ts, ss, _, sums_at = sup_search.coarse_lattice(
         q, ns, tl.SearchConfig(coarse_grid=grid))
     for n in ns:
-        assert sums_at(n).tobytes() == kernel(q, ts, ss, n).tobytes(), n
+        sums, slop = sums_at(n)
+        assert not np.any(slop)
+        assert sums.tobytes() == kernel(q, ts, ss, n).tobytes(), n
 
 
 @pytest.mark.parametrize("offset", [0, 1, -3, 31], ids=lambda o: f"ulps{o}")
@@ -573,7 +587,8 @@ def test_breakpoint_near_a_fine_point_resamples_its_windows(offset,
         return sampled_left_sums(self, t, s, ns)
 
     monkeypatch.setattr(tl.Potential, "sampled_left_sums", recording)
-    sums = sums_at(n)
+    sums, slop = sums_at(n)
     monkeypatch.undo()
     assert len(resampled) == 1 and 0 < resampled[0] < len(ts)
+    assert not np.any(slop)
     assert sums.tobytes() == kernel(q, ts, ss, n).tobytes()

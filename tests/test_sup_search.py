@@ -5,6 +5,8 @@ from functools import cache, partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trotter_lab as tl
 from trotter_lab import semigroup, sup_search
@@ -334,3 +336,75 @@ def test_sweep_reports_equal_single_searches(zoo):
         alone = [tl.sup_riemann_error(q, n, SMALL) for n in ns]
         alone += [tl.sup_symbol(q, n, SMALL) for n in ns]
         assert sweep == alone, name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), grid=st.sampled_from([2, 3, 7, 24, 33]))
+def test_tent_lattice_searches_equal_exact_ones(data, grid):
+    # a tent train's lattice sums come off its fine grid, within their slop
+    # of the sampled kernel's; the windows that could still reach the top
+    # cells are summed again, so every report is byte for byte the one a
+    # search on exactly summed windows gives.  Trains of up to 20 levels
+    # pass the 16 tabulated ones; amplitudes span 2^-10 to 2^11
+    amps = data.draw(st.lists(st.builds(math.ldexp, st.floats(1.0, 2.0),
+                                        st.integers(-10, 10)),
+                              min_size=1, max_size=20))
+    ns = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=4,
+                            unique=True))
+    q = tl.TentTrain(amps)
+    cfg = tl.SearchConfig(coarse_grid=grid, refine_levels=1)
+    lattice = cache(partial(sup_search.coarse_lattice, q, ns, cfg))
+    for n in ns:
+        for search in (tl.sup_riemann_error, tl.sup_symbol):
+            got = search(q, n, cfg, lattice=lattice)
+            assert repr(got) == repr(search(q, n, cfg)), (search, n)
+        _, _, _, sums_at = lattice()
+        assert sums_at(n)[1].max() > 0  # the fine grid's slop
+
+
+@pytest.mark.parametrize("search", [tl.sup_riemann_error, tl.sup_symbol])
+def test_recompute_keeps_an_exact_tie_in_order(search, monkeypatch):
+    # a one-level tent has period 1/2, so on dyadic windows (t, s) and
+    # (t + 1/2, s + 1/2) its 4-step left sums and integrals are equal, bit
+    # for bit: each such tie goes to the smaller s.  Lattice sums off by
+    # their slop the other way round rank every tie in reverse; the
+    # recompute restores the values that the refinement ranks, and so the
+    # order of its seeds
+    q = tl.TentTrain([1.0])
+    n, slop = 4, 1e-9
+    t, s = np.meshgrid(np.arange(1, 17) / 32, np.arange(1, 17) / 32,
+                       indexing="ij")
+    t, s = t[s <= t], s[s <= t]
+    ts, ss = np.concatenate((t, t + 0.5)), np.concatenate((s, s + 0.5))
+    integ = q.antiderivative(ts) - q.antiderivative(ss)
+    exact = left_darboux_sums(q, ts, ss, n)
+    half = len(t)
+    assert exact[:half].tobytes() == exact[half:].tobytes()
+    assert integ[:half].tobytes() == integ[half:].tobytes()
+    # both objectives grow with |S - I|: the second twin's sum moves by
+    # slop / 2 away from the integral, the first one's towards it
+    off = np.sign(exact - integ) * slop / 2
+    off[:half] *= -1
+    approx = exact + off
+    ranked = []
+    grid_refine = sup_search._grid_refine
+
+    def recording(f, rows, vals, *args, **kwargs):
+        ranked.append(sup_search._best_first(vals, ts, ss,
+                                             sup_search._TOP_CELLS))
+        ranked.append(vals[ranked[-1]])
+        return grid_refine(f, rows, vals, *args, **kwargs)
+
+    monkeypatch.setattr(sup_search, "_grid_refine", recording)
+    cfg = tl.SearchConfig(coarse_grid=16, refine_levels=1)
+    reports = [search(q, n, cfg, lattice=lambda: (
+        ts, ss, integ, lambda m: (sums.copy(), tol)))
+        for sums, tol in ((approx, slop), (exact, 0.0))]
+    assert repr(reports[0]) == repr(reports[1])
+    (top, vals), want = ranked[:2], ranked[2:]
+    assert top.tolist() == want[0].tolist()
+    assert vals.tobytes() == want[1].tobytes()
+    # the top cells hold ties, first twin first, which the slop reverses
+    assert top[0] < half and vals[0] == vals[1] and top[1] == top[0] + half
+    gap = np.abs(approx - integ)
+    assert gap[top[1]] > gap[top[0]]
