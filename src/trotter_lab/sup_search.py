@@ -222,21 +222,22 @@ def _fine_grid_sums(q: Potential, ts, ss, grid: int, n: int,
     cols = np.arange(grid)
     first = cols * (cols + 1) // 2  # window (i, 0) in row-major tril order
     block = np.empty((max(_SAMPLE_CHUNK // n, grid - n), n))
-    a, j = np.tril_indices(max(grid - n, 0))  # row j of stride grid - 1 - a
-    at = first[grid - 1 - a + j] + j
-    done = used = 0
-    for d in range(grid - 1, -1, -1):
+    at = np.empty(len(block), np.intp)
+    used = 0
+    for d in range(grid):
         rows = np.ndarray((grid - d, n), buffer=fine,
                           strides=(n * fine.itemsize, d * fine.itemsize))
+        to = first[d:] + cols[:grid - d]
         if d < n:
-            sums[first[d:] + cols[:grid - d]] = rows.sum(axis=1)
+            sums[to] = rows.sum(axis=1)
             continue
         if used + grid - d > len(block):
-            sums[at[done:done + used]] = block[:used].sum(axis=1)
-            done, used = done + used, 0
+            sums[at[:used]] = block[:used].sum(axis=1)
+            used = 0
         block[used:used + grid - d] = rows
+        at[used:used + grid - d] = to
         used += grid - d
-    sums[at[done:]] = block[:used].sum(axis=1)
+    sums[at[:used]] = block[:used].sum(axis=1)
     sums /= n
     sums *= ts - ss
     bad = np.isnan(sums)
