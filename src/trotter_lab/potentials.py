@@ -60,6 +60,10 @@ _STEP_TABLE_BITS = 16
 # Cap on the raw interval count of a fat-Cantor construction; depth 18 is
 # the deepest under it.
 _CANTOR_MAX_PIECES = 1 << 20
+# numpy's float64 sin and cos are taken to lie within _TRIG_ERR units of
+# 2^-53 of the true value at every argument (a test checks this against
+# mpmath); the Weierstrass lattice slop rests on it.
+_TRIG_ERR = 4
 
 
 def _as_domain_array(t) -> tuple[np.ndarray, bool]:
@@ -208,6 +212,14 @@ class Potential:
         within ``gap`` of a sample (callers resample the rest); None where
         nothing is proven."""
         return 0.0 if self.step_breakpoints is not None else None
+
+    def lattice_sums(self, lattice, n: int):
+        """The family's own kernel for a sweep's lattice: (sums, e), n's left
+        sums on the windows of ``lattice`` (a `sup_search.Lattice`) and a
+        float64 e >= 0 with |sums - left_sums| <= e (t - s) on every window.
+        None by default, and then `sup_search.coarse_lattice` computes them.
+        """
+        return None
 
     def left_sums(self, t: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
         """Left Riemann sums over the windows [s_i, t_i] on n equal steps.
@@ -500,6 +512,9 @@ class HolderWeierstrass(Potential):
 
     q(t) = (M + sum_j 2^{-j beta} cos(2^j pi t)) / (2M) with
     M = sum_j 2^{-j beta}, so 0 <= q <= 1 for every beta and level count.
+    Left sums come in closed form (`left_sums`); a sweep's lattice sums
+    come by angle addition from per-sweep phase tables, within a slop that
+    `lattice_sums` proves.
     """
 
     kind = "HolderWeierstrass"
@@ -535,33 +550,147 @@ class HolderWeierstrass(Potential):
     def left_sum_kernel(self, n):
         return "closed-form"
 
+    def _width_terms(self, h, n, j, a):
+        """fl(a r_j) and y_j = fl((n - 1) d_j) at the steps h, level j.
+
+        th/pi = 2^{j-1} h is an exact ldexp; shifting it by an integer
+        leaves the Dirichlet sum unchanged, so only its offset d_j in
+        [-1/2, 1/2] from the nearest integer enters, and r_j = sin(pi n
+        d_j)/sin(pi d_j) stays accurate to a few ulps of n near resonance
+        and is n at resonance (d_j == 0).
+        """
+        d = np.ldexp(h, j - 1)
+        d -= np.rint(d)
+        resonant = d == 0.0
+        safe = np.where(resonant, 0.5, d)
+        ratio = np.where(resonant, float(n),
+                         np.sin(np.pi * n * safe) / np.sin(np.pi * safe))
+        return a * ratio, (n - 1) * d
+
     def left_sums(self, t, s, n):
         """Sums each level in closed form with the Dirichlet kernel
 
             sum_k cos(w(s + k h)) = sin(n th)/sin(th) * cos(w s + (n-1) th)
 
-        with th = w h / 2.  Angles are kept in units of pi: for w = pi 2^j,
-        th/pi = 2^{j-1} h is an exact ldexp.  Shifting it by an integer
-        leaves the sum unchanged, so only its offset d in [-1/2, 1/2] from
-        the nearest integer enters; sin(pi n d)/sin(pi d) stays accurate to
-        a few ulps of n near resonance and is n at resonance (d == 0).
-        The terms that depend on h alone (d, the ratio and (n-1) d) are
-        computed once per distinct h, which lattices share, and gathered.
+        with th = w h / 2, in units of pi: level j adds fl(a_j r_j) cos(pi
+        (x_j + y_j)) with x_j = fmod(2^j s, 2), exact, and r_j, y_j from
+        `_width_terms`.  Those depend on h alone, so they are computed once
+        per distinct h, which lattices share, and gathered.
         """
         h = (t - s) / n
         uh, at = np.unique(h, return_inverse=True)
         at = at.reshape(h.shape)
         acc = np.zeros_like(h)
         for j, a in enumerate(self._amps, start=1):
-            d = np.ldexp(uh, j - 1)
-            d -= np.rint(d)
-            resonant = d == 0.0
-            safe = np.where(resonant, 0.5, d)
-            ratio = np.where(resonant, float(n),
-                             np.sin(np.pi * n * safe) / np.sin(np.pi * safe))
-            phase = np.fmod(np.ldexp(s, j), 2.0) + ((n - 1) * d)[at]
-            acc += (a * ratio)[at] * np.cos(np.pi * phase)
+            ar, y = self._width_terms(uh, n, j, a)
+            phase = np.fmod(np.ldexp(s, j), 2.0) + y[at]
+            acc += ar[at] * np.cos(np.pi * phase)
         return (t - s) * (self._m + acc / n) / (2.0 * self._m)
+
+    def _phase_tables(self, lattice):
+        """A sweep's tables: each window's index j U + u into a G x U table
+        (j its s point, u its width among the U distinct ones), the widths,
+        and the s-phases (cos pi x_j, -sin pi x_j) at the G points, for the
+        levels up to the last one with some x_j != 0, plus a column of ones
+        for the levels above it (2^j s is then even, so x_j = 0 at every
+        point)."""
+        g = len(lattice.axis)
+        widths, key = np.unique(lattice.ts - lattice.ss, return_inverse=True)
+        key += np.repeat(np.arange(g) * len(widths), np.diff(lattice.starts))
+        key = key.astype(np.int32 if g * len(widths) < 2 ** 31 else np.intp)
+        cols = []
+        for j in range(1, self.levels + 1):
+            px = np.pi * np.fmod(np.ldexp(lattice.axis, j), 2.0)
+            if not px.any():
+                cols.append(np.ones(g))
+                break
+            cols += [np.cos(px), -np.sin(px)]
+        return key, widths, np.stack(cols, axis=1)
+
+    def lattice_sums(self, lattice, n):
+        """The lattice sums by angle addition: level j's term is
+
+            fl(a_j r_j) cos(pi (x_j + y_j))
+              = fl(a_j r_j) (cos pi x_j cos pi y_j - sin pi x_j sin pi y_j),
+
+        so the level sum of window (s point j, width u) is entry (j, u) of
+        the product of the G x 2L s-phase table (per sweep, `_phase_tables`)
+        and the 2L x U table of width factors fl(a_j r_j) (cos, sin)(pi
+        y_j), built per n over the U distinct widths, a block of levels and
+        of table rows at a time, each at most 2^15 entries.
+
+        Slop.  With u = 2^-53, p = fl(pi) and K = _TRIG_ERR, both paths take
+        x_j, y_j and R_j = fl(a_j r_j) bit for bit from the same floats,
+        |x_j| < 2 and |y_j| <= (n - 1)/2.  Against R_j cos(p (x_j + y_j)):
+        the table's angles fl(p x_j) and fl(p y_j) are off by at most p u
+        |x_j| and p u |y_j|, and cos a cos b - sin a sin b is cos(a + b), so
+        its term is off by p u (2 + |y_j|) |R_j|, plus 4 K u |R_j| from its
+        four sines and cosines (each factor at most 1 in size) and u |R_j|
+        from rounding R_j (cos, sin); the closed form rounds x_j + y_j and
+        then p (x_j + y_j), an angle error of 2 p u (2 + |y_j|), plus K u
+        |R_j| from its cosine and u |R_j| from the product.  Summing the L
+        terms, or the 2L table products (|cos a cos b| + |sin a sin b| <=
+        1), in any order adds at most (L + 2L) u sum_j |R_j|.  So the two
+        level sums differ by at most D = u A (3 p (2 + (n - 1)/2) + 5K + 2
+        + 3L), A = sum_j max |R_j| read off the computed R_j.  Both finish
+        with fl(fl(w fl(M + fl(acc/n)))/(2M)) on w = t - s; |acc|/n <= A/n
+        <= M to roundoff, since |r_j| <= n, so each path's four roundings
+        add at most 3.5 u w, and e = 4 (D/(2 M n) + 7 u), a margin of 4 for
+        the dropped O(u^2) terms, bounds |sums - left_sums| / w.  As A <= n M
+        to roundoff, e is at most 2 u (3 p (2 + (n - 1)/2) + 5K + 16 + 3L):
+        5.5e-13 at n = 512 and 10 levels.
+        """
+        tables = lattice.cache.get("weierstrass")
+        if tables is None:
+            tables = lattice.cache["weierstrass"] = self._phase_tables(lattice)
+        key, widths, phases = tables
+        g, nw = phases.shape[0], len(widths)
+        starts = lattice.starts
+        table = np.empty((max(1, _SAMPLE_CHUNK // nw), nw))
+        acc = np.zeros(len(key))
+
+        def add(w, p):
+            # acc += (p @ w)[j, u] at each window, a block of rows j at a
+            # time; row j's widths are at most 1 - x_j, so a block needs
+            # the widths up to that of its first row's widest window
+            for r0 in range(0, g, len(table)):
+                r1 = min(r0 + len(table), g)
+                lo, hi = starts[r0], starts[r1]
+                idx = key[lo:hi] - r0 * nw
+                span = idx[starts[r0 + 1] - 1 - lo] + 1
+                np.einsum("ik,kj->ij", p[r0:r1], w[:, :span],
+                          out=table[:r1 - r0, :span])
+                acc[lo:hi] += np.take(table, idx)
+
+        uh = widths / n
+        block = np.empty((max(2, _SAMPLE_CHUNK // nw // 2 * 2), nw))
+        tail = np.zeros(nw)
+        top = phases.shape[1] // 2  # levels in the table; the rest x_j = 0
+        col = used = 0
+        amp = 0.0
+        for j, a in enumerate(self._amps, start=1):
+            ar, y = self._width_terms(uh, n, j, a)
+            amp += np.abs(ar).max()
+            py = np.pi * y
+            if j > top:
+                tail += ar * np.cos(py)
+                continue
+            np.multiply(ar, np.cos(py), out=block[used])
+            np.multiply(ar, np.sin(py), out=block[used + 1])
+            used += 2
+            if used == len(block) or j == top:
+                add(block[:used], phases[:, col:col + used])
+                col, used = col + used, 0
+        if self.levels > top:
+            add(tail[None], phases[:, -1:])
+        acc /= n
+        acc += self._m
+        acc *= lattice.ts - lattice.ss
+        acc /= 2.0 * self._m
+        u = 2.0 ** -53
+        level_err = u * amp * (3.0 * np.pi * (2.0 + (n - 1) / 2.0)
+                               + 5 * _TRIG_ERR + 2 + 3 * self.levels)
+        return acc, 4.0 * (level_err / (2.0 * self._m * n) + 7.0 * u)
 
     def params(self):
         return {"beta": self.beta, "levels": self.levels}

@@ -12,9 +12,10 @@ CantorIndicator) with fewer interior breakpoints than n, and sampling q at
 the n points otherwise.  `left_darboux_sums` and `riemann_errors` check
 each window endpoint once, in front of every kernel and antiderivative.  A
 search sweep's `coarse_lattice`, whose windows lie in [0, 1], computes its
-sums without that check: from one fine grid per sampled n for step
-potentials and tent trains (these within a slop that the search closes),
-and otherwise by one sampling pass, or one count, for several n.
+sums without that check: from per-sweep phase tables for HolderWeierstrass
+and one fine grid per sampled n for step potentials and tent trains (the
+first and last within a slop that the search closes), and otherwise by one
+sampling pass, or one count, for several n.
 """
 
 from __future__ import annotations

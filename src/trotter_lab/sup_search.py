@@ -13,16 +13,19 @@ a coarse lattice on s >= `_S_MIN` and local grids around the best cells
 (`_grid_refine`, which `semigroup` also runs over t at one tau).  Each
 round evaluates each distinct point once and is ranked once
 (`_best_first`).  The lattice does not depend on n: a sweep's searches
-share its `coarse_lattice`, which their ``lattice()`` returns: one fine
-grid of q per sampled-kernel n of a family with a sample shift bound
-(exact for step potentials; for tent trains the search sums again each
-window whose ranking the slop could change), else one sampling pass for
-the sampled-kernel n, and one breakpoint count for the piece-count n.
+share its `coarse_lattice`, which their ``lattice()`` returns: a family's
+own lattice kernel through the hook `Potential.lattice_sums` (Weierstrass:
+angle addition from per-sweep phase tables), else one fine grid of q per
+sampled-kernel n of a family with a sample shift bound (exact for step
+potentials), else one sampling pass for the sampled-kernel n, and one
+breakpoint count for the piece-count n.  Where lattice sums come within a
+slop (Weierstrass, tent trains), the search sums again each window whose
+ranking the slop could change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -185,7 +188,22 @@ def _fine_points(m, h):
     return m
 
 
-def _fine_grid_sums(q: Potential, ts, ss, grid: int, n: int,
+@dataclass
+class Lattice:
+    """The windows t >= s of linspace(_S_MIN, 1, G)^2 that a sweep's
+    searches share, s-major: the windows (axis[i], axis[j]), i = j .. G - 1,
+    of axis point j as s are ts and ss at starts[j] .. starts[j + 1] - 1.
+    ``cache`` holds a family's per-sweep tables (`Potential.lattice_sums`).
+    """
+
+    axis: np.ndarray
+    ts: np.ndarray
+    ss: np.ndarray
+    starts: np.ndarray
+    cache: dict = field(default_factory=dict)
+
+
+def _fine_grid_sums(q: Potential, lat: Lattice, n: int,
                     buf: np.ndarray) -> np.ndarray:
     """The left sums at n on the lattice windows from the fine grid q(y_m),
     m <= (G - 1) n, held in ``buf``: within (t - s) q.sample_shift_bound(n,
@@ -205,6 +223,7 @@ def _fine_grid_sums(q: Potential, ts, ss, grid: int, n: int,
     does its contiguous rows, while its stride i - j is below n; the other
     rows are gathered a block at a time and summed as contiguous rows.
     """
+    grid = len(lat.axis)
     size = (grid - 1) * n + 1
     fine = buf[:size]
     h = (1.0 - _S_MIN) / ((grid - 1) * n)
@@ -218,16 +237,14 @@ def _fine_grid_sums(q: Potential, ts, ss, grid: int, n: int,
                        0, size - 1)
         hit = np.abs(_fine_points(near.copy(), h) - bp) <= _FINE_SLOP
         fine[near[hit].astype(np.intp)] = np.nan
-    sums = np.empty(len(ts))
-    cols = np.arange(grid)
-    first = cols * (cols + 1) // 2  # window (i, 0) in row-major tril order
+    sums = np.empty(len(lat.ts))
     block = np.empty((max(_SAMPLE_CHUNK // n, grid - n), n))
     at = np.empty(len(block), np.intp)
     used = 0
     for d in range(grid):
         rows = np.ndarray((grid - d, n), buffer=fine,
                           strides=(n * fine.itemsize, d * fine.itemsize))
-        to = first[d:] + cols[:grid - d]
+        to = lat.starts[:grid - d] + d  # the windows (j + d, j)
         if d < n:
             sums[to] = rows.sum(axis=1)
             continue
@@ -239,29 +256,31 @@ def _fine_grid_sums(q: Potential, ts, ss, grid: int, n: int,
         used += grid - d
     sums[at[:used]] = block[:used].sum(axis=1)
     sums /= n
-    sums *= ts - ss
+    sums *= lat.ts - lat.ss
     bad = np.isnan(sums)
-    sums[bad] = q.sampled_left_sums(ts[bad], ss[bad], [n])[0]
+    sums[bad] = q.sampled_left_sums(lat.ts[bad], lat.ss[bad], [n])[0]
     return sums
 
 
 def coarse_lattice(q: Potential, ns: list[int], cfg: SearchConfig):
-    """(t, s, I, sums) on the windows t >= s of linspace(_S_MIN, 1,
-    coarse_grid)^2: the integrals, from the antiderivative at the G axis
-    points, and ``sums(n)``: None, or n's lattice sums and their slop, a
-    float or per-window bound on their distance to n's own, 0 where equal.
-    A sampled-kernel n of a family with a `Potential.sample_shift_bound` e,
-    with at most ``_FINE_MAX`` fine points, computes its sums from the fine
-    grid when asked, in one buffer, and keeps none; its slop is (t - s) e
-    at E.  Other n share by kernel if they divide its largest n in ``ns``:
-    one `Potential.sampled_left_sums` pass, or one
+    """(t, s, I, sums) on the `Lattice` windows of linspace(_S_MIN, 1,
+    coarse_grid): the integrals, from the antiderivative at the G axis
+    points, and ``sums(n)``: None, or n's lattice sums and a float64 e >= 0
+    with |sums - n's own| <= e (t - s) on every window, 0 where equal.
+    For the n in ``ns``, the family hook `Potential.lattice_sums` goes
+    first.  Otherwise a sampled-kernel n of a family with a
+    `Potential.sample_shift_bound` e at E, with at most ``_FINE_MAX`` fine
+    points, computes its sums from the fine grid when asked, in one
+    buffer, and keeps none.  Other n share by kernel if they divide its
+    largest n in ``ns``: one `Potential.sampled_left_sums` pass, or one
     `PiecewiseConstant.piece_count_left_sums` count, with the lattice."""
     g = cfg.coarse_grid
     axis = np.linspace(_S_MIN, 1.0, g)
-    t_at, s_at = np.tril_indices(g)  # row-major, s <= t
+    s_at, t_at = np.triu_indices(g)  # s-major, s <= t
     ts, ss = axis[t_at], axis[s_at]
+    lat = Lattice(axis, ts, ss, np.append(0, np.cumsum(np.arange(g, 0, -1))))
     prim = q.antiderivative(axis)
-    fine = {n: e for n in ns if q.left_sum_kernel(n) == "sampled"
+    fine = {n: np.float64(e) for n in ns if q.left_sum_kernel(n) == "sampled"
             and (g - 1) * n + 1 <= _FINE_MAX
             and (e := q.sample_shift_bound(n, _FINE_SLOP)) is not None}
     buf = np.empty((g - 1) * max(fine) + 1) if fine else None
@@ -276,8 +295,11 @@ def coarse_lattice(q: Potential, ns: list[int], cfg: SearchConfig):
             shared.update(zip(group, one_pass(ts, ss, group)))
 
     def sums(n):
+        own = q.lattice_sums(lat, n) if n in ns else None
+        if own is not None:
+            return own
         if n in fine:
-            return _fine_grid_sums(q, ts, ss, g, n, buf), (ts - ss) * fine[n]
+            return _fine_grid_sums(q, lat, n, buf), fine[n]
         return (shared[n], 0.0) if n in shared else None
     return ts, ss, prim[t_at] - prim[s_at], sums
 
@@ -323,14 +345,15 @@ def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
     ts, ss, integ, shared = lattice() if lattice else coarse_lattice(q, [], cfg)
     sums, slop = shared(n) or (left_darboux_sums(q, ts, ss, n), 0.0)
     vals = objective(integ, sums)
-    if np.any(slop):
-        # an exact sum moves a value by at most slop plus a few units of
-        # roundoff of 1 + value: a window more than 2 slop + 2^-40 (1 + c)
-        # below the _TOP_CELLS-th value c stays below `_best_first`'s cut,
-        # and only the others are summed again
+    if slop:
+        # an exact sum moves a value by at most slop (t - s) plus a few
+        # units of roundoff of 1 + value: a window more than 2 slop max(t -
+        # s) + 2^-40 (1 + c) below the _TOP_CELLS-th value c stays below
+        # `_best_first`'s cut, and only the others are summed again
         cut = max(len(vals) - _TOP_CELLS, 0)
         c = np.partition(vals, cut)[cut]
-        near = vals >= c - 2.0 * np.max(slop) - 2.0 ** -40 * (1.0 + c)
+        near = vals >= (c - 2.0 * slop * np.max(ts - ss)
+                        - 2.0 ** -40 * (1.0 + c))
         sums[near] = left_darboux_sums(q, ts[near], ss[near], n)
         vals = objective(integ, sums)
     _grid_refine(probe, (ts, ss), vals,

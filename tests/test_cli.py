@@ -824,3 +824,54 @@ def test_rates_sweep_samples_the_lattice_once(monkeypatch):
     assert main(["rates", "--potential", "tent:harmonic=6", "--n", "8..256",
                  "--output", os.devnull]) == 0
     assert sum(points) <= bound
+
+
+PW7 = ("pw:breakpoints=0+1/7+2/7+3/7+4/7+5/7+6/7+1,"
+       "values=0+1+0.5+1+0+1.5+0")
+
+
+@pytest.mark.parametrize("potential, ns", [
+    (PW7, "2,3,4,5,6"), ("tent:harmonic=12", "2..64"),
+    ("weier:beta=0.5,levels=10", "2..64")], ids=["pw", "tent", "weier"])
+def test_lattice_argmax_reads_its_riemann_error(tmp_path, potential, ns):
+    # at --refine 0 every row's argmax is a lattice point, whose value is
+    # the riemann_error there, bit for bit: the 7-piece step (K = 6 >= n)
+    # reads its lattice sums off one fine grid per n, the tent train off
+    # the fine grid within a proven slop and Weierstrass off its phase
+    # tables within one, and the windows that could reach the top cells
+    # are summed again
+    out = tmp_path / "lattice.json"
+    assert main(["rates", "--potential", potential, "--n", ns, "--grid", "32",
+                 "--refine", "0", "--format", "json", "--output",
+                 str(out)]) == 0
+    report = json.loads(out.read_text())
+    q = parse_potential(potential)
+    axis = np.linspace(tl.sup_search._S_MIN, 1.0, 32).tolist()
+    rows = [r for r in report["rows"] if r["command"] == "rates"]
+    assert [r["n"] for r in rows] == report["meta"]["n_list"]
+    for r in rows:
+        t, s = r["argmax_t"], r["argmax_s"]
+        assert t in axis and s in axis, r
+        assert r["value"] == tl.riemann_error(q, tl.DeltaPair(t, s), r["n"]), r
+
+
+@pytest.mark.parametrize("potential", [
+    "tent:harmonic=6", "cantor:depth=3", "cantor:depth=10",
+    "weier:beta=0.5,levels=10"])
+def test_sweep_rows_equal_rows_alone(capsys, potential):
+    # a sweep samples one lattice for all its n and counts the breakpoints
+    # once for its piece-count n (cantor:depth=3 has 16, so n = 32 and 64
+    # count and share; cantor:depth=10 has 1320, so every n samples it
+    # through the cell value table), and Weierstrass reads one set of phase
+    # tables: its per-n rows equal those of each n run alone
+    def rates_rows(ns):
+        argv = ["rates", "--potential", potential, "--n", ns, "--grid", "32",
+                "--refine", "1"]
+        assert main(argv) == 0
+        return [ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("rates,")]
+
+    sweep = rates_rows("8..64")
+    assert len(sweep) == 4
+    assert sweep == [row for n in ("8", "16", "32", "64")
+                     for row in rates_rows(n)]

@@ -417,6 +417,9 @@ SWEEP_LISTS = ([1, 2, 3, 4, 6, 12], [3, 5, 7], [2 ** m for m in range(3, 11)],
 # step potentials whose sweeps above include piece-count n: the 3-piece pw
 # (K = 2), Cantor depth 3 (K = 16) and the non-integer-valued step (K = 2)
 STEP_SWEEP_FAMILIES = (STEPS[1], tl.build_cantor(3)[0], STEPS[2])
+# families with their own lattice kernel (`Potential.lattice_sums`)
+HOOK_SWEEP_FAMILIES = (tl.HolderWeierstrass(0.5, 10),
+                       tl.HolderWeierstrass(0.3, 90))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -436,10 +439,13 @@ def test_one_sampling_pass_is_bit_equal_to_each_n(windows, which):
 
 
 def _shared_ns(q, ns, grid):
-    """The n of ``ns`` with lattice sums: every sampled-kernel n whose fine
-    grid fits, for a family that proves a sample shift bound (step
-    potentials and tent trains), and otherwise the n that divide the
-    largest n of their own kernel."""
+    """The n of ``ns`` with lattice sums: every n of a family with its own
+    lattice kernel, every sampled-kernel n whose fine grid fits, for a
+    family that proves a sample shift bound (step potentials and tent
+    trains), and otherwise the n that divide the largest n of their own
+    kernel."""
+    if type(q).lattice_sums is not tl.Potential.lattice_sums:
+        return sorted(ns)
     fine = {n for n in ns if q.left_sum_kernel(n) == "sampled"
             and (grid - 1) * n + 1 <= sup_search._FINE_MAX
             and q.sample_shift_bound(n, sup_search._FINE_SLOP) is not None}
@@ -453,13 +459,14 @@ def _shared_ns(q, ns, grid):
 
 def test_sweep_lattice_sums_are_bit_equal_to_each_n():
     # a step potential or a tent train reads every sampled n's sums off its
-    # fine grid; the other n share by kernel when they divide its largest n
-    # (one sampling pass, or one count), and the searches sum the rest
-    # alone.  Every sum with slop 0 is bit-equal to n's own; a tent train's
-    # are within their slop of n's own, a slop far below its window width
+    # fine grid, and Weierstrass every n's off its phase tables; the other n
+    # share by kernel when they divide its largest n (one sampling pass, or
+    # one count), and the searches sum the rest alone.  Every sum with slop
+    # 0 is bit-equal to n's own; a tent train's or Weierstrass's are within
+    # slop (t - s) of n's own, a slop far below 1
     cfg = tl.SearchConfig(coarse_grid=24)
     counted = set()
-    for q in SWEEP_FAMILIES + STEP_SWEEP_FAMILIES:
+    for q in SWEEP_FAMILIES + STEP_SWEEP_FAMILIES + HOOK_SWEEP_FAMILIES:
         for ns in SWEEP_LISTS:
             ts, ss, integ, sums_at = sup_search.coarse_lattice(q, ns, cfg)
             assert len(ts) == 24 * 25 // 2
@@ -470,16 +477,76 @@ def test_sweep_lattice_sums_are_bit_equal_to_each_n():
             for n, (sums, slop) in shared.items():
                 want = kernel(q, ts, ss, n)
                 if q.step_breakpoints is None:
-                    width = ts - ss
-                    assert np.all(np.abs(sums - want) <= slop), n
-                    assert np.all(slop <= 1e-9 * width), n
-                    assert np.all(slop[width > 0] > 0), n
+                    assert np.all(np.abs(sums - want) <= slop * (ts - ss)), n
+                    assert 0 < slop <= 1e-9, n
                 else:
                     assert np.all(slop == 0), n
                     assert sums.tobytes() == want.tobytes(), n
             want = q.antiderivative(ts) - q.antiderivative(ss)
             assert integ.tobytes() == want.tobytes()
     assert {q for q, _ in counted} == set(STEP_SWEEP_FAMILIES)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(0.01, 0.99), levels=st.integers(1, 40),
+       grid=st.sampled_from([2, 3, 7, 24, 33, 256]),
+       ns=st.lists(st.one_of(st.integers(1, 4096),
+                             st.sampled_from([2 ** k for k in range(13)])),
+                   min_size=1, max_size=3, unique=True))
+@example(beta=0.5, levels=1022, grid=24, ns=[1, 7, 64, 4096])
+def test_weierstrass_lattice_sums_are_within_their_slop(beta, levels, grid,
+                                                        ns):
+    # angle addition from the phase tables against the closed form on
+    # every window, at n that divide others of the list and n that do not;
+    # past about 82 levels 2^j s is even at every lattice point
+    q = tl.HolderWeierstrass(beta, levels)
+    ts, ss, _, sums_at = sup_search.coarse_lattice(
+        q, ns, tl.SearchConfig(coarse_grid=grid))
+    for n in ns:
+        sums, slop = sums_at(n)
+        assert 0 < slop <= 1e-9, n
+        want = q.left_sums(ts, ss, n)
+        assert np.all(np.abs(sums - want) <= slop * (ts - ss)), n
+
+
+@pytest.mark.parametrize("top", [2.0, 2.0 ** 20 + 2.0],
+                         ids=["phases", "widths"])
+def test_numpy_sin_and_cos_are_within_the_assumed_error(top):
+    # the Weierstrass lattice slop takes numpy's sin and cos within
+    # _TRIG_ERR units of 2^-53 at p x, x in [0, 2), and at p y and p (x +
+    # y), |y| <= (n - 1)/2, with p = fl(pi); arrays, as there.  Quarter
+    # multiples of pi land on the zeros and extremes
+    rng = np.random.default_rng(31)
+    x = np.concatenate((rng.uniform(-top, top, 1000), np.arange(-8, 9) / 4,
+                        top - np.arange(9) / 4))
+    theta = np.pi * x
+    bound = potentials._TRIG_ERR * 2.0 ** -53
+    with mpmath.workdps(40):
+        for f, ref in ((np.cos, mpmath.cos), (np.sin, mpmath.sin)):
+            got = f(theta)
+            err = max(abs(mpmath.mpf(float(g)) - ref(mpmath.mpf(float(a))))
+                      for g, a in zip(got, theta))
+            assert err <= bound, (f, float(err) / 2.0 ** -53)
+
+
+def test_weierstrass_lattice_peaks_below_the_closed_form():
+    # at 1022 levels only the first ~82 have a phase table; the tables and
+    # the per-n blocks of 2^15 entries peak below the closed form, which
+    # holds a few lattice-sized arrays per level
+    q = tl.HolderWeierstrass(0.5, 1022)
+    ts, ss, _, sums_at = sup_search.coarse_lattice(q, [64], tl.SearchConfig())
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (lambda: sums_at(64), lambda: q.left_sums(ts, ss, 64)):
+            tracemalloc.reset_peak()
+            got = run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
+    (sums, slop), want = sums_at(64), got
+    assert np.all(np.abs(sums - want) <= slop * (ts - ss))
 
 
 def test_fine_grids_over_the_cap_share_one_sampling_pass(monkeypatch):

@@ -362,6 +362,43 @@ def test_tent_lattice_searches_equal_exact_ones(data, grid):
         assert sums_at(n)[1].max() > 0  # the fine grid's slop
 
 
+def test_weierstrass_lattice_kernel_keeps_every_report(monkeypatch):
+    # a sweep reads Weierstrass lattice sums off its phase tables, within
+    # their slop, and sums again the windows that could reach the top
+    # cells: every report, partial ones of an exhausted budget too, is the
+    # one that the closed form on every window gives
+    q = tl.HolderWeierstrass(0.5, 10)
+    ns = [1, 3, 5, 8, 64, 512]  # n = 5's best lattice sum is one ulp off
+    cfg = tl.SearchConfig(refine_levels=2)
+    spent = tl.sup_riemann_error(q, 8, cfg).method.evals
+    calls = []
+    hook = tl.HolderWeierstrass.lattice_sums
+
+    def counted(self, lattice, n):
+        calls.append(n)
+        return hook(self, lattice, n)
+
+    def reports(cfg):
+        lattice = cache(partial(sup_search.coarse_lattice, q, ns, cfg))
+        out = []
+        for n in ns:
+            for search in (tl.sup_riemann_error, tl.sup_symbol):
+                try:
+                    out.append(search(q, n, cfg, lattice=lattice))
+                except tl.BudgetExceededError as exc:
+                    out.append(exc.partial)
+        return [repr(rep) for rep in out]
+
+    budget = tl.SearchConfig(refine_levels=2, max_evals=spent - 100)
+    monkeypatch.setattr(tl.HolderWeierstrass, "lattice_sums", counted)
+    tables = reports(cfg) + reports(budget)
+    assert calls == 2 * [n for n in ns for _ in range(2)]
+    monkeypatch.setattr(tl.HolderWeierstrass, "lattice_sums",
+                        lambda self, lattice, n: None)
+    assert tables == reports(cfg) + reports(budget)
+    assert sum("budget_hit=True" in rep for rep in tables) >= len(ns)
+
+
 @pytest.mark.parametrize("search", [tl.sup_riemann_error, tl.sup_symbol])
 def test_recompute_keeps_an_exact_tie_in_order(search, monkeypatch):
     # a one-level tent has period 1/2, so on dyadic windows (t, s) and
