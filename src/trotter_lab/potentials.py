@@ -7,7 +7,9 @@ families keep exact rational breakpoints so that downstream quadrature is
 exact.  The family rules that the search, the semigroup and the rate
 checks read are methods: the certified left-sum error bound over windows
 up to a given width (every family has one), corner hints, the dyadic
-corner floor and step breakpoints.
+corner floor, step breakpoints, and the sweep lattice sums `lattice_sums`:
+a fine grid of q by default, a piece count for steps, angle addition for
+Weierstrass.
 ``from_spec`` alone turns kind names, aliases and parameters (such as a
 tent train's ``harmonic=L``) into potentials, and rejects unread ones.
 
@@ -60,6 +62,12 @@ _STEP_TABLE_BITS = 16
 # Cap on the raw interval count of a fat-Cantor construction; depth 18 is
 # the deepest under it.
 _CANTOR_MAX_PIECES = 1 << 20
+# A sweep's fine grid of (G - 1) n + 1 points of q (`Potential.lattice_sums`)
+# serves n while it fits a memory budget of 2^21 + 1 points (16 MiB, n <=
+# 8224 at G = 256); the searches sum larger n alone.
+_FINE_MAX = (1 << 21) + 1
+# E: 32 units of 2^-53, above the 20 that bound |sample - fine point|
+_FINE_SLOP = 2.0 ** -48
 # numpy's float64 sin and cos are taken to lie within _TRIG_ERR units of
 # 2^-53 of the true value at every argument (a test checks this against
 # mpmath); the Weierstrass lattice slop rests on it.
@@ -121,6 +129,13 @@ def _misplaced(b, s, w, k, n):
     still is.  A whole float k gives the sample points of integer k."""
     return ((k > 0) & (s + w * ((k - 1) / n) >= b),
             (k < n) & (s + w * (k / n) < b))
+
+
+def _fine_points(m, h, a):
+    """Fine grid points fl(fl(m h) + a) at whole numbers m, over m."""
+    m *= h
+    m += a
+    return m
 
 
 @dataclass(frozen=True)
@@ -202,7 +217,7 @@ class Potential:
 
     def left_sum_kernel(self, n: int) -> str:
         """Which kernel `left_sums` runs at n: "closed-form", "piece-count"
-        or "sampled" (`sampled_left_sums` at n alone)."""
+        or "sampled" (the base class's `left_sums`)."""
         return "sampled"
 
     def sample_shift_bound(self, n: int, gap: float) -> float | None:
@@ -214,46 +229,105 @@ class Potential:
         return 0.0 if self.step_breakpoints is not None else None
 
     def lattice_sums(self, lattice, n: int):
-        """The family's own kernel for a sweep's lattice: (sums, e), n's left
-        sums on the windows of ``lattice`` (a `sup_search.Lattice`) and a
-        float64 e >= 0 with |sums - left_sums| <= e (t - s) on every window.
-        None by default, and then `sup_search.coarse_lattice` computes them.
+        """n's left sums on the windows of a sweep's ``lattice`` (a
+        `sup_search.Lattice`) and a float64 e >= 0 with |sums -
+        left_sums| <= e (t - s) on every window, or None, and then the
+        search sums them.
+
+        By default the sums come off the fine grid q(y_m), m <= (G - 1) n,
+        where n's kernel is the sampled one, the family proves e =
+        `sample_shift_bound`(n, E) at E = ``_FINE_SLOP`` and the grid fits
+        ``_FINE_MAX``: e is 0 for a step potential.  The grid lives in one buffer per sweep in
+        ``lattice.cache``, sized to the largest such n of ``lattice.ns``.
+
+        Sample k of window (x_i, x_j), fl(fl(fl(x_i - x_j) fl(k/n)) + x_j) with
+        x_i = fl(fl(i fl(fl(1 - a)/(G - 1))) + a) and a = ``lattice.axis[0]``,
+        and y_m = `_fine_points`(m, fl(fl(1 - a)/((G - 1) n)), a) at m = jn +
+        (i - j)k both approximate Y_m = a + (1 - a) m/((G - 1) n).  With u =
+        2^-53 and values in [0, 1 + 20u], x_i and y_m (three roundings of a
+        product <= 1, one of a sum) lie within 4u of theirs, the width within
+        9u, its product with fl(k/n) <= 1 within 11u and the sample within
+        16u, so |sample - y_m| <= 20u(1 + O(u)) < E.  A step potential has
+        q(sample) = q(y_m) unless a breakpoint lies within E of y_m (clipping
+        into [0, 1] only moves a sample towards y_m): such y_m read NaN, and
+        the windows that read one are resampled.  Numpy sums a strided row
+        pairwise, as the sampled kernel does its contiguous rows, while its
+        stride i - j is below n; the other rows are gathered a block at a
+        time and summed as contiguous rows.
         """
-        return None
+        grid = len(lattice.axis)
+        size = (grid - 1) * n + 1
+        if (self.left_sum_kernel(n) != "sampled" or size > _FINE_MAX
+                or (e := self.sample_shift_bound(n, _FINE_SLOP)) is None):
+            return None
+        buf = lattice.cache.get("fine")
+        if buf is None or len(buf) < size:
+            top = max(m for m in (n, *lattice.ns)
+                      if self.left_sum_kernel(m) == "sampled"
+                      and (grid - 1) * m + 1 <= _FINE_MAX)
+            buf = lattice.cache["fine"] = np.empty((grid - 1) * top + 1)
+        fine = buf[:size]
+        a = lattice.axis[0]
+        h = (1.0 - a) / ((grid - 1) * n)
+        for lo in range(0, size, _SAMPLE_CHUNK):
+            hi = min(lo + _SAMPLE_CHUNK, size)
+            fine[lo:hi] = self(_fine_points(np.arange(lo, hi, dtype=float),
+                                            h, a))
+        if self.step_breakpoints is not None:
+            # the fine points within E of a breakpoint, four around each
+            bp = self.step_breakpoints[1:-1, None]
+            near = np.clip(np.floor((bp - a) / h) + np.arange(-1.0, 3.0),
+                           0, size - 1)
+            hit = np.abs(_fine_points(near.copy(), h, a) - bp) <= _FINE_SLOP
+            fine[near[hit].astype(np.intp)] = np.nan
+        sums = np.empty(len(lattice.ts))
+        block = np.empty((max(_SAMPLE_CHUNK // n, grid - n), n))
+        at = np.empty(len(block), np.intp)
+        used = 0
+        for d in range(grid):
+            rows = np.ndarray((grid - d, n), buffer=fine,
+                              strides=(n * fine.itemsize, d * fine.itemsize))
+            to = lattice.starts[:grid - d] + d  # the windows (j + d, j)
+            if d < n:
+                sums[to] = rows.sum(axis=1)
+                continue
+            if used + grid - d > len(block):
+                sums[at[:used]] = block[:used].sum(axis=1)
+                used = 0
+            block[used:used + grid - d] = rows
+            at[used:used + grid - d] = to
+            used += grid - d
+        sums[at[:used]] = block[:used].sum(axis=1)
+        sums /= n
+        sums *= lattice.ts - lattice.ss
+        bad = np.isnan(sums)
+        sums[bad] = Potential.left_sums(self, lattice.ts[bad],
+                                        lattice.ss[bad], n)
+        return sums, np.float64(e)
 
     def left_sums(self, t: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
         """Left Riemann sums over the windows [s_i, t_i] on n equal steps.
 
         ``t`` and ``s`` are matching 1-D float arrays whose entries
         ``quadrature.left_darboux_sums`` has already checked against [0, 1],
-        so exact kernels check nothing.  This default samples q
-        (`sampled_left_sums` at n alone); families with an exact kernel
-        override it, and tests keep this loop as their reference.
+        so exact kernels check nothing.  This default, the sampled kernel,
+        samples q at s + (t-s)*(k/n), k < n, about ``_SAMPLE_CHUNK`` points
+        at a time in one buffer, checked (and clipped) through ``__call__``.
+        Families with an exact kernel override it; the callers that resample
+        windows call it directly, and tests keep it as their reference.
         """
-        return self.sampled_left_sums(t, s, [n])[0]
-
-    def sampled_left_sums(self, t, s, ns: list[int]) -> list[np.ndarray]:
-        """The left sums at each n of ``ns`` from one pass that samples q at
-        s + (t-s)*(k/N), k < N = max(ns), about ``_SAMPLE_CHUNK`` points at
-        a time in one buffer, checked (and clipped) through ``__call__``.
-        Each n must divide N: k/n and (k*N/n)/N round alike, so sample k of
-        n is sample k*N/n of N, and each sum is bit-equal to n's alone."""
-        top = max(ns)
-        out = [np.empty(t.shape) for _ in ns]
-        block = max(1, _SAMPLE_CHUNK // top)
-        frac = np.arange(top) / top
-        buf = np.empty((min(block, len(t)), top))
+        out = np.empty(t.shape)
+        block = max(1, _SAMPLE_CHUNK // n)
+        frac = np.arange(n) / n
+        buf = np.empty((min(block, len(t)), n))
         for i in range(0, len(t), block):
             ss = s[i:i + block, None]
             w = t[i:i + block, None] - ss
             xi = buf[:len(w)]
             np.multiply(w, frac, out=xi)
             xi += ss
-            vals = self(xi)
             # the sum over n, as np.mean divides it: bit-equal, one call less
-            for n, sums in zip(ns, out):
-                total = vals[:, ::top // n].sum(axis=1)
-                sums[i:i + block] = total / n * w[:, 0]
+            out[i:i + block] = self(xi).sum(axis=1) / n * w[:, 0]
         return out
 
     def _eval(self, t: np.ndarray) -> np.ndarray:
@@ -497,10 +571,25 @@ class PiecewiseConstant(Potential):
                 sums[i:i + block] = total / n * w
         back = t < s
         if back.any():
-            for sums, resampled in zip(
-                    out, self.sampled_left_sums(t[back], s[back], ns)):
-                sums[back] = resampled
+            for n, sums in zip(ns, out):
+                sums[back] = Potential.left_sums(self, t[back], s[back], n)
         return out
+
+    def lattice_sums(self, lattice, n):
+        """The piece count where K < n: one `piece_count_left_sums` count per
+        sweep, kept in ``lattice.cache``, serves the piece-count n of
+        ``lattice.ns`` that divide the largest of them, exactly.  Every
+        other n goes to the default fine grid."""
+        counts = lattice.cache.get("piece-count")
+        if counts is None:
+            kns = [m for m in lattice.ns
+                   if self.left_sum_kernel(m) == "piece-count"]
+            group = sorted({m for m in kns if max(kns) % m == 0})
+            counts = lattice.cache["piece-count"] = dict(zip(
+                group, self.piece_count_left_sums(lattice.ts, lattice.ss,
+                                                  group) if group else ()))
+        return ((counts[n], 0.0) if n in counts
+                else super().lattice_sums(lattice, n))
 
     def params(self):
         return {"breakpoints": [str(b) for b in self.breakpoints],

@@ -11,11 +11,12 @@ per-piece sample counts for step potentials (PiecewiseConstant,
 CantorIndicator) with fewer interior breakpoints than n, and sampling q at
 the n points otherwise.  `left_darboux_sums` and `riemann_errors` check
 each window endpoint once, in front of every kernel and antiderivative.  A
-search sweep's `coarse_lattice`, whose windows lie in [0, 1], computes its
-sums without that check: from per-sweep phase tables for HolderWeierstrass
-and one fine grid per sampled n for step potentials and tent trains (the
-first and last within a slop that the search closes), and otherwise by one
-sampling pass, or one count, for several n.
+search sweep's `coarse_lattice`, whose windows lie in [0, 1], takes its
+sums without that check from one family hook, `Potential.lattice_sums`:
+a fine grid of q per sampled n by default (step potentials and tent
+trains), one count per sweep for the piece-count n of a step potential,
+and per-sweep phase tables for HolderWeierstrass (the tents' and
+Weierstrass's within a slop that the search closes).
 """
 
 from __future__ import annotations

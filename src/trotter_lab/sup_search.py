@@ -13,14 +13,13 @@ a coarse lattice on s >= `_S_MIN` and local grids around the best cells
 (`_grid_refine`, which `semigroup` also runs over t at one tau).  Each
 round evaluates each distinct point once and is ranked once
 (`_best_first`).  The lattice does not depend on n: a sweep's searches
-share its `coarse_lattice`, which their ``lattice()`` returns: a family's
-own lattice kernel through the hook `Potential.lattice_sums` (Weierstrass:
-angle addition from per-sweep phase tables), else one fine grid of q per
-sampled-kernel n of a family with a sample shift bound (exact for step
-potentials), else one sampling pass for the sampled-kernel n, and one
-breakpoint count for the piece-count n.  Where lattice sums come within a
-slop (Weierstrass, tent trains), the search sums again each window whose
-ranking the slop could change.
+share its `coarse_lattice`, which their ``lattice()`` returns, and read
+each n's lattice sums off one family hook, `Potential.lattice_sums`: by
+default a fine grid of q (exact for step potentials), one piece count per
+sweep for steps with fewer breakpoints than n, and angle addition for
+Weierstrass.  Where lattice sums come within a slop (Weierstrass, tent
+trains), the search sums again each window whose ranking the slop could
+change; where the hook has none, the search sums every window alone.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .potentials import _SAMPLE_CHUNK, Potential
+from .errors import BudgetExceededError, ResourceLimitError
+from .potentials import Potential
 from .quadrature import DeltaPair, left_darboux_sums
 
 # A refinement round spaces _REFINE_FACTOR + 1 points per axis around each
@@ -40,12 +39,8 @@ _REFINE_FACTOR = 8
 _TOP_CELLS = 16
 # The smallest s probed: the triangle is open at s = 0.
 _S_MIN = 1e-9
-# A step potential's fine grid of (G - 1) n + 1 points serves n while it is
-# at most eight sampling blocks (2 MiB, n <= 1028 at G = 256), where the
-# sampling pass of `cantor --m 1..10` holds ten 32,896-sum outputs at once.
-_FINE_MAX = 8 * _SAMPLE_CHUNK + 1
-# E: 32 units of 2^-53, above the 20 that bound |sample - fine point|
-_FINE_SLOP = 2.0 ** -48
+# Cap on the lattice points per axis: one search at G = 4096 peaks at 480 MiB
+_GRID_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -62,6 +57,9 @@ class SearchConfig:
     def __post_init__(self):
         if self.coarse_grid < 2:
             raise ValueError("coarse_grid must be >= 2")
+        if self.coarse_grid > _GRID_MAX:
+            raise ResourceLimitError(f"coarse_grid {self.coarse_grid} > cap "
+                                     f"{_GRID_MAX}")
         if self.refine_levels < 0:
             raise ValueError(
                 f"refine_levels must be >= 0, got {self.refine_levels}")
@@ -181,126 +179,36 @@ def default_hints(q: Potential, n: int) -> list[DeltaPair]:
     return pts
 
 
-def _fine_points(m, h):
-    """Fine grid points fl(fl(m h) + _S_MIN) at whole numbers m, over m."""
-    m *= h
-    m += _S_MIN
-    return m
-
-
 @dataclass
 class Lattice:
     """The windows t >= s of linspace(_S_MIN, 1, G)^2 that a sweep's
-    searches share, s-major: the windows (axis[i], axis[j]), i = j .. G - 1,
-    of axis point j as s are ts and ss at starts[j] .. starts[j + 1] - 1.
-    ``cache`` holds a family's per-sweep tables (`Potential.lattice_sums`).
-    """
+    searches at ``ns`` share, s-major: the windows (axis[i], axis[j]), i =
+    j .. G - 1, of axis point j as s are ts and ss at starts[j] .. starts[j
+    + 1] - 1.  ``cache`` holds a family's per-sweep tables and buffers."""
 
     axis: np.ndarray
     ts: np.ndarray
     ss: np.ndarray
     starts: np.ndarray
+    ns: list[int]
     cache: dict = field(default_factory=dict)
-
-
-def _fine_grid_sums(q: Potential, lat: Lattice, n: int,
-                    buf: np.ndarray) -> np.ndarray:
-    """The left sums at n on the lattice windows from the fine grid q(y_m),
-    m <= (G - 1) n, held in ``buf``: within (t - s) q.sample_shift_bound(n,
-    E) of n's own, and bit-equal to them for a step potential.
-
-    Sample k of window (x_i, x_j), fl(fl(fl(x_i - x_j) fl(k/n)) + x_j) with
-    x_i = fl(fl(i fl(fl(1 - a)/(G - 1))) + a) and a = _S_MIN, and y_m =
-    `_fine_points`(m, fl(fl(1 - a)/((G - 1) n))) at m = jn + (i - j)k both
-    approximate Y_m = a + (1 - a) m/((G - 1) n).  With u = 2^-53 and values
-    in [0, 1 + 20u], x_i and y_m (three roundings of a product <= 1, one of
-    a sum) lie within 4u of theirs, the width within 9u, its product with
-    fl(k/n) <= 1 within 11u and the sample within 16u, so |sample - y_m| <=
-    20u(1 + O(u)) < E.  A step potential has q(sample) = q(y_m) unless a
-    breakpoint lies within E of y_m (clipping into [0, 1] only moves a
-    sample towards y_m): such y_m read NaN, and the windows that read one
-    are resampled.  Numpy sums a strided row pairwise, as the sampled kernel
-    does its contiguous rows, while its stride i - j is below n; the other
-    rows are gathered a block at a time and summed as contiguous rows.
-    """
-    grid = len(lat.axis)
-    size = (grid - 1) * n + 1
-    fine = buf[:size]
-    h = (1.0 - _S_MIN) / ((grid - 1) * n)
-    for lo in range(0, size, _SAMPLE_CHUNK):
-        hi = min(lo + _SAMPLE_CHUNK, size)
-        fine[lo:hi] = q(_fine_points(np.arange(lo, hi, dtype=float), h))
-    if q.step_breakpoints is not None:
-        # the fine points within E of a breakpoint, among the four around it
-        bp = q.step_breakpoints[1:-1, None]
-        near = np.clip(np.floor((bp - _S_MIN) / h) + np.arange(-1.0, 3.0),
-                       0, size - 1)
-        hit = np.abs(_fine_points(near.copy(), h) - bp) <= _FINE_SLOP
-        fine[near[hit].astype(np.intp)] = np.nan
-    sums = np.empty(len(lat.ts))
-    block = np.empty((max(_SAMPLE_CHUNK // n, grid - n), n))
-    at = np.empty(len(block), np.intp)
-    used = 0
-    for d in range(grid):
-        rows = np.ndarray((grid - d, n), buffer=fine,
-                          strides=(n * fine.itemsize, d * fine.itemsize))
-        to = lat.starts[:grid - d] + d  # the windows (j + d, j)
-        if d < n:
-            sums[to] = rows.sum(axis=1)
-            continue
-        if used + grid - d > len(block):
-            sums[at[:used]] = block[:used].sum(axis=1)
-            used = 0
-        block[used:used + grid - d] = rows
-        at[used:used + grid - d] = to
-        used += grid - d
-    sums[at[:used]] = block[:used].sum(axis=1)
-    sums /= n
-    sums *= lat.ts - lat.ss
-    bad = np.isnan(sums)
-    sums[bad] = q.sampled_left_sums(lat.ts[bad], lat.ss[bad], [n])[0]
-    return sums
 
 
 def coarse_lattice(q: Potential, ns: list[int], cfg: SearchConfig):
     """(t, s, I, sums) on the `Lattice` windows of linspace(_S_MIN, 1,
     coarse_grid): the integrals, from the antiderivative at the G axis
-    points, and ``sums(n)``: None, or n's lattice sums and a float64 e >= 0
-    with |sums - n's own| <= e (t - s) on every window, 0 where equal.
-    For the n in ``ns``, the family hook `Potential.lattice_sums` goes
-    first.  Otherwise a sampled-kernel n of a family with a
-    `Potential.sample_shift_bound` e at E, with at most ``_FINE_MAX`` fine
-    points, computes its sums from the fine grid when asked, in one
-    buffer, and keeps none.  Other n share by kernel if they divide its
-    largest n in ``ns``: one `Potential.sampled_left_sums` pass, or one
-    `PiecewiseConstant.piece_count_left_sums` count, with the lattice."""
+    points, and ``sums(n)``: the family hook `Potential.lattice_sums` for
+    the n in ``ns``, None for other n."""
     g = cfg.coarse_grid
     axis = np.linspace(_S_MIN, 1.0, g)
     s_at, t_at = np.triu_indices(g)  # s-major, s <= t
     ts, ss = axis[t_at], axis[s_at]
-    lat = Lattice(axis, ts, ss, np.append(0, np.cumsum(np.arange(g, 0, -1))))
+    lat = Lattice(axis, ts, ss, np.append(0, np.cumsum(np.arange(g, 0, -1))),
+                  list(ns))
     prim = q.antiderivative(axis)
-    fine = {n: np.float64(e) for n in ns if q.left_sum_kernel(n) == "sampled"
-            and (g - 1) * n + 1 <= _FINE_MAX
-            and (e := q.sample_shift_bound(n, _FINE_SLOP)) is not None}
-    buf = np.empty((g - 1) * max(fine) + 1) if fine else None
-    shared = {}
-    for kernel in ("sampled", "piece-count"):
-        kns = [n for n in ns if q.left_sum_kernel(n) == kernel
-               and n not in fine]
-        group = sorted({n for n in kns if max(kns) % n == 0})
-        if group:
-            one_pass = (q.sampled_left_sums if kernel == "sampled"
-                        else q.piece_count_left_sums)
-            shared.update(zip(group, one_pass(ts, ss, group)))
 
     def sums(n):
-        own = q.lattice_sums(lat, n) if n in ns else None
-        if own is not None:
-            return own
-        if n in fine:
-            return _fine_grid_sums(q, lat, n, buf), fine[n]
-        return (shared[n], 0.0) if n in shared else None
+        return q.lattice_sums(lat, n) if n in ns else None
     return ts, ss, prim[t_at] - prim[s_at], sums
 
 

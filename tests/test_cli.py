@@ -85,6 +85,11 @@ def test_exit_code_bad_list(tmp_path, capsys, monkeypatch, argv, message):
      "refine_levels must be >= 0, got -2"),
     (["oracle", "--potential", "linear", "--max-evals", "0"],
      "max_evals must be >= 1, got 0"),
+    # the lattice of G points per axis has G (G + 1)/2 windows
+    (["rates", "--potential", "linear", "--n", "8", "--grid", "100000",
+      "--refine", "0"], "coarse_grid 100000 > cap 4096"),
+    (["cantor", "--depth", "3", "--grid", "4097"],
+     "coarse_grid 4097 > cap 4096"),
 ])
 def test_exit_code_bad_search_config(tmp_path, capsys, monkeypatch, argv,
                                      message):
@@ -599,7 +604,9 @@ def test_exit_code_spec_error(tmp_path, capsys):
             ("pw:breakpoints=0+1/2+1,values=nan+1",
              "piece values must be >= 0 and finite"),
             ("tent:amplitudes=1+nan", "tent amplitudes must be > 0"),
-            ("tent:amplitudes=1+inf", "tent amplitudes must be > 0")):
+            ("tent:amplitudes=1+inf", "tent amplitudes must be > 0"),
+            ("tent:harmonic=-3", "'harmonic'"),
+            ("weier:beta=0.5,levels=1023", "levels must lie in [1, 1022]")):
         assert main(["rates", "--potential", potential, "--n", "8..16",
                      "--grid", "16", "--refine", "1"]) == 2
         err = capsys.readouterr().err
@@ -771,7 +778,24 @@ def test_searched_rows_bracket_their_value(tmp_path, argv):
             if r["command"] in SEARCHED]
     assert rows
     for r in rows:
-        assert r["lower"] <= r["value"] <= r["upper"], r
+        assert r["lower"] == r["value"] <= r["upper"], r
+
+
+@pytest.mark.parametrize("argv", [
+    ["lie", "--n", "8..64", "--trials", "2"],
+    # the Gram-eigenvalue spectral norm and the doubled telescoping sum at
+    # the largest benchmark dimension
+    ["lie", "--dim", "96", "--trials", "2", "--n", "16..64"],
+    # norms up to 80 take the Taylor exponential through several squarings
+    # of degree 20
+    ["lie", "--dim", "16", "--norm-bound", "40", "--trials", "2",
+     "--n", "16..64"],
+], ids=["dim4", "dim96", "norm40"])
+def test_lie_telescoping_passes(tmp_path, argv):
+    # lie exits 0 on a FAIL row too, so the verdict is read
+    rows = [r for r in _json_rows(tmp_path, argv, 0)
+            if r["command"] == "lie/telescoping"]
+    assert len(rows) == 1 and rows[0]["verdict"] == "PASS", rows
 
 
 def test_oracle_runs_one_symbol_search_per_n(tmp_path, monkeypatch):
@@ -803,8 +827,10 @@ def test_oracle_runs_one_symbol_search_per_n(tmp_path, monkeypatch):
 
 
 def test_rates_sweep_samples_the_lattice_once(monkeypatch):
-    # the lattice is sampled once, at the sweep's largest n; only the hints
-    # and the refinement rounds sample q at each n
+    # each n's lattice sums come off a fine grid of (G - 1) n + 1 points of
+    # q, plus the windows near the top cells summed again: all told below
+    # one sampling of the lattice at the sweep's largest n.  Only the hints
+    # and the refinement rounds sample q at each n besides
     q = parse_potential("tent:harmonic=6")
     ns = [8, 16, 32, 64, 128, 256]
     cfg = tl.SearchConfig()

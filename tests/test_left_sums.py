@@ -6,9 +6,11 @@ in closed form; PiecewiseConstant and CantorIndicator count samples per
 piece once their interior breakpoints are fewer than n.
 """
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import cache, partial
 
 import mpmath
 import numpy as np
@@ -422,69 +424,71 @@ HOOK_SWEEP_FAMILIES = (tl.HolderWeierstrass(0.5, 10),
                        tl.HolderWeierstrass(0.3, 90))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(windows=st.lists(st.tuples(unit, unit), min_size=1, max_size=12),
-       which=st.integers(0, len(SWEEP_FAMILIES) - 1))
-def test_one_sampling_pass_is_bit_equal_to_each_n(windows, which):
-    # sample k of n is sample k*N/n of N, so the mean over every (N/n)-th
-    # sample of one pass at N is each divisor's own sampled sum
-    q = SWEEP_FAMILIES[which]
-    t = np.array([w[0] for w in windows])
-    s = np.array([w[1] for w in windows])
-    for ns in SWEEP_LISTS:
-        group = [n for n in ns if max(ns) % n == 0]
-        for n, got in zip(group, q.sampled_left_sums(t, s, group)):
-            assert q.left_sum_kernel(n) == "sampled"
-            assert got.tobytes() == kernel(q, t, s, n).tobytes(), (q, n)
+# every family with each lattice kernel: none (Constant, Linear), the
+# piece count and the fine grid (steps), the fine grid within a slop
+# (tents) and angle addition (Weierstrass)
+LATTICE_FAMILIES = ((tl.Constant(0.7), tl.Linear(0.5, 0.25))
+                    + SWEEP_FAMILIES + STEP_SWEEP_FAMILIES
+                    + HOOK_SWEEP_FAMILIES)
 
 
 def _shared_ns(q, ns, grid):
-    """The n of ``ns`` with lattice sums: every n of a family with its own
-    lattice kernel, every sampled-kernel n whose fine grid fits, for a
-    family that proves a sample shift bound (step potentials and tent
-    trains), and otherwise the n that divide the largest n of their own
-    kernel."""
-    if type(q).lattice_sums is not tl.Potential.lattice_sums:
+    """The n of ``ns`` with lattice sums: every n for Weierstrass, the
+    piece-count n that divide the largest of them, and the sampled-kernel
+    n whose fine grid fits, for a family that proves a sample shift bound
+    (step potentials and tent trains)."""
+    if isinstance(q, tl.HolderWeierstrass):
         return sorted(ns)
-    fine = {n for n in ns if q.left_sum_kernel(n) == "sampled"
-            and (grid - 1) * n + 1 <= sup_search._FINE_MAX
-            and q.sample_shift_bound(n, sup_search._FINE_SLOP) is not None}
-    by_kernel = {}
-    for n in ns:
-        if n not in fine:
-            by_kernel.setdefault(q.left_sum_kernel(n), []).append(n)
-    return sorted(fine | {n for kns in by_kernel.values() for n in kns
-                          if max(kns) % n == 0})
+    counted = [n for n in ns if q.left_sum_kernel(n) == "piece-count"]
+    fine = [n for n in ns if q.left_sum_kernel(n) == "sampled"
+            and (grid - 1) * n + 1 <= potentials._FINE_MAX
+            and q.sample_shift_bound(n, potentials._FINE_SLOP) is not None]
+    return sorted(fine + [n for n in counted if max(counted) % n == 0])
 
 
-def test_sweep_lattice_sums_are_bit_equal_to_each_n():
-    # a step potential or a tent train reads every sampled n's sums off its
-    # fine grid, and Weierstrass every n's off its phase tables; the other n
-    # share by kernel when they divide its largest n (one sampling pass, or
-    # one count), and the searches sum the rest alone.  Every sum with slop
-    # 0 is bit-equal to n's own; a tent train's or Weierstrass's are within
-    # slop (t - s) of n's own, a slop far below 1
-    cfg = tl.SearchConfig(coarse_grid=24)
+def test_sweep_lattice_sums_are_within_their_slop():
+    # every lattice sum lies within slop (t - s) of n's own, a slop of at
+    # most 1e-9; with slop 0, as for every step potential, it is n's own
+    # bit for bit.  Constant and Linear have no lattice sums, and the
+    # searches sum the n without one alone
     counted = set()
-    for q in SWEEP_FAMILIES + STEP_SWEEP_FAMILIES + HOOK_SWEEP_FAMILIES:
-        for ns in SWEEP_LISTS:
-            ts, ss, integ, sums_at = sup_search.coarse_lattice(q, ns, cfg)
-            assert len(ts) == 24 * 25 // 2
-            shared = {n: x for n in ns if (x := sums_at(n)) is not None}
-            assert sorted(shared) == _shared_ns(q, ns, 24)
-            counted |= {(q, n) for n in shared
-                        if q.left_sum_kernel(n) == "piece-count"}
-            for n, (sums, slop) in shared.items():
-                want = kernel(q, ts, ss, n)
-                if q.step_breakpoints is None:
-                    assert np.all(np.abs(sums - want) <= slop * (ts - ss)), n
-                    assert 0 < slop <= 1e-9, n
-                else:
-                    assert np.all(slop == 0), n
-                    assert sums.tobytes() == want.tobytes(), n
-            want = q.antiderivative(ts) - q.antiderivative(ss)
-            assert integ.tobytes() == want.tobytes()
+    for q, grid, ns in itertools.product(LATTICE_FAMILIES, [2, 3, 7, 24, 33],
+                                         SWEEP_LISTS):
+        cfg = tl.SearchConfig(coarse_grid=grid)
+        ts, ss, integ, sums_at = sup_search.coarse_lattice(q, ns, cfg)
+        assert len(ts) == grid * (grid + 1) // 2
+        shared = {n: x for n in ns if (x := sums_at(n)) is not None}
+        assert sorted(shared) == _shared_ns(q, ns, grid)
+        counted |= {(q, n) for n in shared
+                    if q.left_sum_kernel(n) == "piece-count"}
+        for n, (sums, slop) in shared.items():
+            want = kernel(q, ts, ss, n)
+            assert 0 <= slop <= 1e-9, n
+            assert (slop == 0) == (q.step_breakpoints is not None), n
+            assert np.all(np.abs(sums - want) <= slop * (ts - ss)), n
+            if slop == 0:
+                assert sums.tobytes() == want.tobytes(), n
+        want = q.antiderivative(ts) - q.antiderivative(ss)
+        assert integ.tobytes() == want.tobytes()
     assert {q for q, _ in counted} == set(STEP_SWEEP_FAMILIES)
+
+
+@pytest.mark.parametrize("grid, every", [(24, 1), (256, 97)])
+def test_fine_grid_sums_above_the_old_cap_are_the_kernel(grid, every):
+    # the depth-12 Cantor indicator (K = 5232 >= n, so n samples) at n
+    # whose fine grids at grid 256 hold 0.5M and 1M points: its fine-grid
+    # sums are the kernel's bit for bit, checked on every window at grid 24
+    # and on every 97th at grid 256
+    q = tl.build_cantor(12)[0]
+    ns = [2048, 4096]
+    ts, ss, _, sums_at = sup_search.coarse_lattice(
+        q, ns, tl.SearchConfig(coarse_grid=grid))
+    for n in ns:
+        assert q.left_sum_kernel(n) == "sampled"
+        sums, slop = sums_at(n)
+        assert slop == 0
+        want = kernel(q, ts[::every], ss[::every], n)
+        assert sums[::every].tobytes() == want.tobytes(), n
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -549,33 +553,35 @@ def test_weierstrass_lattice_peaks_below_the_closed_form():
     assert np.all(np.abs(sums - want) <= slop * (ts - ss))
 
 
-def test_fine_grids_over_the_cap_share_one_sampling_pass(monkeypatch):
-    # with the cap at 24 fine points, only n = 1 fits at grid 24; the
-    # depth-10 Cantor indicator's other sampled n share one sampling pass
-    # when they divide the largest of them, as other families do
-    monkeypatch.setattr(sup_search, "_FINE_MAX", 24)
-    q = SWEEP_FAMILIES[1]
-    for ns in SWEEP_LISTS:
-        ts, ss, _, sums_at = sup_search.coarse_lattice(
-            q, ns, tl.SearchConfig(coarse_grid=24))
-        shared = {n: x for n in ns if (x := sums_at(n)) is not None}
-        assert sorted(shared) == _shared_ns(q, ns, 24)
-        assert ns != [3, 5, 7] or sorted(shared) == [7]
-        for n, (sums, slop) in shared.items():
-            assert not np.any(slop)
-            assert sums.tobytes() == kernel(q, ts, ss, n).tobytes(), n
+def test_fine_grids_over_the_cap_are_summed_alone(monkeypatch):
+    # with the cap at 24 fine points only n = 1 fits at grid 24: the hook
+    # has no sums above it, the searches sum those n alone, and every
+    # report of a sweep is the one its search gives alone
+    monkeypatch.setattr(potentials, "_FINE_MAX", 24)
+    cfg = tl.SearchConfig(coarse_grid=24, refine_levels=1)
+    for q in SWEEP_FAMILIES:
+        for ns in ([1, 2, 3, 4, 6, 12], [3, 5, 7]):
+            lattice = cache(partial(sup_search.coarse_lattice, q, ns, cfg))
+            sums_at = lattice()[3]
+            assert [n for n in ns if sums_at(n) is not None] == [
+                n for n in ns if n == 1]
+            for n in ns:
+                for search in (tl.sup_riemann_error, tl.sup_symbol):
+                    got = search(q, n, cfg, lattice=lattice)
+                    assert repr(got) == repr(search(q, n, cfg)), (q, n)
 
 
 def _lattice_samples(grid, n):
     """(sample, fine point) of every lattice window and k < n, the sample
     as the sampled kernel forms it."""
-    axis = np.linspace(sup_search._S_MIN, 1.0, grid)
+    a = sup_search._S_MIN
+    axis = np.linspace(a, 1.0, grid)
     i, j = np.tril_indices(grid)
     s = axis[j][:, None]
     x = (axis[i][:, None] - s) * (np.arange(n) / n) + s
     m = j[:, None] * n + (i - j)[:, None] * np.arange(n)
-    h = (1.0 - sup_search._S_MIN) / ((grid - 1) * n)
-    return x, sup_search._fine_points(m.astype(float), h)
+    h = (1.0 - a) / ((grid - 1) * n)
+    return x, potentials._fine_points(m.astype(float), h, a)
 
 
 @pytest.mark.parametrize("grid, ns", [(2, [1, 2, 3, 1024]),
@@ -589,7 +595,7 @@ def test_lattice_samples_lie_within_slop_of_the_fine_grid(grid, ns):
     for n in ns:
         x, y = _lattice_samples(grid, n)
         gap = np.abs(x - y).max()
-        assert gap <= 20 * 2.0 ** -53 < sup_search._FINE_SLOP, (grid, n, gap)
+        assert gap <= 20 * 2.0 ** -53 < potentials._FINE_SLOP, (grid, n, gap)
 
 
 def _random_step(draw, pieces, integer_values):
@@ -632,9 +638,9 @@ def test_breakpoint_near_a_fine_point_resamples_its_windows(offset,
     # ulps from it, among 96 others: the windows that read m are resampled,
     # and the sums stay the kernel's.  On the point, 3 of the 40 samples
     # that read m fall left of it, where q(sample) != q(y_m)
-    grid, n, m = 24, 64, 992
-    h = (1.0 - sup_search._S_MIN) / ((grid - 1) * n)
-    y_m = float(sup_search._fine_points(float(m), h))
+    grid, n, m, a = 24, 64, 992, sup_search._S_MIN
+    h = (1.0 - a) / ((grid - 1) * n)
+    y_m = float(potentials._fine_points(float(m), h, a))
     b = y_m + offset * np.spacing(y_m)
     x, y = _lattice_samples(grid, n)
     reads = x[y == y_m]
@@ -647,13 +653,13 @@ def test_breakpoint_near_a_fine_point_resamples_its_windows(offset,
     ts, ss, _, sums_at = sup_search.coarse_lattice(
         q, [1, n], tl.SearchConfig(coarse_grid=grid))
     resampled = []
-    sampled_left_sums = tl.Potential.sampled_left_sums
+    sampled = tl.Potential.left_sums
 
-    def recording(self, t, s, ns):
+    def recording(self, t, s, n):
         resampled.append(len(t))
-        return sampled_left_sums(self, t, s, ns)
+        return sampled(self, t, s, n)
 
-    monkeypatch.setattr(tl.Potential, "sampled_left_sums", recording)
+    monkeypatch.setattr(tl.Potential, "left_sums", recording)
     sums, slop = sums_at(n)
     monkeypatch.undo()
     assert len(resampled) == 1 and 0 < resampled[0] < len(ts)

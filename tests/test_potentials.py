@@ -457,7 +457,8 @@ def test_no_binary_search_after_construction(monkeypatch):
     s = rng.uniform(0.0, 1.0, 50)
     t = rng.uniform(0.0, 1.0, 50)
     for steps in (q, cantor):
-        steps.sampled_left_sums(t, s, [1, 4, 64])
+        for n in (1, 4, 64):
+            tl.Potential.left_sums(steps, t, s, n)
         steps.piece_count_left_sums(t, s, [2048, 4096])
         tl.left_darboux_sums(steps, t, s, 8)
 
