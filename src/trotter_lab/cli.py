@@ -36,7 +36,7 @@ from .errors import BudgetExceededError, TrotterLabError
 from .matrix_lie import _draw_pair, lie_error, telescoping_residual
 from .potentials import Potential, build_cantor, from_spec
 from .rates import fit_loglog
-from .semigroup import (GridFunction, operator_norm_oracle,
+from .semigroup import (GridFunction, _check_m, operator_norm_oracle,
                         per_tau_operator_norm, strong_convergence_curve)
 from .sup_search import (SearchConfig, SearchReport, coarse_lattice,
                          sup_riemann_error, sup_symbol)
@@ -283,6 +283,7 @@ def cmd_oracle(args) -> int:
     ns = parse_n_list(args.n)
     label = q.describe()
     meta = {"potential": label, "n_list": ns, "m": args.m, "p": args.p}
+    _check_m(args.m)  # before the searches: the oracle's grids follow them
     rows: list[dict] = []
     symbols, exhausted = _searches(q, ns, args, sup_symbol)
     for n, rep in zip(ns, symbols):

@@ -7,9 +7,9 @@ families keep exact rational breakpoints so that downstream quadrature is
 exact.  The family rules that the search, the semigroup and the rate
 checks read are methods: the certified left-sum error bound over windows
 up to a given width (every family has one), corner hints, the dyadic
-corner floor, step breakpoints, and the sweep lattice sums `lattice_sums`:
-a fine grid of q by default, a piece count for steps, angle addition for
-Weierstrass.
+corner floor, step breakpoints, and the lattice sums `lattice_sums` at
+every n: a fine grid of q where it fits and the family's kernel elsewhere
+by default, a piece count for steps, angle addition for Weierstrass.
 ``from_spec`` alone turns kind names, aliases and parameters (such as a
 tent train's ``harmonic=L``) into potentials, and rejects unread ones.
 
@@ -62,10 +62,14 @@ _STEP_TABLE_BITS = 16
 # Cap on the raw interval count of a fat-Cantor construction; depth 18 is
 # the deepest under it.
 _CANTOR_MAX_PIECES = 1 << 20
-# A sweep's fine grid of (G - 1) n + 1 points of q (`Potential.lattice_sums`)
+# The fine grid of (G - 1) n + 1 points of q (`Potential.lattice_sums`)
 # serves n while it fits a memory budget of 2^21 + 1 points (16 MiB, n <=
-# 8224 at G = 256); the searches sum larger n alone.
+# 8224 at G = 256); the kernel sums larger n.
 _FINE_MAX = (1 << 21) + 1
+# Cap on the sampled kernel's n: a block row holds n samples, and a search
+# at n = 2^22 on a lattice of 2 points per axis peaks at 223 MiB.  Closed
+# forms and piece counts take any n.
+_SAMPLE_MAX = 1 << 22
 # E: 32 units of 2^-53, above the 20 that bound |sample - fine point|
 _FINE_SLOP = 2.0 ** -48
 # numpy's float64 sin and cos are taken to lie within _TRIG_ERR units of
@@ -217,7 +221,7 @@ class Potential:
 
     def left_sum_kernel(self, n: int) -> str:
         """Which kernel `left_sums` runs at n: "closed-form", "piece-count"
-        or "sampled" (the base class's `left_sums`)."""
+        or "sampled" (the base class's `left_sums`); a search's trace label."""
         return "sampled"
 
     def sample_shift_bound(self, n: int, gap: float) -> float | None:
@@ -229,16 +233,15 @@ class Potential:
         return 0.0 if self.step_breakpoints is not None else None
 
     def lattice_sums(self, lattice, n: int):
-        """n's left sums on the windows of a sweep's ``lattice`` (a
+        """n's left sums on the windows of a search's ``lattice`` (a
         `sup_search.Lattice`) and a float64 e >= 0 with |sums -
-        left_sums| <= e (t - s) on every window, or None, and then the
-        search sums them.
+        left_sums| <= e (t - s) on every window.
 
         By default the sums come off the fine grid q(y_m), m <= (G - 1) n,
-        where n's kernel is the sampled one, the family proves e =
-        `sample_shift_bound`(n, E) at E = ``_FINE_SLOP`` and the grid fits
-        ``_FINE_MAX``: e is 0 for a step potential.  The grid lives in one buffer per sweep in
-        ``lattice.cache``, sized to the largest such n of ``lattice.ns``.
+        allocated per n, where the grid fits ``_FINE_MAX`` and the family
+        proves e = `sample_shift_bound`(n, E) at E = ``_FINE_SLOP``: e is 0
+        for a step potential.  Elsewhere they are `left_sums`, e = 0: the
+        windows lie in [a, 1] and need no check.
 
         Sample k of window (x_i, x_j), fl(fl(fl(x_i - x_j) fl(k/n)) + x_j) with
         x_i = fl(fl(i fl(fl(1 - a)/(G - 1))) + a) and a = ``lattice.axis[0]``,
@@ -257,16 +260,10 @@ class Potential:
         """
         grid = len(lattice.axis)
         size = (grid - 1) * n + 1
-        if (self.left_sum_kernel(n) != "sampled" or size > _FINE_MAX
+        if (size > _FINE_MAX
                 or (e := self.sample_shift_bound(n, _FINE_SLOP)) is None):
-            return None
-        buf = lattice.cache.get("fine")
-        if buf is None or len(buf) < size:
-            top = max(m for m in (n, *lattice.ns)
-                      if self.left_sum_kernel(m) == "sampled"
-                      and (grid - 1) * m + 1 <= _FINE_MAX)
-            buf = lattice.cache["fine"] = np.empty((grid - 1) * top + 1)
-        fine = buf[:size]
+            return self.left_sums(lattice.ts, lattice.ss, n), 0.0
+        fine = np.empty(size)
         a = lattice.axis[0]
         h = (1.0 - a) / ((grid - 1) * n)
         for lo in range(0, size, _SAMPLE_CHUNK):
@@ -314,8 +311,13 @@ class Potential:
         samples q at s + (t-s)*(k/n), k < n, about ``_SAMPLE_CHUNK`` points
         at a time in one buffer, checked (and clipped) through ``__call__``.
         Families with an exact kernel override it; the callers that resample
-        windows call it directly, and tests keep it as their reference.
+        windows call it directly, and tests keep it as their reference.  n
+        above ``_SAMPLE_MAX`` raises a ResourceLimitError before any
+        allocation.
         """
+        if n > _SAMPLE_MAX:
+            raise ResourceLimitError(f"n {n} > cap {_SAMPLE_MAX} of the "
+                                     f"sampled left-sum kernel")
         out = np.empty(t.shape)
         block = max(1, _SAMPLE_CHUNK // n)
         frac = np.arange(n) / n
@@ -539,7 +541,7 @@ class PiecewiseConstant(Potential):
         steps is bit-equal to the sampled mean.  Windows with t < s, whose
         samples run right to left, are sampled.
         """
-        if self.left_sum_kernel(n) == "sampled":
+        if self.internal_breakpoint_count >= n:
             return super().left_sums(t, s, n)
         return self.piece_count_left_sums(t, s, [n])[0]
 
@@ -578,18 +580,20 @@ class PiecewiseConstant(Potential):
     def lattice_sums(self, lattice, n):
         """The piece count where K < n: one `piece_count_left_sums` count per
         sweep, kept in ``lattice.cache``, serves the piece-count n of
-        ``lattice.ns`` that divide the largest of them, exactly.  Every
-        other n goes to the default fine grid."""
+        ``lattice.ns`` that divide the largest of them, exactly, and other
+        such n are counted alone.  n <= K go to the default fine grid."""
+        k = self.internal_breakpoint_count
+        if k >= n:
+            return super().lattice_sums(lattice, n)
         counts = lattice.cache.get("piece-count")
         if counts is None:
-            kns = [m for m in lattice.ns
-                   if self.left_sum_kernel(m) == "piece-count"]
+            kns = [m for m in {n, *lattice.ns} if k < m]
             group = sorted({m for m in kns if max(kns) % m == 0})
-            counts = lattice.cache["piece-count"] = dict(zip(
-                group, self.piece_count_left_sums(lattice.ts, lattice.ss,
-                                                  group) if group else ()))
-        return ((counts[n], 0.0) if n in counts
-                else super().lattice_sums(lattice, n))
+            sums = self.piece_count_left_sums(lattice.ts, lattice.ss, group)
+            counts = lattice.cache["piece-count"] = dict(zip(group, sums))
+        if n in counts:
+            return counts[n], 0.0
+        return self.left_sums(lattice.ts, lattice.ss, n), 0.0
 
     def params(self):
         return {"breakpoints": [str(b) for b in self.breakpoints],

@@ -9,14 +9,15 @@ Left sums come from each family's `Potential.left_sums`: closed forms for
 Linear (and Constant, the zero-slope Linear) and HolderWeierstrass,
 per-piece sample counts for step potentials (PiecewiseConstant,
 CantorIndicator) with fewer interior breakpoints than n, and sampling q at
-the n points otherwise.  `left_darboux_sums` and `riemann_errors` check
-each window endpoint once, in front of every kernel and antiderivative.  A
-search sweep's `coarse_lattice`, whose windows lie in [0, 1], takes its
-sums without that check from one family hook, `Potential.lattice_sums`:
-a fine grid of q per sampled n by default (step potentials and tent
-trains), one count per sweep for the piece-count n of a step potential,
-and per-sweep phase tables for HolderWeierstrass (the tents' and
-Weierstrass's within a slop that the search closes).
+the n points otherwise, for n up to a cap.  `left_darboux_sums` and
+`riemann_errors` check each window endpoint once, in front of every kernel
+and antiderivative.  A search's `coarse_lattice`, whose windows lie in
+[0, 1], takes its sums without that check from one family hook,
+`Potential.lattice_sums`, at every n: a fine grid of q per sampled n where
+it fits (step potentials and tent trains), one count per sweep for the
+piece-count n of a step potential, per-sweep phase tables for
+HolderWeierstrass (the tents' and Weierstrass's within a slop that the
+search closes), and `left_sums` itself elsewhere.
 """
 
 from __future__ import annotations

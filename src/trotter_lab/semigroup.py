@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridResolutionWarning
+from .errors import GridResolutionWarning, ResourceLimitError
 from .potentials import Potential
 from .quadrature import left_darboux_sums
 from .sup_search import _BestTracker, _grid_refine
@@ -33,6 +33,13 @@ _ROUND_TOL = 1e-9
 _T_GRID = 4097
 _T_REFINE_LEVELS = 3
 _T_TOP = 8
+# Cap on the grid resolution m: `strong --n 2..4` at m = 2^22 peaks at 320 MiB
+_M_MAX = 1 << 22
+
+
+def _check_m(m: int) -> None:
+    if m > _M_MAX:
+        raise ResourceLimitError(f"m {m} > cap {_M_MAX}")
 
 
 def _nodes(m: int) -> np.ndarray:
@@ -56,6 +63,7 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, fn, m: int, p: float = 2.0) -> "GridFunction":
+        _check_m(m)
         return cls(np.asarray(fn(_nodes(m)), dtype=complex), p)
 
     @property
@@ -247,9 +255,11 @@ def operator_norm_oracle(q: Potential, tau: float, n: int, p: float,
     do whenever tau m / n is an integer) the difference is a weighted
     shift, whose norm is max_k |a_k - b_k| for every p.  Otherwise the
     value is the unit-delta lower bound max_k (|a_k|^p + |b_k|^p)^(1/p).
+    m above ``_M_MAX`` raises a ResourceLimitError.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
+    _check_m(m)
     one = GridFunction(np.ones(m), p)
     r, s = _cells(tau, m), n * _cells(tau / n, m)
     # index by source cell; the cells that wrap around are zero-filled

@@ -13,13 +13,14 @@ a coarse lattice on s >= `_S_MIN` and local grids around the best cells
 (`_grid_refine`, which `semigroup` also runs over t at one tau).  Each
 round evaluates each distinct point once and is ranked once
 (`_best_first`).  The lattice does not depend on n: a sweep's searches
-share its `coarse_lattice`, which their ``lattice()`` returns, and read
-each n's lattice sums off one family hook, `Potential.lattice_sums`: by
-default a fine grid of q (exact for step potentials), one piece count per
-sweep for steps with fewer breakpoints than n, and angle addition for
-Weierstrass.  Where lattice sums come within a slop (Weierstrass, tent
-trains), the search sums again each window whose ranking the slop could
-change; where the hook has none, the search sums every window alone.
+share its `coarse_lattice`, which their ``lattice()`` returns, and a
+search alone builds one for its n.  Each reads n's lattice sums off one
+family hook, `Potential.lattice_sums`, at every n: a fine grid of q where
+it fits (exact for step potentials), one piece count per sweep for steps
+with fewer breakpoints than n, angle addition for Weierstrass, and the
+family's kernel elsewhere.  Where lattice sums come within a slop
+(Weierstrass, tent trains), the search sums again each window whose
+ranking the slop could change.
 """
 
 from __future__ import annotations
@@ -184,38 +185,34 @@ class Lattice:
     """The windows t >= s of linspace(_S_MIN, 1, G)^2 that a sweep's
     searches at ``ns`` share, s-major: the windows (axis[i], axis[j]), i =
     j .. G - 1, of axis point j as s are ts and ss at starts[j] .. starts[j
-    + 1] - 1.  ``cache`` holds a family's per-sweep tables and buffers."""
+    + 1] - 1; ``integ`` holds their integrals, ``cache`` a family's tables."""
 
     axis: np.ndarray
     ts: np.ndarray
     ss: np.ndarray
     starts: np.ndarray
+    integ: np.ndarray
     ns: list[int]
     cache: dict = field(default_factory=dict)
 
 
-def coarse_lattice(q: Potential, ns: list[int], cfg: SearchConfig):
-    """(t, s, I, sums) on the `Lattice` windows of linspace(_S_MIN, 1,
-    coarse_grid): the integrals, from the antiderivative at the G axis
-    points, and ``sums(n)``: the family hook `Potential.lattice_sums` for
-    the n in ``ns``, None for other n."""
+def coarse_lattice(q: Potential, ns: list[int], cfg: SearchConfig) -> Lattice:
+    """The `Lattice` of linspace(_S_MIN, 1, coarse_grid) for the searches
+    at ``ns``, its integrals from the antiderivative at the G axis
+    points."""
     g = cfg.coarse_grid
     axis = np.linspace(_S_MIN, 1.0, g)
     s_at, t_at = np.triu_indices(g)  # s-major, s <= t
-    ts, ss = axis[t_at], axis[s_at]
-    lat = Lattice(axis, ts, ss, np.append(0, np.cumsum(np.arange(g, 0, -1))),
-                  list(ns))
     prim = q.antiderivative(axis)
-
-    def sums(n):
-        return q.lattice_sums(lat, n) if n in ns else None
-    return ts, ss, prim[t_at] - prim[s_at], sums
+    return Lattice(axis, axis[t_at], axis[s_at],
+                   np.append(0, np.cumsum(np.arange(g, 0, -1))),
+                   prim[t_at] - prim[s_at], list(ns))
 
 
 def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
                      objective, lattice) -> SearchReport:
     """The largest ``objective(I, S)`` over integrals I and left sums S:
-    hints, the lattice (``lattice()``, else unshared), then ``refine_levels``
+    hints, the lattice (``lattice()``, else n's own), then ``refine_levels``
     rounds around the ``_TOP_CELLS`` best points.  An exhausted budget
     carries the partial report, None when it ran out before the first
     probe."""
@@ -250,9 +247,10 @@ def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
     vals = probe(ts, ss)
     tracker.offer(vals, ts, ss, _best_first(vals, ts, ss, 1)[0])
     charge(cfg.coarse_grid * (cfg.coarse_grid + 1) // 2)  # lattice windows
-    ts, ss, integ, shared = lattice() if lattice else coarse_lattice(q, [], cfg)
-    sums, slop = shared(n) or (left_darboux_sums(q, ts, ss, n), 0.0)
-    vals = objective(integ, sums)
+    lat = lattice() if lattice else coarse_lattice(q, [n], cfg)
+    ts, ss = lat.ts, lat.ss
+    sums, slop = q.lattice_sums(lat, n)
+    vals = objective(lat.integ, sums)
     if slop:
         # an exact sum moves a value by at most slop (t - s) plus a few
         # units of roundoff of 1 + value: a window more than 2 slop max(t -
@@ -263,7 +261,7 @@ def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
         near = vals >= (c - 2.0 * slop * np.max(ts - ss)
                         - 2.0 ** -40 * (1.0 + c))
         sums[near] = left_darboux_sums(q, ts[near], ss[near], n)
-        vals = objective(integ, sums)
+        vals = objective(lat.integ, sums)
     _grid_refine(probe, (ts, ss), vals,
                  (1.0 - _S_MIN) / (cfg.coarse_grid - 1), _S_MIN,
                  cfg.refine_levels, _TOP_CELLS, tracker,

@@ -1,10 +1,16 @@
-"""Shared fixtures and the acceptance-line reporter.
+"""Shared fixtures, the exact-lattice reference and the acceptance-line
+reporter.
 
 The ``zoo`` fixture gives one representative per potential family plus a
-couple of edge members; property suites iterate over it.  Acceptance tests
-register a one-line verdict per criterion which is echoed in the terminal
-summary so the gate is visible regardless of capture settings.
+couple of edge members; property suites iterate over it.
+`exact_lattice_sums` makes every family's lattice sums its kernel on each
+window, the reference that searches on exactly summed windows give.
+Acceptance tests register a one-line verdict per criterion which is echoed
+in the terminal summary so the gate is visible regardless of capture
+settings.
 """
+
+from contextlib import contextmanager
 
 import pytest
 
@@ -15,6 +21,17 @@ _ACCEPTANCE_LINES = []
 
 def record_acceptance(line: str):
     _ACCEPTANCE_LINES.append(line)
+
+
+@contextmanager
+def exact_lattice_sums():
+    """Within the block, every family's `lattice_sums` is its `left_sums`
+    on each lattice window, with slop 0."""
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (tl.Potential, tl.PiecewiseConstant, tl.HolderWeierstrass):
+            patch.setattr(cls, "lattice_sums", lambda self, lat, n: (
+                self.left_sums(lat.ts, lat.ss, n), 0.0))
+        yield
 
 
 def pytest_terminal_summary(terminalreporter):

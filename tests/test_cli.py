@@ -97,6 +97,36 @@ def test_exit_code_bad_search_config(tmp_path, capsys, monkeypatch, argv,
                                    message)
 
 
+@pytest.mark.parametrize("argv", [
+    ["strong", "--potential", "linear", "--n", "2..4", "--m", "4194305",
+     "--tau", "0.5", "--grid", "16", "--refine", "0"],
+    ["oracle", "--potential", "linear", "--n", "4", "--m", "4194305",
+     "--grid", "16", "--refine", "0"],
+])
+def test_exit_code_grid_resolution_over_the_cap(tmp_path, capsys,
+                                                monkeypatch, argv):
+    # one grid point over the cap of 2^22 (at m = 10^9 the grid functions
+    # would take 8 GiB): refused before the searches, which for oracle come
+    # before its first grid function
+    _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv,
+                                   "m 4194305 > cap 4194304")
+
+
+def test_sampled_n_over_the_cap_exits_2(capsys):
+    # one sample over the sampled kernel's cap of 2^22 is an error line (at
+    # n = 2^30 the samples of one window would take 8 GiB); closed forms
+    # and piece counts take n = 2^30
+    argv = ["--grid", "2", "--refine", "0"]
+    assert main(["rates", "--potential", "tent:harmonic=3",
+                 "--n", "4194305"] + argv) == 2
+    assert capsys.readouterr().err == (
+        "error: n 4194305 > cap 4194304 of the sampled left-sum kernel\n")
+    for spec in ("weier:beta=0.5,levels=10", "cantor:depth=4"):
+        assert main(["rates", "--potential", spec,
+                     "--n", "1073741824"] + argv) == 0
+        assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv, message", [
     (["lie", "--n", "8..16", "--dim", "0"], "dim must be >= 1"),
     (["lie", "--n", "8..16", "--norm-bound", "0"], "norm_bound must be > 0"),

@@ -22,6 +22,7 @@ import trotter_lab as tl
 from trotter_lab import potentials, sup_search
 from trotter_lab.potentials import Potential
 from trotter_lab.sup_search import default_hints
+from conftest import exact_lattice_sums
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -151,7 +152,8 @@ def test_weierstrass_shared_width_terms_are_bit_equal(n, levels):
     # the lattice's 32,896 windows have 1,022 distinct widths; random
     # windows, both orientations, nearly all distinct
     q = tl.HolderWeierstrass(0.5, levels)
-    ts, ss, _, _ = sup_search.coarse_lattice(q, [], tl.SearchConfig())
+    lat = sup_search.coarse_lattice(q, [n], tl.SearchConfig())
+    ts, ss = lat.ts, lat.ss
     rng = np.random.default_rng(n * 100 + levels)
     t = np.concatenate((ts, rng.uniform(0.0, 1.0, 3000), [0.0, 1.0, 0.5]))
     s = np.concatenate((ss, rng.uniform(0.0, 1.0, 3000), [0.0, 0.0, 0.5]))
@@ -406,6 +408,36 @@ def test_sampled_kernel_holds_one_block():
     assert peak < 8 << 20
 
 
+def test_sampled_kernel_refuses_n_over_its_cap(monkeypatch):
+    # n above _SAMPLE_MAX raises before any allocation (n = 2^40 would take
+    # 8 TiB); with the cap lowered to 64, n = 64 still samples
+    q = tl.build_tent_train([1.0, 0.5])
+    tracemalloc.start()
+    try:
+        with pytest.raises(tl.ResourceLimitError,
+                           match=r"^n 1099511627776 > cap 4194304 of the "):
+            kernel(q, [0.75], [0.25], 2 ** 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    monkeypatch.setattr(potentials, "_SAMPLE_MAX", 64)
+    assert kernel(q, [0.75], [0.25], 64) == sampled(q, 0.75, 0.25, 64)
+    with pytest.raises(tl.ResourceLimitError, match="n 65 > cap 64"):
+        kernel(q, [0.75], [0.25], 65)
+
+
+@pytest.mark.parametrize("n", [2 ** 30, 2 ** 40])
+def test_exact_kernels_take_any_n(n):
+    # closed forms and piece counts allocate nothing per sample: at n far
+    # over the sampled kernel's cap they still sum, within 1/n of the
+    # integral for the Lipschitz Weierstrass sum and Cantor's few jumps
+    for q in (tl.HolderWeierstrass(0.5, 10), tl.Linear(),
+              tl.build_cantor(4)[0]):
+        integral = q.antiderivative(0.75) - q.antiderivative(0.25)
+        assert abs(kernel(q, [0.75], [0.25], n)[0] - integral) <= 1e-6
+
+
 # sampled-kernel families of a sweep: tent:harmonic=6, the depth-10 Cantor
 # indicator (K = 1320) and a step with non-integer values (K = 1100), each
 # with K >= n on every list below
@@ -424,53 +456,49 @@ HOOK_SWEEP_FAMILIES = (tl.HolderWeierstrass(0.5, 10),
                        tl.HolderWeierstrass(0.3, 90))
 
 
-# every family with each lattice kernel: none (Constant, Linear), the
-# piece count and the fine grid (steps), the fine grid within a slop
-# (tents) and angle addition (Weierstrass)
+# every family with each lattice kernel: the kernel itself (Constant,
+# Linear), the piece count and the fine grid (steps), the fine grid within
+# a slop (tents) and angle addition (Weierstrass)
 LATTICE_FAMILIES = ((tl.Constant(0.7), tl.Linear(0.5, 0.25))
                     + SWEEP_FAMILIES + STEP_SWEEP_FAMILIES
                     + HOOK_SWEEP_FAMILIES)
 
 
-def _shared_ns(q, ns, grid):
-    """The n of ``ns`` with lattice sums: every n for Weierstrass, the
-    piece-count n that divide the largest of them, and the sampled-kernel
-    n whose fine grid fits, for a family that proves a sample shift bound
-    (step potentials and tent trains)."""
-    if isinstance(q, tl.HolderWeierstrass):
-        return sorted(ns)
-    counted = [n for n in ns if q.left_sum_kernel(n) == "piece-count"]
-    fine = [n for n in ns if q.left_sum_kernel(n) == "sampled"
-            and (grid - 1) * n + 1 <= potentials._FINE_MAX
-            and q.sample_shift_bound(n, potentials._FINE_SLOP) is not None]
-    return sorted(fine + [n for n in counted if max(counted) % n == 0])
-
-
-def test_sweep_lattice_sums_are_within_their_slop():
-    # every lattice sum lies within slop (t - s) of n's own, a slop of at
-    # most 1e-9; with slop 0, as for every step potential, it is n's own
-    # bit for bit.  Constant and Linear have no lattice sums, and the
-    # searches sum the n without one alone
-    counted = set()
-    for q, grid, ns in itertools.product(LATTICE_FAMILIES, [2, 3, 7, 24, 33],
-                                         SWEEP_LISTS):
-        cfg = tl.SearchConfig(coarse_grid=grid)
-        ts, ss, integ, sums_at = sup_search.coarse_lattice(q, ns, cfg)
-        assert len(ts) == grid * (grid + 1) // 2
-        shared = {n: x for n in ns if (x := sums_at(n)) is not None}
-        assert sorted(shared) == _shared_ns(q, ns, grid)
-        counted |= {(q, n) for n in shared
-                    if q.left_sum_kernel(n) == "piece-count"}
-        for n, (sums, slop) in shared.items():
-            want = kernel(q, ts, ss, n)
-            assert 0 <= slop <= 1e-9, n
-            assert (slop == 0) == (q.step_breakpoints is not None), n
-            assert np.all(np.abs(sums - want) <= slop * (ts - ss)), n
-            if slop == 0:
-                assert sums.tobytes() == want.tobytes(), n
-        want = q.antiderivative(ts) - q.antiderivative(ss)
-        assert integ.tobytes() == want.tobytes()
-    assert {q for q, _ in counted} == set(STEP_SWEEP_FAMILIES)
+def test_sweep_lattice_sums_are_within_their_slop(monkeypatch):
+    # the hook answers every n of every family: within slop (t - s) of n's
+    # own sums, a slop of at most 1e-9, and with slop 0, as for Constant,
+    # Linear, every step potential and every n whose fine grid is over the
+    # cap, bit for bit.  Piece-count n that do not divide the sweep's
+    # largest are counted alone.  At the cap of 769 points the tent's fine
+    # grids of n >= 64 at grid 24, and of n >= 32 at grid 33, are over it
+    for cap in (potentials._FINE_MAX, 24 * 32 + 1):
+        monkeypatch.setattr(potentials, "_FINE_MAX", cap)
+        alone, over = set(), set()
+        for q, grid, ns in itertools.product(
+                LATTICE_FAMILIES, [2, 3, 7, 24, 33], SWEEP_LISTS):
+            lat = sup_search.coarse_lattice(q, ns,
+                                            tl.SearchConfig(coarse_grid=grid))
+            ts, ss = lat.ts, lat.ss
+            assert len(ts) == grid * (grid + 1) // 2
+            for n in ns:
+                sums, slop = q.lattice_sums(lat, n)
+                want = kernel(q, ts, ss, n)
+                assert 0 <= slop <= 1e-9, n
+                assert slop == 0 or q.step_breakpoints is None, n
+                assert np.all(np.abs(sums - want) <= slop * (ts - ss)), n
+                if slop == 0:
+                    assert sums.tobytes() == want.tobytes(), n
+                if isinstance(q, tl.TentTrain):
+                    assert (slop == 0) == ((grid - 1) * n + 1 > cap), n
+                    if slop == 0:
+                        over.add(n)
+                if (q.left_sum_kernel(n) == "piece-count"
+                        and n not in lat.cache["piece-count"]):
+                    alone.add(q)
+            want = q.antiderivative(ts) - q.antiderivative(ss)
+            assert lat.integ.tobytes() == want.tobytes()
+        assert alone == set(STEP_SWEEP_FAMILIES)
+        assert bool(over) == (cap == 24 * 32 + 1)
 
 
 @pytest.mark.parametrize("grid, every", [(24, 1), (256, 97)])
@@ -481,13 +509,12 @@ def test_fine_grid_sums_above_the_old_cap_are_the_kernel(grid, every):
     # and on every 97th at grid 256
     q = tl.build_cantor(12)[0]
     ns = [2048, 4096]
-    ts, ss, _, sums_at = sup_search.coarse_lattice(
-        q, ns, tl.SearchConfig(coarse_grid=grid))
+    lat = sup_search.coarse_lattice(q, ns, tl.SearchConfig(coarse_grid=grid))
     for n in ns:
         assert q.left_sum_kernel(n) == "sampled"
-        sums, slop = sums_at(n)
+        sums, slop = q.lattice_sums(lat, n)
         assert slop == 0
-        want = kernel(q, ts[::every], ss[::every], n)
+        want = kernel(q, lat.ts[::every], lat.ss[::every], n)
         assert sums[::every].tobytes() == want.tobytes(), n
 
 
@@ -504,13 +531,12 @@ def test_weierstrass_lattice_sums_are_within_their_slop(beta, levels, grid,
     # every window, at n that divide others of the list and n that do not;
     # past about 82 levels 2^j s is even at every lattice point
     q = tl.HolderWeierstrass(beta, levels)
-    ts, ss, _, sums_at = sup_search.coarse_lattice(
-        q, ns, tl.SearchConfig(coarse_grid=grid))
+    lat = sup_search.coarse_lattice(q, ns, tl.SearchConfig(coarse_grid=grid))
     for n in ns:
-        sums, slop = sums_at(n)
+        sums, slop = q.lattice_sums(lat, n)
         assert 0 < slop <= 1e-9, n
-        want = q.left_sums(ts, ss, n)
-        assert np.all(np.abs(sums - want) <= slop * (ts - ss)), n
+        want = q.left_sums(lat.ts, lat.ss, n)
+        assert np.all(np.abs(sums - want) <= slop * (lat.ts - lat.ss)), n
 
 
 @pytest.mark.parametrize("top", [2.0, 2.0 ** 20 + 2.0],
@@ -538,37 +564,43 @@ def test_weierstrass_lattice_peaks_below_the_closed_form():
     # the per-n blocks of 2^15 entries peak below the closed form, which
     # holds a few lattice-sized arrays per level
     q = tl.HolderWeierstrass(0.5, 1022)
-    ts, ss, _, sums_at = sup_search.coarse_lattice(q, [64], tl.SearchConfig())
+    lat = sup_search.coarse_lattice(q, [64], tl.SearchConfig())
+    ts, ss = lat.ts, lat.ss
     peaks = []
     tracemalloc.start()
     try:
-        for run in (lambda: sums_at(64), lambda: q.left_sums(ts, ss, 64)):
+        for run in (lambda: q.lattice_sums(lat, 64),
+                    lambda: q.left_sums(ts, ss, 64)):
             tracemalloc.reset_peak()
             got = run()
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert peaks[0] <= peaks[1], peaks
-    (sums, slop), want = sums_at(64), got
+    (sums, slop), want = q.lattice_sums(lat, 64), got
     assert np.all(np.abs(sums - want) <= slop * (ts - ss))
 
 
 def test_fine_grids_over_the_cap_are_summed_alone(monkeypatch):
     # with the cap at 24 fine points only n = 1 fits at grid 24: the hook
-    # has no sums above it, the searches sum those n alone, and every
-    # report of a sweep is the one its search gives alone
+    # gives the kernel's sums above it, with slop 0, and every report of a
+    # sweep is the one a search on exactly summed windows gives alone
     monkeypatch.setattr(potentials, "_FINE_MAX", 24)
     cfg = tl.SearchConfig(coarse_grid=24, refine_levels=1)
     for q in SWEEP_FAMILIES:
         for ns in ([1, 2, 3, 4, 6, 12], [3, 5, 7]):
             lattice = cache(partial(sup_search.coarse_lattice, q, ns, cfg))
-            sums_at = lattice()[3]
-            assert [n for n in ns if sums_at(n) is not None] == [
-                n for n in ns if n == 1]
+            lat = lattice()
+            for n in ns[ns[0] == 1:]:
+                sums, slop = q.lattice_sums(lat, n)
+                assert slop == 0
+                assert sums.tobytes() == kernel(q, lat.ts, lat.ss, n).tobytes()
             for n in ns:
                 for search in (tl.sup_riemann_error, tl.sup_symbol):
                     got = search(q, n, cfg, lattice=lattice)
-                    assert repr(got) == repr(search(q, n, cfg)), (q, n)
+                    with exact_lattice_sums():
+                        want = search(q, n, cfg)
+                    assert repr(got) == repr(want), (q, n)
 
 
 def _lattice_samples(grid, n):
@@ -623,12 +655,11 @@ def test_fine_grid_sums_are_bit_equal_to_the_kernel(data, pieces,
     assume(k >= 1)
     ns = data.draw(st.lists(st.integers(1, k), min_size=1, max_size=4,
                             unique=True))
-    ts, ss, _, sums_at = sup_search.coarse_lattice(
-        q, ns, tl.SearchConfig(coarse_grid=grid))
+    lat = sup_search.coarse_lattice(q, ns, tl.SearchConfig(coarse_grid=grid))
     for n in ns:
-        sums, slop = sums_at(n)
+        sums, slop = q.lattice_sums(lat, n)
         assert not np.any(slop)
-        assert sums.tobytes() == kernel(q, ts, ss, n).tobytes(), n
+        assert sums.tobytes() == kernel(q, lat.ts, lat.ss, n).tobytes(), n
 
 
 @pytest.mark.parametrize("offset", [0, 1, -3, 31], ids=lambda o: f"ulps{o}")
@@ -650,8 +681,8 @@ def test_breakpoint_near_a_fine_point_resamples_its_windows(offset,
     q = tl.PiecewiseConstant([0, *cuts, 1],
                              [0.25 + 1.25 * (i % 2) for i in range(98)])
     assert q.left_sum_kernel(n) == "sampled"
-    ts, ss, _, sums_at = sup_search.coarse_lattice(
-        q, [1, n], tl.SearchConfig(coarse_grid=grid))
+    lat = sup_search.coarse_lattice(q, [1, n],
+                                    tl.SearchConfig(coarse_grid=grid))
     resampled = []
     sampled = tl.Potential.left_sums
 
@@ -660,8 +691,8 @@ def test_breakpoint_near_a_fine_point_resamples_its_windows(offset,
         return sampled(self, t, s, n)
 
     monkeypatch.setattr(tl.Potential, "left_sums", recording)
-    sums, slop = sums_at(n)
+    sums, slop = q.lattice_sums(lat, n)
     monkeypatch.undo()
-    assert len(resampled) == 1 and 0 < resampled[0] < len(ts)
+    assert len(resampled) == 1 and 0 < resampled[0] < len(lat.ts)
     assert not np.any(slop)
-    assert sums.tobytes() == kernel(q, ts, ss, n).tobytes()
+    assert sums.tobytes() == kernel(q, lat.ts, lat.ss, n).tobytes()

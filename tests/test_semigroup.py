@@ -42,6 +42,21 @@ def test_gridfunction_nodes_and_sub():
         _ = f - _smooth(16)
 
 
+def test_grid_resolution_over_the_cap_is_refused(monkeypatch):
+    # m above _M_MAX raises before the m-point arrays exist; with the cap
+    # lowered to 64, m = 64 still builds
+    m = semigroup._M_MAX + 1
+    with pytest.raises(tl.ResourceLimitError, match=f"^m {m} > cap "):
+        tl.GridFunction.from_callable(np.sin, m)
+    with pytest.raises(tl.ResourceLimitError, match=f"^m {m} > cap "):
+        tl.operator_norm_oracle(tl.Linear(), 0.5, 4, 2.0, m=m)
+    monkeypatch.setattr(semigroup, "_M_MAX", 64)
+    assert tl.GridFunction.from_callable(np.sin, 64).m == 64
+    assert tl.operator_norm_oracle(tl.Linear(), 0.5, 4, 2.0, m=64) >= 0.0
+    with pytest.raises(tl.ResourceLimitError, match="m 65 > cap 64"):
+        tl.operator_norm_oracle(tl.Linear(), 0.5, 4, 2.0, m=65)
+
+
 def test_shift_identity_and_nilpotent():
     rng = np.random.default_rng(0)
     f = _random_gf(rng, 64)

@@ -12,6 +12,7 @@ import trotter_lab as tl
 from trotter_lab import semigroup, sup_search
 from trotter_lab.quadrature import left_darboux_sums
 from trotter_lab.sup_search import default_hints
+from conftest import exact_lattice_sums
 
 SMALL = tl.SearchConfig(coarse_grid=32, refine_levels=2)
 
@@ -266,13 +267,20 @@ def test_refinement_rounds_probe_each_point_once(zoo, monkeypatch):
 
     monkeypatch.setattr(sup_search, "left_darboux_sums", recording)
     monkeypatch.setattr(semigroup, "left_darboux_sums", recording)
+    windows = SMALL.coarse_grid * (SMALL.coarse_grid + 1) // 2
     for name, q in zoo:
         for n in (3, 64):
             calls.clear()
             rep = tl.sup_riemann_error(q, n, SMALL)
-            # hints, lattice, then one call per refinement round
-            assert len(calls) == 2 + SMALL.refine_levels, (name, n)
-            assert rep.method.evals == sum(map(len, calls)), (name, n)
+            # hints, then one call per refinement round; lattice sums with
+            # a slop (Weierstrass, tents) add the recompute of the windows
+            # near the top cells, which the lattice's charge covers
+            _, slop = q.lattice_sums(
+                sup_search.coarse_lattice(q, [n], SMALL), n)
+            probes = [calls[0], *calls[1 + (slop > 0):]]
+            assert len(probes) == 1 + SMALL.refine_levels, (name, n)
+            assert rep.method.evals == windows + sum(map(len, probes)), (
+                name, n)
             for tau in (0.3, 0.9):
                 calls.clear()
                 semigroup._per_tau_grid(q, tau, n)
@@ -326,15 +334,17 @@ def test_trace_names_kernel():
 
 def test_sweep_reports_equal_single_searches(zoo):
     # a sweep's searches share one lattice, and the oracle's two searches
-    # share each n's sums: every report is the one the search gives alone
+    # share each n's sums: every report is the one that a search alone on
+    # exactly summed windows gives
     ns = [1, 2, 3, 4, 6, 12, 16, 64]
     for name, q in zoo:
         lattice = cache(partial(sup_search.coarse_lattice, q, ns, SMALL))
         sweep = [tl.sup_riemann_error(q, n, SMALL, lattice=lattice)
                  for n in ns]
         sweep += [tl.sup_symbol(q, n, SMALL, lattice=lattice) for n in ns]
-        alone = [tl.sup_riemann_error(q, n, SMALL) for n in ns]
-        alone += [tl.sup_symbol(q, n, SMALL) for n in ns]
+        with exact_lattice_sums():
+            alone = [tl.sup_riemann_error(q, n, SMALL) for n in ns]
+            alone += [tl.sup_symbol(q, n, SMALL) for n in ns]
         assert sweep == alone, name
 
 
@@ -357,9 +367,10 @@ def test_tent_lattice_searches_equal_exact_ones(data, grid):
     for n in ns:
         for search in (tl.sup_riemann_error, tl.sup_symbol):
             got = search(q, n, cfg, lattice=lattice)
-            assert repr(got) == repr(search(q, n, cfg)), (search, n)
-        _, _, _, sums_at = lattice()
-        assert sums_at(n)[1].max() > 0  # the fine grid's slop
+            with exact_lattice_sums():
+                want = search(q, n, cfg)
+            assert repr(got) == repr(want), (search, n)
+        assert q.lattice_sums(lattice(), n)[1] > 0  # the fine grid's slop
 
 
 def test_weierstrass_lattice_kernel_keeps_every_report(monkeypatch):
@@ -393,9 +404,8 @@ def test_weierstrass_lattice_kernel_keeps_every_report(monkeypatch):
     monkeypatch.setattr(tl.HolderWeierstrass, "lattice_sums", counted)
     tables = reports(cfg) + reports(budget)
     assert calls == 2 * [n for n in ns for _ in range(2)]
-    monkeypatch.setattr(tl.HolderWeierstrass, "lattice_sums",
-                        lambda self, lattice, n: None)
-    assert tables == reports(cfg) + reports(budget)
+    with exact_lattice_sums():
+        assert tables == reports(cfg) + reports(budget)
     assert sum("budget_hit=True" in rep for rep in tables) >= len(ns)
 
 
@@ -434,9 +444,14 @@ def test_recompute_keeps_an_exact_tie_in_order(search, monkeypatch):
 
     monkeypatch.setattr(sup_search, "_grid_refine", recording)
     cfg = tl.SearchConfig(coarse_grid=16, refine_levels=1)
-    reports = [search(q, n, cfg, lattice=lambda: (
-        ts, ss, integ, lambda m: (sums.copy(), tol)))
-        for sums, tol in ((approx, slop), (exact, 0.0))]
+    # these windows alone: the patched hook reads no axis
+    lat = sup_search.Lattice(None, ts, ss, None, integ, [n])
+    reports = []
+    for sums, tol in ((approx, slop), (exact, 0.0)):
+        def hook(lattice, m, sums=sums, tol=tol):
+            return sums.copy(), tol
+        monkeypatch.setattr(q, "lattice_sums", hook)
+        reports.append(search(q, n, cfg, lattice=lambda: lat))
     assert repr(reports[0]) == repr(reports[1])
     (top, vals), want = ranked[:2], ranked[2:]
     assert top.tolist() == want[0].tolist()
