@@ -4,8 +4,11 @@ Every command emits rows with the fixed columns
 {command, potential, n, value, lower, upper, argmax_t, argmax_s, verdict};
 JSON output mirrors them under {"meta": ..., "rows": [...]}.  Summary rows
 (slope fits, floors) use n = 0 and are written after the per-n rows, which
-are sorted by n.  Reports are deterministic for a fixed seed except for
-the generated_at timestamp (CSV: first comment line; JSON: meta field).
+are sorted by n.  A sweep of fewer than 4 points has no fit row and no
+verdict, nor has one with some but fewer than 4 values above the fit's
+zero threshold, which warns.  Reports are deterministic for a fixed seed
+except for the generated_at timestamp (CSV: first comment line; JSON: meta
+field).
 
 Exit codes: 0 success, 2 argument/spec errors, 3 search budget exhausted
 (every command but `lie` searches, and still writes the rows of the n values
@@ -35,7 +38,7 @@ from . import __version__
 from .errors import BudgetExceededError, TrotterLabError
 from .matrix_lie import _draw_pair, lie_error, telescoping_residual
 from .potentials import Potential, build_cantor, from_spec
-from .rates import fit_loglog
+from .rates import ZERO_THRESHOLD, RateFit, fit_loglog
 from .semigroup import (GridFunction, _check_m, operator_norm_oracle,
                         per_tau_operator_norm, strong_convergence_curve)
 from .sup_search import (SearchConfig, SearchReport, coarse_lattice,
@@ -200,14 +203,28 @@ def _report_row(command: str, label: str, q: Potential, rep: SearchReport,
                 verdict)
 
 
-def _fit_rows(command: str, label: str, points: list, meta: dict
-              ) -> list[dict]:
-    """The log-log fit row of a sweep of at least 4 points, else none; the
-    fit's verdict becomes the report's."""
+def _fit(points: list, meta: dict) -> RateFit | None:
+    """The log-log fit of a sweep of at least 4 points, whose verdict
+    becomes the report's; None below 4 points, and with a warning where
+    some but fewer than 4 values lie above the zero threshold."""
     if len(points) < 4:
-        return []
+        return None
+    usable = sum(v > ZERO_THRESHOLD for _, v in points)
+    if 0 < usable < 4:
+        print(f"warning: no rate fit: only {usable} of {len(points)} values "
+              f"above {ZERO_THRESHOLD:g}", file=sys.stderr)
+        return None
     fit = fit_loglog(points)
     meta["verdict"] = fit.verdict_label
+    return fit
+
+
+def _fit_rows(command: str, label: str, points: list, meta: dict
+              ) -> list[dict]:
+    """The row of the sweep's `_fit`, if any."""
+    fit = _fit(points, meta)
+    if fit is None:
+        return []
     return [_row(command, label, 0, fit.slope, fit.slope - fit.slope_ci,
                  fit.slope + fit.slope_ci, verdict=fit.verdict_label)]
 
@@ -262,11 +279,10 @@ def cmd_cantor(args) -> int:
         verdict = ("NO_FLOOR" if m > args.depth else
                    "FLOOR_OK" if rep.value >= floor else "FLOOR_MISS")
         rows.append(_report_row("cantor", label, q, rep, verdict))
-    if len(reports) >= 4:
-        fit = fit_loglog([(rep.n, rep.value) for rep in reports])
+    fit = _fit([(rep.n, rep.value) for rep in reports], meta)
+    if fit is not None:
         rows.append(_row("cantor/fit", label, 0, min(rep.value for rep in reports),
                          verdict=fit.verdict_label))
-        meta["verdict"] = fit.verdict_label
     return _finish(args, meta, rows, exhausted)
 
 

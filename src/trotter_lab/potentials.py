@@ -8,8 +8,9 @@ exact.  The family rules that the search, the semigroup and the rate
 checks read are methods: the certified left-sum error bound over windows
 up to a given width (every family has one), corner hints, the dyadic
 corner floor, step breakpoints, and the lattice sums `lattice_sums` at
-every n: a fine grid of q where it fits and the family's kernel elsewhere
-by default, a piece count for steps, angle addition for Weierstrass.
+every n: the family's kernel by default, a fine grid of q where it fits
+(`_fine_grid_sums`) for tent trains and for steps with at least n jumps,
+a piece count for the other steps, angle addition for Weierstrass.
 ``from_spec`` alone turns kind names, aliases and parameters (such as a
 tent train's ``harmonic=L``) into potentials, and rejects unread ones.
 
@@ -62,9 +63,9 @@ _STEP_TABLE_BITS = 16
 # Cap on the raw interval count of a fat-Cantor construction; depth 18 is
 # the deepest under it.
 _CANTOR_MAX_PIECES = 1 << 20
-# The fine grid of (G - 1) n + 1 points of q (`Potential.lattice_sums`)
-# serves n while it fits a memory budget of 2^21 + 1 points (16 MiB, n <=
-# 8224 at G = 256); the kernel sums larger n.
+# The fine grid of (G - 1) n + 1 points of q (`_fine_grid_sums`) serves n
+# while it fits a memory budget of 2^21 + 1 points (16 MiB, n <= 8224 at G
+# = 256); the kernel sums larger n.
 _FINE_MAX = (1 << 21) + 1
 # Cap on the sampled kernel's n: a block row holds n samples, and a search
 # at n = 2^22 on a lattice of 2 points per axis peaks at 223 MiB.  Closed
@@ -140,6 +141,70 @@ def _fine_points(m, h, a):
     m *= h
     m += a
     return m
+
+
+def _fine_grid_sums(q, lattice, n, e, breakpoints=None):
+    """n's left sums of q on the windows of ``lattice`` off the fine grid
+    q(y_m), m <= (G - 1) n, allocated per n, with the caller's slop e (see
+    `Potential.lattice_sums`), proved for samples that each move at most E
+    = ``_FINE_SLOP``.  A grid over ``_FINE_MAX`` gives q's own `left_sums`,
+    e = 0.
+
+    Sample k of window (x_i, x_j), fl(fl(fl(x_i - x_j) fl(k/n)) + x_j) with
+    x_i = fl(fl(i fl(fl(1 - a)/(G - 1))) + a) and a = ``lattice.axis[0]``,
+    and y_m = `_fine_points`(m, fl(fl(1 - a)/((G - 1) n)), a) at m = jn +
+    (i - j)k both approximate Y_m = a + (1 - a) m/((G - 1) n).  With u =
+    2^-53 and values in [0, 1 + 20u], x_i and y_m (three roundings of a
+    product <= 1, one of a sum) lie within 4u of theirs, the width within
+    9u, its product with fl(k/n) <= 1 within 11u and the sample within
+    16u, so |sample - y_m| <= 20u(1 + O(u)) < E.  A step potential, whose
+    ``breakpoints`` are given, has q(sample) = q(y_m) unless a breakpoint
+    lies within E of y_m (clipping into [0, 1] only moves a sample towards
+    y_m): such y_m read NaN, and the windows that read one are resampled.
+    Numpy sums a strided row pairwise, as the sampled kernel does its
+    contiguous rows, while its stride i - j is below n; the other rows are
+    gathered a block at a time and summed as contiguous rows.
+    """
+    grid = len(lattice.axis)
+    size = (grid - 1) * n + 1
+    if size > _FINE_MAX:
+        return q.left_sums(lattice.ts, lattice.ss, n), 0.0
+    fine = np.empty(size)
+    a = lattice.axis[0]
+    h = (1.0 - a) / ((grid - 1) * n)
+    for lo in range(0, size, _SAMPLE_CHUNK):
+        hi = min(lo + _SAMPLE_CHUNK, size)
+        fine[lo:hi] = q(_fine_points(np.arange(lo, hi, dtype=float), h, a))
+    if breakpoints is not None:
+        # the fine points within E of a breakpoint, four around each
+        bp = breakpoints[1:-1, None]
+        near = np.clip(np.floor((bp - a) / h) + np.arange(-1.0, 3.0),
+                       0, size - 1)
+        hit = np.abs(_fine_points(near.copy(), h, a) - bp) <= _FINE_SLOP
+        fine[near[hit].astype(np.intp)] = np.nan
+    sums = np.empty(len(lattice.ts))
+    block = np.empty((max(_SAMPLE_CHUNK // n, grid - n), n))
+    at = np.empty(len(block), np.intp)
+    used = 0
+    for d in range(grid):
+        rows = np.ndarray((grid - d, n), buffer=fine,
+                          strides=(n * fine.itemsize, d * fine.itemsize))
+        to = lattice.starts[:grid - d] + d  # the windows (j + d, j)
+        if d < n:
+            sums[to] = rows.sum(axis=1)
+            continue
+        if used + grid - d > len(block):
+            sums[at[:used]] = block[:used].sum(axis=1)
+            used = 0
+        block[used:used + grid - d] = rows
+        at[used:used + grid - d] = to
+        used += grid - d
+    sums[at[:used]] = block[:used].sum(axis=1)
+    sums /= n
+    sums *= lattice.ts - lattice.ss
+    bad = np.isnan(sums)
+    sums[bad] = Potential.left_sums(q, lattice.ts[bad], lattice.ss[bad], n)
+    return sums, np.float64(e)
 
 
 @dataclass(frozen=True)
@@ -221,86 +286,18 @@ class Potential:
 
     def left_sum_kernel(self, n: int) -> str:
         """Which kernel `left_sums` runs at n: "closed-form", "piece-count"
-        or "sampled" (the base class's `left_sums`); a search's trace label."""
+        or "sampled" (the base class's `left_sums`); a search's trace label,
+        which names the kernel of its hints, refinement rounds and
+        recompute, not the body of `lattice_sums`."""
         return "sampled"
-
-    def sample_shift_bound(self, n: int, gap: float) -> float | None:
-        """A proven e: moving each of a window's n samples by at most ``gap``
-        moves the sampled kernel's sum by at most e times the window's
-        computed width.  A step potential's is 0 where no breakpoint lies
-        within ``gap`` of a sample (callers resample the rest); None where
-        nothing is proven."""
-        return 0.0 if self.step_breakpoints is not None else None
 
     def lattice_sums(self, lattice, n: int):
         """n's left sums on the windows of a search's ``lattice`` (a
         `sup_search.Lattice`) and a float64 e >= 0 with |sums -
-        left_sums| <= e (t - s) on every window.
-
-        By default the sums come off the fine grid q(y_m), m <= (G - 1) n,
-        allocated per n, where the grid fits ``_FINE_MAX`` and the family
-        proves e = `sample_shift_bound`(n, E) at E = ``_FINE_SLOP``: e is 0
-        for a step potential.  Elsewhere they are `left_sums`, e = 0: the
-        windows lie in [a, 1] and need no check.
-
-        Sample k of window (x_i, x_j), fl(fl(fl(x_i - x_j) fl(k/n)) + x_j) with
-        x_i = fl(fl(i fl(fl(1 - a)/(G - 1))) + a) and a = ``lattice.axis[0]``,
-        and y_m = `_fine_points`(m, fl(fl(1 - a)/((G - 1) n)), a) at m = jn +
-        (i - j)k both approximate Y_m = a + (1 - a) m/((G - 1) n).  With u =
-        2^-53 and values in [0, 1 + 20u], x_i and y_m (three roundings of a
-        product <= 1, one of a sum) lie within 4u of theirs, the width within
-        9u, its product with fl(k/n) <= 1 within 11u and the sample within
-        16u, so |sample - y_m| <= 20u(1 + O(u)) < E.  A step potential has
-        q(sample) = q(y_m) unless a breakpoint lies within E of y_m (clipping
-        into [0, 1] only moves a sample towards y_m): such y_m read NaN, and
-        the windows that read one are resampled.  Numpy sums a strided row
-        pairwise, as the sampled kernel does its contiguous rows, while its
-        stride i - j is below n; the other rows are gathered a block at a
-        time and summed as contiguous rows.
+        left_sums| <= e (t - s) on every window.  By default they are
+        `left_sums`, e = 0: the windows lie in [a, 1] and need no check.
         """
-        grid = len(lattice.axis)
-        size = (grid - 1) * n + 1
-        if (size > _FINE_MAX
-                or (e := self.sample_shift_bound(n, _FINE_SLOP)) is None):
-            return self.left_sums(lattice.ts, lattice.ss, n), 0.0
-        fine = np.empty(size)
-        a = lattice.axis[0]
-        h = (1.0 - a) / ((grid - 1) * n)
-        for lo in range(0, size, _SAMPLE_CHUNK):
-            hi = min(lo + _SAMPLE_CHUNK, size)
-            fine[lo:hi] = self(_fine_points(np.arange(lo, hi, dtype=float),
-                                            h, a))
-        if self.step_breakpoints is not None:
-            # the fine points within E of a breakpoint, four around each
-            bp = self.step_breakpoints[1:-1, None]
-            near = np.clip(np.floor((bp - a) / h) + np.arange(-1.0, 3.0),
-                           0, size - 1)
-            hit = np.abs(_fine_points(near.copy(), h, a) - bp) <= _FINE_SLOP
-            fine[near[hit].astype(np.intp)] = np.nan
-        sums = np.empty(len(lattice.ts))
-        block = np.empty((max(_SAMPLE_CHUNK // n, grid - n), n))
-        at = np.empty(len(block), np.intp)
-        used = 0
-        for d in range(grid):
-            rows = np.ndarray((grid - d, n), buffer=fine,
-                              strides=(n * fine.itemsize, d * fine.itemsize))
-            to = lattice.starts[:grid - d] + d  # the windows (j + d, j)
-            if d < n:
-                sums[to] = rows.sum(axis=1)
-                continue
-            if used + grid - d > len(block):
-                sums[at[:used]] = block[:used].sum(axis=1)
-                used = 0
-            block[used:used + grid - d] = rows
-            at[used:used + grid - d] = to
-            used += grid - d
-        sums[at[:used]] = block[:used].sum(axis=1)
-        sums /= n
-        sums *= lattice.ts - lattice.ss
-        bad = np.isnan(sums)
-        sums[bad] = Potential.left_sums(self, lattice.ts[bad],
-                                        lattice.ss[bad], n)
-        return sums, np.float64(e)
+        return self.left_sums(lattice.ts, lattice.ss, n), 0.0
 
     def left_sums(self, t: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
         """Left Riemann sums over the windows [s_i, t_i] on n equal steps.
@@ -581,10 +578,11 @@ class PiecewiseConstant(Potential):
         """The piece count where K < n: one `piece_count_left_sums` count per
         sweep, kept in ``lattice.cache``, serves the piece-count n of
         ``lattice.ns`` that divide the largest of them, exactly, and other
-        such n are counted alone.  n <= K go to the default fine grid."""
+        such n are counted alone.  n <= K read the fine grid, e = 0."""
         k = self.internal_breakpoint_count
         if k >= n:
-            return super().lattice_sums(lattice, n)
+            return _fine_grid_sums(self, lattice, n, 0.0,
+                                   self.step_breakpoints)
         counts = lattice.cache.get("piece-count")
         if counts is None:
             kns = [m for m in {n, *lattice.ns} if k < m]
@@ -828,6 +826,10 @@ class TentTrain(Potential):
         amps = tuple(float(a) for a in amplitudes)
         if not all(0.0 < a < math.inf for a in amps):
             raise ValueError("tent amplitudes must be > 0 and finite")
+        # 2^(j + 1) in the Holder constant overflows past 1022 levels
+        if len(amps) > 1022:
+            raise ValueError(f"a tent train takes at most 1022 levels, got "
+                             f"{len(amps)}")
         self.amplitudes = amps
         self.levels = len(amps)
         lip = sum(a * 2.0 ** (j + 1) for j, a in enumerate(amps, start=1))
@@ -874,24 +876,27 @@ class TentTrain(Potential):
         acc += np.ldexp(cell, -self._table_bits)
         return _add_tent_integrals(acc, t, self._tail)
 
-    def sample_shift_bound(self, n, gap):
-        """4 (L gap + 2 delta + 2 (n + 1) u (S + delta)), a margin of 4 over
+    def lattice_sums(self, lattice, n):
+        """The fine grid (`_fine_grid_sums`) within e = 4 (L E + 2 delta + 2
+        (n + 1) u (S + delta)) at E = ``_FINE_SLOP``, a margin of 4 over
         this proof, which drops (1 + O(nu)) factors.  With u = 2^-53, S =
         sup_norm and J of the L levels tabulated, the computed q is off by
         at most delta = (3L + 8) u S: a node value by (J + 1) u S (J exact
         tents times a_j, summed), the cell term fl(fl(dq f) + q_i), f exact
         and q linear on the cell, by three of those (dq reads two) and u S
         per rounding: (3J + 6) u S; each of T = L - J tail levels (2^j t and
-        frac exact, the tent off by u) by 2 u a_j + u S.  So samples gap
-        apart read values within L gap + 2 delta, L the Holder constant (beta
-        = 1; clipping into [0, 1] moves no sample apart).  Summing n values
-        in [0, S + delta], in any order, errs by (n - 1) u n (S + delta); the
-        division by n and the product with w add u (S + delta) w each.
+        frac exact, the tent off by u) by 2 u a_j + u S.  So a sample and
+        its fine point, at most E apart, read values within L E + 2 delta,
+        L the Holder constant (beta = 1; clipping into [0, 1] moves no
+        sample apart).  Summing n values in [0, S + delta], in any order,
+        errs by (n - 1) u n (S + delta); the division by n and the product
+        with w add u (S + delta) w each.
         """
         u = 2.0 ** -53
         delta = (3 * self.levels + 8) * u * self.sup_norm
-        return 4.0 * (self.holder_meta.constant * gap + 2.0 * delta
-                      + 2.0 * (n + 1) * u * (self.sup_norm + delta))
+        return _fine_grid_sums(self, lattice, n, 4.0 * (
+            self.holder_meta.constant * _FINE_SLOP + 2.0 * delta
+            + 2.0 * (n + 1) * u * (self.sup_norm + delta)))
 
     def corner_floor(self, m):
         """Levels j >= m vanish at every dyadic sample, leaving half their

@@ -13,11 +13,11 @@ the n points otherwise, for n up to a cap.  `left_darboux_sums` and
 `riemann_errors` check each window endpoint once, in front of every kernel
 and antiderivative.  A search's `coarse_lattice`, whose windows lie in
 [0, 1], takes its sums without that check from one family hook,
-`Potential.lattice_sums`, at every n: a fine grid of q per sampled n where
-it fits (step potentials and tent trains), one count per sweep for the
-piece-count n of a step potential, per-sweep phase tables for
-HolderWeierstrass (the tents' and Weierstrass's within a slop that the
-search closes), and `left_sums` itself elsewhere.
+`Potential.lattice_sums`, at every n: `left_sums` itself by default, a
+fine grid of q per n where it fits for tent trains and for step
+potentials with at least n jumps, one count per sweep for the other n of
+a step potential, per-sweep phase tables for HolderWeierstrass (the
+tents' and Weierstrass's within a slop that the search closes).
 """
 
 from __future__ import annotations

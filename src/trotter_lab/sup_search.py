@@ -12,15 +12,16 @@ trains), so `_search_triangle` probes each family's known near-maximizers,
 a coarse lattice on s >= `_S_MIN` and local grids around the best cells
 (`_grid_refine`, which `semigroup` also runs over t at one tau).  Each
 round evaluates each distinct point once and is ranked once
-(`_best_first`).  The lattice does not depend on n: a sweep's searches
-share its `coarse_lattice`, which their ``lattice()`` returns, and a
-search alone builds one for its n.  Each reads n's lattice sums off one
-family hook, `Potential.lattice_sums`, at every n: a fine grid of q where
-it fits (exact for step potentials), one piece count per sweep for steps
-with fewer breakpoints than n, angle addition for Weierstrass, and the
-family's kernel elsewhere.  Where lattice sums come within a slop
-(Weierstrass, tent trains), the search sums again each window whose
-ranking the slop could change.
+(`_best_first`).  The lattice's windows and integrals do not depend on n
+(it carries the sweep's n only for the steps' shared piece count): a
+sweep's searches share its `coarse_lattice`, which their ``lattice()``
+returns, and a search alone builds one for its n.  Each reads n's lattice
+sums off one family hook, `Potential.lattice_sums`, at every n: the
+family's kernel by default, a fine grid of q where it fits for tent
+trains and for steps with at least n jumps (exact for steps), one piece
+count per sweep for the other steps, angle addition for Weierstrass.
+Where lattice sums come within a slop (Weierstrass, tent trains), the
+search sums again each window whose ranking the slop could change.
 """
 
 from __future__ import annotations
@@ -72,9 +73,10 @@ class SearchConfig:
 class SearchTrace:
     """How a search arrived at its value: the best value after the lattice
     and each refinement round, the distinct points evaluated, and whether
-    the budget ran out.  ``kernel`` names the left-sum kernel the search ran
-    (see Potential.left_sum_kernel); it stays out of the rendered string,
-    which reports carry.
+    the budget ran out.  ``kernel`` names the `left_sums` kernel that the
+    hints, the refinement rounds and the recompute of near-top windows ran
+    (Potential.left_sum_kernel), not the body of the family's lattice sums;
+    the rendered string leaves it out.
     """
 
     level_best: tuple[float, ...]

@@ -618,6 +618,33 @@ def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
     assert _strip_stamp_csv(single) == _strip_stamp_csv(multi)
 
 
+@pytest.mark.parametrize("argv, usable, points", [
+    (["rates", "--potential", "linear:slope=1e-10", "--n", "8..1024",
+      "--grid", "16", "--refine", "0"], 3, 8),
+    # a commuting pair: every error is roundoff, 4e-15 to 2e-12
+    (["lie", "--n", "16..1024", "--trials", "1", "--dim", "1"], 1, 7),
+    (["cantor", "--depth", "1", "--m", "39..42", "--grid", "16",
+      "--refine", "0"], 2, 4),
+])
+def test_sweep_below_the_zero_threshold_writes_rows_unfitted(
+        tmp_path, capsys, argv, usable, points):
+    # some but fewer than 4 values above 1e-12: the per-n rows are written
+    # with no fit row and no verdict, a warning gives the usable count,
+    # and the command succeeds
+    out = tmp_path / "r.json"
+    assert main(argv + ["--format", "json", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: no rate fit: only {usable} of {points} values above "
+        f"1e-12\n")
+    payload = json.loads(out.read_text())
+    assert "verdict" not in payload["meta"]
+    rows = payload["rows"]
+    assert not any(r["command"].endswith("/fit") for r in rows)
+    searched = [r for r in rows if r["n"]]
+    assert len(searched) == points
+    assert sum(r["value"] > 1e-12 for r in searched) == usable
+
+
 def test_exit_code_spec_error(tmp_path, capsys):
     code = main(["rates", "--potential", "mystery", "--n", "8..16"])
     assert code == 2
@@ -641,6 +668,13 @@ def test_exit_code_spec_error(tmp_path, capsys):
                      "--grid", "16", "--refine", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+    # 2^(j + 1) in the Holder constant overflows at level 1023; 1022 runs
+    argv = ["rates", "--n", "8", "--grid", "2", "--refine", "0"]
+    assert main(argv + ["--potential", "tent:harmonic=1023"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: a tent train takes at most 1022 levels, got 1023\n"
+    assert main(argv + ["--potential", "tent:harmonic=1022"]) == 0
+    assert capsys.readouterr().err == ""
     for tau in ("inf", "nan"):
         assert main(["strong", "--potential", "linear", "--n", "2..8",
                      "--m", "1024", "--tau", tau]) == 2
