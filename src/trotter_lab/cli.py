@@ -182,7 +182,7 @@ def _searches(q: Potential, ns: list[int], args, search
     anything."""
     cfg = SearchConfig(coarse_grid=args.grid, refine_levels=args.refine,
                        max_evals=args.max_evals)
-    lattice = cache(partial(coarse_lattice, q, ns, cfg))
+    lattice = cache(partial(coarse_lattice, q, cfg))
     results = []
     try:
         for n in ns:

@@ -10,7 +10,8 @@ up to a given width (every family has one), corner hints, the dyadic
 corner floor, step breakpoints, and the lattice sums `lattice_sums` at
 every n: the family's kernel by default, a fine grid of q where it fits
 (`_fine_grid_sums`) for tent trains and for steps with at least n jumps,
-a piece count for the other steps, angle addition for Weierstrass.
+a piece count on fine-grid indices for the other steps, angle addition
+for Weierstrass.
 ``from_spec`` alone turns kind names, aliases and parameters (such as a
 tent train's ``harmonic=L``) into potentials, and rejects unread ones.
 
@@ -31,6 +32,7 @@ breakpoint the cell holds, so the result is the same as a binary search
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -46,7 +48,8 @@ _DOMAIN_SLOP = 1e-12
 # Default of from_spec's ``param`` for a parameter that a kind needs.
 _REQUIRED = object()
 # Block sizes of the two left-sum kernels: pair x breakpoint elements per
-# block of the piece-count kernel, sample points per block of the sampled
+# block of the piece-count kernel (lattice rows by every column, per
+# block of its lattice count), sample points per block of the sampled
 # one.  A block's handful of float64 temporaries (256 kB each) then stays
 # within a 2 MiB L2 cache, where multi-MB blocks ran up to 2.5x slower; in
 # a sweep over 2^14, 2^15 and 2^16, 2^15 was fastest or tied on both
@@ -54,6 +57,11 @@ _REQUIRED = object()
 # result.
 _PIECE_BLOCK = 1 << 15
 _SAMPLE_CHUNK = 1 << 15
+# The fine grid gathers the windows of a stride by index, not by one copy
+# per stride, while the stride holds at most 2^10 samples: at G = 256 that
+# was fastest or tied at every n from 2 to 1024 among 2^10, 2^11 and 2^12,
+# and gathering every stride slowed n = 16 to 128 by up to a quarter.
+_GATHER_MAX = 1 << 10
 # TentTrain tabulates its first levels on a dyadic node grid; 16 levels
 # take 2^17 + 1 nodes, about 3 MB for the three tables.
 _TENT_TABLE_LEVELS = 16
@@ -69,8 +77,12 @@ _CANTOR_MAX_PIECES = 1 << 20
 _FINE_MAX = (1 << 21) + 1
 # Cap on the sampled kernel's n: a block row holds n samples, and a search
 # at n = 2^22 on a lattice of 2 points per axis peaks at 223 MiB.  Closed
-# forms and piece counts take any n.
+# forms take any n.
 _SAMPLE_MAX = 1 << 22
+# Cap on the piece count's n: its counts k <= n step by one, exact while k
+# + 1 is a whole float (above 2^53 it rounds back to k); the cap keeps a
+# factor of 2 below that.
+_PIECE_MAX = 1 << 52
 # E: 32 units of 2^-53, above the 20 that bound |sample - fine point|
 _FINE_SLOP = 2.0 ** -48
 # numpy's float64 sin and cos are taken to lie within _TRIG_ERR units of
@@ -136,11 +148,31 @@ def _misplaced(b, s, w, k, n):
             (k < n) & (s + w * (k / n) < b))
 
 
+def _check_piece_count(n):
+    if n > _PIECE_MAX:
+        raise ResourceLimitError(f"n {n} > cap {_PIECE_MAX} of the "
+                                 f"piece-count kernel")
+
+
 def _fine_points(m, h, a):
     """Fine grid points fl(fl(m h) + a) at whole numbers m, over m."""
     m *= h
     m += a
     return m
+
+
+def _fine_points_left_of(c, h, a, size):
+    """#{m < size : y_m < c} for each entry of c, y_m = `_fine_points`(m,
+    h, a): the estimate ceil((c - a)/h), stepped by one until y_m straddles
+    c.  y_m does not decrease in m, so the steps end at the count."""
+    m = np.clip(np.ceil((c - a) / h), 0, size)
+    while True:
+        up = (m < size) & (_fine_points(m.copy(), h, a) < c)
+        down = (m > 0) & (_fine_points(m - 1, h, a) >= c)
+        if not (up.any() or down.any()):
+            return m.astype(np.int64)
+        m += up
+        m -= down
 
 
 def _fine_grid_sums(q, lattice, n, e, breakpoints=None):
@@ -150,20 +182,23 @@ def _fine_grid_sums(q, lattice, n, e, breakpoints=None):
     = ``_FINE_SLOP``.  A grid over ``_FINE_MAX`` gives q's own `left_sums`,
     e = 0.
 
-    Sample k of window (x_i, x_j), fl(fl(fl(x_i - x_j) fl(k/n)) + x_j) with
-    x_i = fl(fl(i fl(fl(1 - a)/(G - 1))) + a) and a = ``lattice.axis[0]``,
-    and y_m = `_fine_points`(m, fl(fl(1 - a)/((G - 1) n)), a) at m = jn +
-    (i - j)k both approximate Y_m = a + (1 - a) m/((G - 1) n).  With u =
-    2^-53 and values in [0, 1 + 20u], x_i and y_m (three roundings of a
-    product <= 1, one of a sum) lie within 4u of theirs, the width within
-    9u, its product with fl(k/n) <= 1 within 11u and the sample within
-    16u, so |sample - y_m| <= 20u(1 + O(u)) < E.  A step potential, whose
-    ``breakpoints`` are given, has q(sample) = q(y_m) unless a breakpoint
-    lies within E of y_m (clipping into [0, 1] only moves a sample towards
-    y_m): such y_m read NaN, and the windows that read one are resampled.
-    Numpy sums a strided row pairwise, as the sampled kernel does its
-    contiguous rows, while its stride i - j is below n; the other rows are
-    gathered a block at a time and summed as contiguous rows.
+    The fine-grid lemma.  Sample k of window (x_i, x_j), fl(fl(fl(x_i -
+    x_j) fl(k/n)) + x_j) with x_i = fl(fl(i fl(fl(1 - a)/(G - 1))) + a) and
+    a = ``lattice.axis[0]``, and y_m = `_fine_points`(m, fl(fl(1 - a)/((G -
+    1) n)), a) at m = jn + (i - j)k both approximate Y_m = a + (1 - a)
+    m/((G - 1) n).  With u = 2^-53 and values in [0, 1 + 20u], x_i and y_m
+    (three roundings of a product <= 1, one of a sum) lie within 4u of
+    theirs, the width within 9u, its product with fl(k/n) <= 1 within 11u
+    and the sample within 16u, so |sample - y_m| <= 20u(1 + O(u)) < E,
+    for every n with (G - 1) n < 2^53, so that each m is a whole float.
+
+    A step potential, whose ``breakpoints`` are given, has q(sample) =
+    q(y_m) unless a breakpoint lies within E of y_m (clipping into [0, 1]
+    only moves a sample towards y_m): such y_m read NaN, and the windows
+    that read one are resampled.  Numpy sums a strided row pairwise, as the
+    sampled kernel does its contiguous rows, while its stride d = i - j is
+    below n; the rows with d >= n are gathered a block at a time, by their
+    sample indices, and summed as contiguous rows.
     """
     grid = len(lattice.axis)
     size = (grid - 1) * n + 1
@@ -182,24 +217,45 @@ def _fine_grid_sums(q, lattice, n, e, breakpoints=None):
                        0, size - 1)
         hit = np.abs(_fine_points(near.copy(), h, a) - bp) <= _FINE_SLOP
         fine[near[hit].astype(np.intp)] = np.nan
+    starts = lattice.starts
     sums = np.empty(len(lattice.ts))
+
+    def rows(d):  # the windows (j + d, j), j < G - d, as strided rows
+        return np.ndarray((grid - d, n), buffer=fine,
+                          strides=(n * fine.itemsize, d * fine.itemsize))
+
+    for d in range(min(n, grid)):
+        sums[starts[:grid - d] + d] = rows(d).sum(axis=1)
+    # a stride d >= n of more than _GATHER_MAX samples is copied, a block
+    # of strides at a time; the windows of the shorter strides, d >= cut,
+    # are gathered by their sample indices jn + dk, a block at a time
+    cut = min(grid, max(n, grid - _GATHER_MAX // n))
     block = np.empty((max(_SAMPLE_CHUNK // n, grid - n), n))
     at = np.empty(len(block), np.intp)
     used = 0
-    for d in range(grid):
-        rows = np.ndarray((grid - d, n), buffer=fine,
-                          strides=(n * fine.itemsize, d * fine.itemsize))
-        to = lattice.starts[:grid - d] + d  # the windows (j + d, j)
-        if d < n:
-            sums[to] = rows.sum(axis=1)
-            continue
+    for d in range(n, cut):
         if used + grid - d > len(block):
             sums[at[:used]] = block[:used].sum(axis=1)
             used = 0
-        block[used:used + grid - d] = rows
-        at[used:used + grid - d] = to
+        block[used:used + grid - d] = rows(d)
+        at[used:used + grid - d] = starts[:grid - d] + d
         used += grid - d
     sums[at[:used]] = block[:used].sum(axis=1)
+    # s-major, row j holds the gathered windows d = cut .. G - 1 - j, and
+    # its first is number first[j] of them; row d - cut of dk is dk, k < n
+    first = np.append(0, np.cumsum(np.arange(grid - cut, 0, -1)))
+    dk = np.multiply.outer(np.arange(cut, grid), np.arange(n))
+    step = max(1, _SAMPLE_CHUNK // n)
+    for p0 in range(0, first[-1], step):
+        p1 = min(p0 + step, int(first[-1]))
+        j = np.arange(bisect_right(first, p0) - 1, bisect_left(first, p1))
+        j = np.repeat(j, np.minimum(first[j + 1], p1)
+                      - np.maximum(first[j], p0))
+        d = np.arange(p0, p1) - first[j]
+        m = np.take(dk, d, axis=0).ravel()
+        m += np.repeat(j * n, n)
+        d += cut
+        sums[starts[j] + d] = np.take(fine, m).reshape(-1, n).sum(axis=1)
     sums /= n
     sums *= lattice.ts - lattice.ss
     bad = np.isnan(sums)
@@ -413,6 +469,11 @@ class PiecewiseConstant(Potential):
 
     Pieces are [b_i, b_{i+1}) with value values[i]; q(1) takes the last
     value.  Breakpoints must start at 0, end at 1, strictly increase.
+    With K jumps inside (0, 1), n <= K samples q (`left_sums`) and reads a
+    sweep's lattice off the fine grid; K < n counts the samples on each
+    side of every jump, per window (`left_sums`) or, on a lattice, by
+    fine-grid index over the windows that straddle it (`lattice_sums`).
+    n is capped at ``_PIECE_MAX``.
     """
 
     kind = "PiecewiseConstant"
@@ -530,68 +591,137 @@ class PiecewiseConstant(Potential):
 
     def left_sums(self, t, s, n):
         """Counts the samples at or right of each of the K interior
-        breakpoints b, in O(K) per window when K < n: the piece-count
-        kernel is `piece_count_left_sums` at n alone.
+        breakpoints b, in O(K) per window, when K < n: the piece-count
+        kernel, about ``_PIECE_BLOCK`` window x breakpoint elements at a
+        time.
 
         The sum is (n v_0 + sum_b (n - k_b) dv_b) / n * (t - s) with k_b the
-        samples left of b and dv_b the jump at b, which for integer-valued
-        steps is bit-equal to the sampled mean.  Windows with t < s, whose
-        samples run right to left, are sampled.
+        samples left of b (`_samples_left_of`) and dv_b the jump at b,
+        which for integer-valued steps is bit-equal to the sampled mean.
+        Windows with t < s, whose samples run right to left, are sampled.
+        n above ``_PIECE_MAX`` raises a ResourceLimitError before any work.
         """
+        _check_piece_count(n)
         if self.internal_breakpoint_count >= n:
             return super().left_sums(t, s, n)
-        return self.piece_count_left_sums(t, s, [n])[0]
-
-    def piece_count_left_sums(self, t, s, ns: list[int]) -> list[np.ndarray]:
-        """The piece-count left sums at each n of ``ns`` from one count at
-        N = max(ns), about ``_PIECE_BLOCK`` pair x breakpoint elements at a
-        time.  Each n must divide N: sample k of n is sample k*N/n of N, and
-        the samples do not decrease in k, so the samples of n left of b are
-        the multiples of r = N/n below k_b(N), and k_b(n) = ceil(k_b(N)/r)
-        exactly.  Each sum is bit-equal to n's alone."""
         bp = self.step_breakpoints[1:-1]
         if not len(bp):  # no jump: round like the antiderivative
-            return [self._vals[0] * t - self._vals[0] * s for _ in ns]
-        top = max(ns)
+            return self._vals[0] * t - self._vals[0] * s
         jumps = np.diff(self._vals)
-        out = [np.empty(t.shape) for _ in ns]
+        out = np.empty(t.shape)
         block = max(1, _PIECE_BLOCK // len(bp))
         for i in range(0, len(t), block):
             tt = t[i:i + block, None]
             ss = s[i:i + block, None]
-            k_top = _samples_left_of(bp, tt, ss, top)
-            w = tt[:, 0] - ss[:, 0]
-            for n, sums in zip(ns, out):
-                # k/r is exact or at least 1/r from an integer, far beyond
-                # its rounding error, so the float ceil is the integer one
-                r = top // n
-                k = k_top if r == 1 else np.ceil(k_top / r)
-                total = n * self._vals[0] + ((n - k) * jumps).sum(axis=1)
-                sums[i:i + block] = total / n * w
+            k = _samples_left_of(bp, tt, ss, n)
+            total = n * self._vals[0] + ((n - k) * jumps).sum(axis=1)
+            out[i:i + block] = total / n * (tt[:, 0] - ss[:, 0])
         back = t < s
         if back.any():
-            for n, sums in zip(ns, out):
-                sums[back] = Potential.left_sums(self, t[back], s[back], n)
+            out[back] = Potential.left_sums(self, t[back], s[back], n)
         return out
 
     def lattice_sums(self, lattice, n):
-        """The piece count where K < n: one `piece_count_left_sums` count per
-        sweep, kept in ``lattice.cache``, serves the piece-count n of
-        ``lattice.ns`` that divide the largest of them, exactly, and other
-        such n are counted alone.  n <= K read the fine grid, e = 0."""
+        """n <= K read the fine grid (`_fine_grid_sums`), e = 0.  For K < n
+        the piece count runs on fine-grid indices, and only over the
+        windows that straddle a breakpoint, where (G - 1) n < 2^53; beyond
+        that, and without jumps, the sums are `left_sums`, e = 0.  n above
+        ``_PIECE_MAX`` raises a ResourceLimitError before any work.
+
+        The count.  By the fine-grid lemma (`_fine_grid_sums`), sample k of
+        window (x_i, x_j) lies within E = ``_FINE_SLOP`` of the fine point
+        y_m, m = jn + dk, d = i - j, and y_m does not decrease in m.  Let
+        M_b count the fine points left of fl(b + E), and M'_b those left of
+        fl(b - E) (`_fine_points_left_of`).  A window that reads no m with
+        M'_b <= m < M_b has its samples left of b exactly at m < M_b, so
+        k_b = ceil((M_b - jn)/d), clipped to [0, n].  That is 0 on the rows
+        jn >= M_b, which add n dv_b through a prefix sum over the
+        breakpoints, and n on the columns in < M_b, which add nothing; on
+        the rectangle between, the rows j < J_b = ceil(M_b/n) by the
+        columns i >= J_b, n - k_b = floor((in - M_b)/d).  That quotient of
+        whole floats below 2^53 lies at least 1/d from any whole number it
+        is not, beyond its rounding error, so its float floor is exact.  A
+        window that reads some m in [M'_b, M_b) lies in the rows j < J_b
+        by the columns i >= ceil(M'_b/n); when that range is not empty,
+        those windows are summed again with `left_sums`, as the windows of
+        `_fine_grid_sums` that read a NaN are.
+
+        The slop.  Every total adds the products fl(n v_0) and fl((n - k_b)
+        dv_b) that `left_sums` adds, in another order and without its
+        zeros.  If every value is whole and n V < 2^53, V = v_0 + sum_b
+        |dv_b|, each partial sum is whole and below 2^53, so exact: the
+        sums are bit-equal, e = 0.  Otherwise, with u = 2^-53, each order
+        errs by at most K u n V (1 + O(Ku)), and each path's division by n
+        and product with w = t - s add 2 u n V w / n, so e = 4 (K + 2) u V,
+        a margin of 2 for the dropped O(Ku) terms, bounds |sums -
+        left_sums| / w.
+        """
+        _check_piece_count(n)
         k = self.internal_breakpoint_count
         if k >= n:
             return _fine_grid_sums(self, lattice, n, 0.0,
                                    self.step_breakpoints)
-        counts = lattice.cache.get("piece-count")
-        if counts is None:
-            kns = [m for m in {n, *lattice.ns} if k < m]
-            group = sorted({m for m in kns if max(kns) % m == 0})
-            sums = self.piece_count_left_sums(lattice.ts, lattice.ss, group)
-            counts = lattice.cache["piece-count"] = dict(zip(group, sums))
-        if n in counts:
-            return counts[n], 0.0
-        return self.left_sums(lattice.ts, lattice.ss, n), 0.0
+        grid = len(lattice.axis)
+        if not k or (grid - 1) * n >= 2 ** 53:  # no jump, or the lemma fails
+            return self.left_sums(lattice.ts, lattice.ss, n), 0.0
+        a = lattice.axis[0]
+        size = (grid - 1) * n + 1
+        h = (1.0 - a) / ((grid - 1) * n)
+        bp = self.step_breakpoints[1:-1]
+        hi = _fine_points_left_of(bp + _FINE_SLOP, h, a, size)  # M_b
+        lo = _fine_points_left_of(bp - _FINE_SLOP, h, a, size)  # M'_b
+        first = -(-hi // n)  # J_b, which does not decrease in b
+        jumps = np.diff(self._vals)
+        # row j's total from the breakpoints with J_b <= j: n v_0 + n dv_b
+        below = np.cumsum(np.bincount(first, minlength=grid + 1))[:grid]
+        base = np.cumsum(np.append(n * self._vals[0], n * jumps))[below]
+        near = np.flatnonzero(lo < hi)
+        cols = np.arange(grid, dtype=float)
+        col_n = cols * n
+        starts = lattice.starts
+        sums = np.empty(len(lattice.ts))
+        again = []
+        # per block of rows j0 .. j1 - 1 by every column i: d = i - j, the
+        # totals, one term and the windows i >= j, reused block to block
+        step = max(1, _PIECE_BLOCK // grid)
+        d_rows, total_rows = np.empty((2, step, grid))
+        part = np.empty(step * grid)
+        upper_rows = np.empty((step, grid), bool)
+        for j0 in range(0, grid, step):
+            j1 = min(j0 + step, grid)
+            d = np.subtract(cols, np.arange(j0, j1, dtype=float)[:, None],
+                            out=d_rows[:j1 - j0])
+            upper = np.greater_equal(d, 0, out=upper_rows[:j1 - j0])
+            total = total_rows[:j1 - j0]
+            total[:] = base[j0:j1, None]
+            for b in range(below[j0], k):
+                if first[b] >= grid:
+                    break
+                r, c = min(j1, first[b]) - j0, first[b]
+                ahead = np.divide(col_n[c:] - hi[b], d[:r, c:], out=part[
+                    :r * (grid - c)].reshape(r, grid - c))
+                np.floor(ahead, out=ahead)
+                ahead *= jumps[b]
+                total[:r, c:] += ahead
+            if len(near):  # rows j < J_b by columns i >= ceil(M'_b/n)
+                bad = np.zeros(d.shape, bool)
+                for b in near:
+                    bad[:max(0, min(j1, first[b]) - j0), -(-lo[b] // n):] = 1
+                again.append(starts[j0] + np.flatnonzero(bad[upper]))
+            out = sums[starts[j0]:starts[j1]]
+            out[:] = total[upper]
+            out /= n
+            out *= np.subtract(lattice.ts[starts[j0]:starts[j1]],
+                               lattice.ss[starts[j0]:starts[j1]],
+                               out=total.ravel()[:len(out)])
+        if again:
+            again = np.concatenate(again)
+            sums[again] = self.left_sums(lattice.ts[again],
+                                         lattice.ss[again], n)
+        v = self._vals[0] + np.abs(jumps).sum()
+        if n * v < 2.0 ** 53 and np.all(self._vals == np.floor(self._vals)):
+            return sums, 0.0
+        return sums, 4.0 * (k + 2) * 2.0 ** -53 * v
 
     def params(self):
         return {"breakpoints": [str(b) for b in self.breakpoints],

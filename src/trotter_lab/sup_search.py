@@ -12,16 +12,17 @@ trains), so `_search_triangle` probes each family's known near-maximizers,
 a coarse lattice on s >= `_S_MIN` and local grids around the best cells
 (`_grid_refine`, which `semigroup` also runs over t at one tau).  Each
 round evaluates each distinct point once and is ranked once
-(`_best_first`).  The lattice's windows and integrals do not depend on n
-(it carries the sweep's n only for the steps' shared piece count): a
-sweep's searches share its `coarse_lattice`, which their ``lattice()``
-returns, and a search alone builds one for its n.  Each reads n's lattice
-sums off one family hook, `Potential.lattice_sums`, at every n: the
-family's kernel by default, a fine grid of q where it fits for tent
-trains and for steps with at least n jumps (exact for steps), one piece
-count per sweep for the other steps, angle addition for Weierstrass.
-Where lattice sums come within a slop (Weierstrass, tent trains), the
-search sums again each window whose ranking the slop could change.
+(`_best_first`).  The lattice's windows and integrals do not depend on n:
+a sweep's searches share its `coarse_lattice`, which their ``lattice()``
+returns, and a search alone builds its own.  Each reads n's lattice sums
+off one family hook, `Potential.lattice_sums`, at every n: the family's
+kernel by default, a fine grid of q where it fits for tent trains and for
+steps with at least n jumps (exact for steps), for the other steps a
+piece count on fine-grid indices over the windows that straddle each
+jump (exact for whole values), angle addition for Weierstrass.  Where
+lattice sums come within a slop (Weierstrass, tent trains, steps with
+other values), the search sums again each window whose ranking the slop
+could change.
 """
 
 from __future__ import annotations
@@ -185,30 +186,32 @@ def default_hints(q: Potential, n: int) -> list[DeltaPair]:
 @dataclass
 class Lattice:
     """The windows t >= s of linspace(_S_MIN, 1, G)^2 that a sweep's
-    searches at ``ns`` share, s-major: the windows (axis[i], axis[j]), i =
-    j .. G - 1, of axis point j as s are ts and ss at starts[j] .. starts[j
-    + 1] - 1; ``integ`` holds their integrals, ``cache`` a family's tables."""
+    searches share, s-major: row j, the windows (axis[i], axis[j]), i = j
+    .. G - 1, of axis point j as s, is ts and ss at starts[j] .. starts[j
+    + 1] - 1.  The windows that straddle a point b form a rectangle, the
+    rows j with axis[j] < b by the columns i with axis[i] >= b, over which
+    the steps' piece count adds each jump.  ``integ`` holds the windows'
+    integrals, ``cache`` a family's tables that do not depend on n (the
+    Weierstrass phase tables)."""
 
     axis: np.ndarray
     ts: np.ndarray
     ss: np.ndarray
     starts: np.ndarray
     integ: np.ndarray
-    ns: list[int]
     cache: dict = field(default_factory=dict)
 
 
-def coarse_lattice(q: Potential, ns: list[int], cfg: SearchConfig) -> Lattice:
-    """The `Lattice` of linspace(_S_MIN, 1, coarse_grid) for the searches
-    at ``ns``, its integrals from the antiderivative at the G axis
-    points."""
+def coarse_lattice(q: Potential, cfg: SearchConfig) -> Lattice:
+    """The `Lattice` of linspace(_S_MIN, 1, coarse_grid), its integrals
+    from the antiderivative at the G axis points."""
     g = cfg.coarse_grid
     axis = np.linspace(_S_MIN, 1.0, g)
     s_at, t_at = np.triu_indices(g)  # s-major, s <= t
     prim = q.antiderivative(axis)
     return Lattice(axis, axis[t_at], axis[s_at],
                    np.append(0, np.cumsum(np.arange(g, 0, -1))),
-                   prim[t_at] - prim[s_at], list(ns))
+                   prim[t_at] - prim[s_at])
 
 
 def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
@@ -249,7 +252,7 @@ def _search_triangle(q: Potential, n: int, cfg: SearchConfig | None,
     vals = probe(ts, ss)
     tracker.offer(vals, ts, ss, _best_first(vals, ts, ss, 1)[0])
     charge(cfg.coarse_grid * (cfg.coarse_grid + 1) // 2)  # lattice windows
-    lat = lattice() if lattice else coarse_lattice(q, [n], cfg)
+    lat = lattice() if lattice else coarse_lattice(q, cfg)
     ts, ss = lat.ts, lat.ss
     sums, slop = q.lattice_sums(lat, n)
     vals = objective(lat.integ, sums)

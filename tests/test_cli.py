@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -125,6 +126,26 @@ def test_sampled_n_over_the_cap_exits_2(capsys):
         assert main(["rates", "--potential", spec,
                      "--n", "1073741824"] + argv) == 0
         assert capsys.readouterr().err == ""
+
+
+def test_piece_count_n_over_the_cap_exits_2(capsys):
+    # at n = 2^54 the piece count's stepping loop spun for ever, since k +
+    # 1 rounds back to k above 2^53; its cap of 2^52 answers at once
+    def hung(*_):
+        pytest.fail("no answer within a second")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code = main(["rates", "--potential", "cantor:depth=3", "--n",
+                     "18014398509481984", "--grid", "4", "--refine", "0"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: n 18014398509481984 > cap 4503599627370496 of the piece-count "
+        "kernel\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -949,9 +970,9 @@ def test_lattice_argmax_reads_its_riemann_error(tmp_path, potential, ns):
     "tent:harmonic=6", "cantor:depth=3", "cantor:depth=10",
     "weier:beta=0.5,levels=10"])
 def test_sweep_rows_equal_rows_alone(capsys, potential):
-    # a sweep samples one lattice for all its n and counts the breakpoints
-    # once for its piece-count n (cantor:depth=3 has 16, so n = 32 and 64
-    # count and share; cantor:depth=10 has 1320, so every n samples it
+    # a sweep shares one lattice among all its n and counts the samples
+    # by fine-grid index for its piece-count n (cantor:depth=3 has 16, so
+    # n = 32 and 64 count; cantor:depth=10 has 1320, so every n samples it
     # through the cell value table), and Weierstrass reads one set of phase
     # tables: its per-n rows equal those of each n run alone
     def rates_rows(ns):

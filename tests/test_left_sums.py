@@ -152,7 +152,7 @@ def test_weierstrass_shared_width_terms_are_bit_equal(n, levels):
     # the lattice's 32,896 windows have 1,022 distinct widths; random
     # windows, both orientations, nearly all distinct
     q = tl.HolderWeierstrass(0.5, levels)
-    lat = sup_search.coarse_lattice(q, [n], tl.SearchConfig())
+    lat = sup_search.coarse_lattice(q, tl.SearchConfig())
     ts, ss = lat.ts, lat.ss
     rng = np.random.default_rng(n * 100 + levels)
     t = np.concatenate((ts, rng.uniform(0.0, 1.0, 3000), [0.0, 1.0, 0.5]))
@@ -213,7 +213,7 @@ def test_samples_left_of_counts_like_brute_force(windows, free, on_sample, n):
     assert np.array_equal(got[back], np.where(s[back] < b, n, 0))
 
 
-# step families of the shared count: the 3-piece pw, Cantor depths 3 and 6
+# step families of the piece count: the 3-piece pw, Cantor depths 3 and 6
 # (K = 16, 88), a step with non-integer values and one with no jump
 COUNT_FAMILIES = (STEPS[1], tl.build_cantor(3)[0], tl.build_cantor(6)[0],
                   STEPS[2], tl.PiecewiseConstant([0, Fraction(1, 2), 1],
@@ -250,10 +250,12 @@ endpoint = st.tuples(st.booleans(), st.integers(0, 1 << 20), unit)
                         ((True, 5, 0.0), (True, 2, 0.0), False),
                         ((True, 4, 0.0), (True, 4, 0.0), True)],
          above=15, twos=3, three=False)
-def test_one_count_is_bit_equal_to_each_n(which, ends, above, twos, three):
-    # every piece-count n that divides N reads ceil(k_b(N) / (N/n)) off the
-    # count at N: windows on breakpoints (dyadic ones for Cantor, which
-    # the samples hit exactly), t == s and t < s among them
+def test_piece_count_is_bit_equal_to_a_brute_count(which, ends, above, twos,
+                                                   three):
+    # the piece count at each n alone, here every piece-count n that
+    # divides N = (K + above) 2^twos 3^three, against a sample-by-sample
+    # count: windows on breakpoints (dyadic ones for Cantor, which the
+    # samples hit exactly), t == s and t < s among them
     q = COUNT_FAMILIES[which]
     bps = [float(b) for b in q.breakpoints]
 
@@ -265,12 +267,13 @@ def test_one_count_is_bit_equal_to_each_n(which, ends, above, twos, three):
     s = np.array([at(a) if same else at(b) for a, b, same in ends])
     k = q.internal_breakpoint_count
     top = (k + above) * 2 ** twos * (3 if three else 1)
-    group = [n for n in range(k + 1, top + 1) if top % n == 0]
-    for n, got in zip(group, q.piece_count_left_sums(t, s, group)):
+    for n in range(k + 1, top + 1):
+        if top % n:
+            continue
         assert q.left_sum_kernel(n) == "piece-count"
+        got = kernel(q, t, s, n)
         want = _brute_piece_count_sums(q, t, s, n)
         assert got.tobytes() == want.tobytes(), (q, n)
-        assert got.tobytes() == kernel(q, t, s, n).tobytes(), (q, n)
 
 
 def _aligned_windows(q):
@@ -438,6 +441,33 @@ def test_exact_kernels_take_any_n(n):
         assert abs(kernel(q, [0.75], [0.25], n)[0] - integral) <= 1e-6
 
 
+def test_piece_count_refuses_n_over_its_cap(monkeypatch):
+    # the piece count and its lattice count take n up to _PIECE_MAX = 2^52
+    # and refuse one more before they count anything.  At grid 2 the fine
+    # points of n = 2^52 still have whole indices, at grid 3 they do not,
+    # and the lattice sums are the kernel's
+    q = tl.build_cantor(3)[0]
+    cap = potentials._PIECE_MAX
+    assert cap == 2 ** 52
+    for grid in (2, 3):
+        lat = sup_search.coarse_lattice(q, tl.SearchConfig(coarse_grid=grid))
+        sums, slop = q.lattice_sums(lat, cap)
+        want = kernel(q, lat.ts, lat.ss, cap)
+        assert np.all(np.abs(sums - want) <= slop * (lat.ts - lat.ss))
+
+    def counted(*args):
+        raise AssertionError("counted over the cap")
+
+    monkeypatch.setattr(potentials, "_samples_left_of", counted)
+    monkeypatch.setattr(potentials, "_fine_points_left_of", counted)
+    for run in (lambda: kernel(q, [0.75], [0.25], cap + 1),
+                lambda: q.lattice_sums(lat, cap + 1)):
+        with pytest.raises(tl.ResourceLimitError, match=(
+                r"^n 4503599627370497 > cap 4503599627370496 of the "
+                r"piece-count kernel$")):
+            run()
+
+
 # sampled-kernel families of a sweep: tent:harmonic=6, the depth-10 Cantor
 # indicator (K = 1320) and a step with non-integer values (K = 1100), each
 # with K >= n on every list below
@@ -467,24 +497,28 @@ LATTICE_FAMILIES = ((tl.Constant(0.7), tl.Linear(0.5, 0.25))
 def test_sweep_lattice_sums_are_within_their_slop(monkeypatch):
     # the hook answers every n of every family: within slop (t - s) of n's
     # own sums, a slop of at most 1e-9, and with slop 0, as for Constant,
-    # Linear, every step potential and every n whose fine grid is over the
-    # cap, bit for bit.  Piece-count n that do not divide the sweep's
-    # largest are counted alone.  At the cap of 769 points the tent's fine
-    # grids of n >= 64 at grid 24, and of n >= 32 at grid 33, are over it
+    # Linear, every integer-valued step potential and every n whose fine
+    # grid is over the cap, bit for bit; the step with values 0.3, 1.7 and
+    # 0.1 gets its proven slop at its piece-count n.  At the cap of 769
+    # points the tent's fine grids of n >= 64 at grid 24, and of n >= 32 at
+    # grid 33, are over it
     for cap in (potentials._FINE_MAX, 24 * 32 + 1):
         monkeypatch.setattr(potentials, "_FINE_MAX", cap)
-        alone, over = set(), set()
+        over = set()
         for q, grid, ns in itertools.product(
                 LATTICE_FAMILIES, [2, 3, 7, 24, 33], SWEEP_LISTS):
-            lat = sup_search.coarse_lattice(q, ns,
-                                            tl.SearchConfig(coarse_grid=grid))
+            lat = sup_search.coarse_lattice(
+                q, tl.SearchConfig(coarse_grid=grid))
             ts, ss = lat.ts, lat.ss
             assert len(ts) == grid * (grid + 1) // 2
             for n in ns:
                 sums, slop = q.lattice_sums(lat, n)
                 want = kernel(q, ts, ss, n)
                 assert 0 <= slop <= 1e-9, n
-                assert slop == 0 or q.step_breakpoints is None, n
+                if q.step_breakpoints is not None:
+                    assert (slop == 0) == (q is not STEPS[2]
+                                           or q.left_sum_kernel(n)
+                                           == "sampled"), (q, n)
                 assert np.all(np.abs(sums - want) <= slop * (ts - ss)), n
                 if slop == 0:
                     assert sums.tobytes() == want.tobytes(), n
@@ -492,12 +526,8 @@ def test_sweep_lattice_sums_are_within_their_slop(monkeypatch):
                     assert (slop == 0) == ((grid - 1) * n + 1 > cap), n
                     if slop == 0:
                         over.add(n)
-                if (q.left_sum_kernel(n) == "piece-count"
-                        and n not in lat.cache["piece-count"]):
-                    alone.add(q)
             want = q.antiderivative(ts) - q.antiderivative(ss)
             assert lat.integ.tobytes() == want.tobytes()
-        assert alone == set(STEP_SWEEP_FAMILIES)
         assert bool(over) == (cap == 24 * 32 + 1)
 
 
@@ -509,7 +539,7 @@ def test_fine_grid_sums_above_the_old_cap_are_the_kernel(grid, every):
     # and on every 97th at grid 256
     q = tl.build_cantor(12)[0]
     ns = [2048, 4096]
-    lat = sup_search.coarse_lattice(q, ns, tl.SearchConfig(coarse_grid=grid))
+    lat = sup_search.coarse_lattice(q, tl.SearchConfig(coarse_grid=grid))
     for n in ns:
         assert q.left_sum_kernel(n) == "sampled"
         sums, slop = q.lattice_sums(lat, n)
@@ -531,7 +561,7 @@ def test_weierstrass_lattice_sums_are_within_their_slop(beta, levels, grid,
     # every window, at n that divide others of the list and n that do not;
     # past about 82 levels 2^j s is even at every lattice point
     q = tl.HolderWeierstrass(beta, levels)
-    lat = sup_search.coarse_lattice(q, ns, tl.SearchConfig(coarse_grid=grid))
+    lat = sup_search.coarse_lattice(q, tl.SearchConfig(coarse_grid=grid))
     for n in ns:
         sums, slop = q.lattice_sums(lat, n)
         assert 0 < slop <= 1e-9, n
@@ -564,7 +594,7 @@ def test_weierstrass_lattice_peaks_below_the_closed_form():
     # the per-n blocks of 2^15 entries peak below the closed form, which
     # holds a few lattice-sized arrays per level
     q = tl.HolderWeierstrass(0.5, 1022)
-    lat = sup_search.coarse_lattice(q, [64], tl.SearchConfig())
+    lat = sup_search.coarse_lattice(q, tl.SearchConfig())
     ts, ss = lat.ts, lat.ss
     peaks = []
     tracemalloc.start()
@@ -589,7 +619,7 @@ def test_fine_grids_over_the_cap_are_summed_alone(monkeypatch):
     cfg = tl.SearchConfig(coarse_grid=24, refine_levels=1)
     for q in SWEEP_FAMILIES:
         for ns in ([1, 2, 3, 4, 6, 12], [3, 5, 7]):
-            lattice = cache(partial(sup_search.coarse_lattice, q, ns, cfg))
+            lattice = cache(partial(sup_search.coarse_lattice, q, cfg))
             lat = lattice()
             for n in ns[ns[0] == 1:]:
                 sums, slop = q.lattice_sums(lat, n)
@@ -645,21 +675,66 @@ def _random_step(draw, pieces, integer_values):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), pieces=st.integers(2, 48), integer_values=st.booleans(),
-       grid=st.sampled_from([2, 3, 7, 24, 33]))
+       grid=st.sampled_from([2, 3, 7, 24, 33, 256]))
 def test_fine_grid_sums_are_bit_equal_to_the_kernel(data, pieces,
                                                     integer_values, grid):
     # every sampled n, dividing the sweep's largest or not, and windows
-    # with d = i - j >= n, whose rows are copied before they are summed
+    # with d = i - j >= n, whose rows are gathered by index or, at grid
+    # 256 from n = 5 on, copied a stride at a time before they are summed
     q = _random_step(data.draw, pieces, integer_values)
     k = q.internal_breakpoint_count
     assume(k >= 1)
     ns = data.draw(st.lists(st.integers(1, k), min_size=1, max_size=4,
                             unique=True))
-    lat = sup_search.coarse_lattice(q, ns, tl.SearchConfig(coarse_grid=grid))
+    lat = sup_search.coarse_lattice(q, tl.SearchConfig(coarse_grid=grid))
     for n in ns:
         sums, slop = q.lattice_sums(lat, n)
         assert not np.any(slop)
         assert sums.tobytes() == kernel(q, lat.ts, lat.ss, n).tobytes(), n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), cuts=st.integers(1, 100), integer_values=st.booleans(),
+       grid=st.sampled_from([2, 3, 7, 24, 256]))
+def test_lattice_piece_count_is_the_kernel(data, cuts, integer_values, grid):
+    # the count on fine-grid indices against the per-window count at n
+    # alone on every window: steps of up to 100 jumps, some on fine points
+    # or a few ulps off them, at non-dyadic n from K + 1 to the cap; bit for
+    # bit for whole values, within the proven slop otherwise
+    n = data.draw(st.one_of(st.integers(cuts + 1, 4 * cuts + 64),
+                            st.integers(cuts + 1, potentials._PIECE_MAX))
+                  .filter(lambda n: n & (n - 1)))
+    a = sup_search._S_MIN
+    size = (grid - 1) * n + 1
+    h = (1.0 - a) / ((grid - 1) * n)
+    on = data.draw(st.lists(st.tuples(st.integers(1, max(1, size - 2)),
+                                      st.integers(-3, 3)),
+                            max_size=min(3, cuts)))
+    points = set()
+    for m, ulps in on:
+        y = float(potentials._fine_points(float(m), h, a))
+        points.add(Fraction(y + ulps * np.spacing(y)))
+    points |= {Fraction(c, 10000) for c in data.draw(st.lists(
+        st.integers(1, 9999), min_size=cuts - len(points),
+        max_size=cuts - len(points), unique=True))}
+    points = sorted(x for x in points if 0 < x < 1)
+    value = (st.integers(0, 3).map(float) if integer_values else
+             st.floats(0.0, 2.0, allow_subnormal=False))
+    vals = data.draw(st.lists(value, min_size=len(points) + 1,
+                              max_size=len(points) + 1))
+    q = tl.PiecewiseConstant([Fraction(0), *points, Fraction(1)], vals)
+    assert q.left_sum_kernel(n) == "piece-count"
+    lat = sup_search.coarse_lattice(q, tl.SearchConfig(coarse_grid=grid))
+    sums, slop = q.lattice_sums(lat, n)
+    want = kernel(q, lat.ts, lat.ss, n)
+    # whole partial sums below 2^53 are exact in any order
+    whole = (all(v == int(v) for v in vals)
+             and n * (vals[0] + np.abs(np.diff(vals)).sum()) < 2 ** 53)
+    assert (slop == 0) == whole
+    if whole:
+        assert sums.tobytes() == want.tobytes()
+    assert 0 <= slop <= 1e-9
+    assert np.all(np.abs(sums - want) <= slop * (lat.ts - lat.ss))
 
 
 @pytest.mark.parametrize("offset", [0, 1, -3, 31], ids=lambda o: f"ulps{o}")
@@ -681,8 +756,7 @@ def test_breakpoint_near_a_fine_point_resamples_its_windows(offset,
     q = tl.PiecewiseConstant([0, *cuts, 1],
                              [0.25 + 1.25 * (i % 2) for i in range(98)])
     assert q.left_sum_kernel(n) == "sampled"
-    lat = sup_search.coarse_lattice(q, [1, n],
-                                    tl.SearchConfig(coarse_grid=grid))
+    lat = sup_search.coarse_lattice(q, tl.SearchConfig(coarse_grid=grid))
     resampled = []
     sampled = tl.Potential.left_sums
 
@@ -695,4 +769,35 @@ def test_breakpoint_near_a_fine_point_resamples_its_windows(offset,
     monkeypatch.undo()
     assert len(resampled) == 1 and 0 < resampled[0] < len(lat.ts)
     assert not np.any(slop)
+    assert sums.tobytes() == kernel(q, lat.ts, lat.ss, n).tobytes()
+
+
+@pytest.mark.parametrize("offset", [0, 1, -3, 31], ids=lambda o: f"ulps{o}")
+def test_breakpoint_near_a_fine_point_recounts_its_windows(offset,
+                                                           monkeypatch):
+    # the K < n twin of the test above: the same breakpoint among 6 others,
+    # so n = 64 counts; the windows that read the fine point m = 992 are
+    # counted again per window, and the sums stay the kernel's
+    grid, n, m, a = 24, 64, 992, sup_search._S_MIN
+    h = (1.0 - a) / ((grid - 1) * n)
+    y_m = float(potentials._fine_points(float(m), h, a))
+    b = y_m + offset * np.spacing(y_m)
+    cuts = sorted({Fraction(k, 7) for k in range(1, 7)} | {Fraction(b)})
+    q = tl.PiecewiseConstant([0, *cuts, 1],
+                             [1.0 + i % 2 for i in range(len(cuts) + 1)])
+    assert q.internal_breakpoint_count == 7
+    assert q.left_sum_kernel(n) == "piece-count"
+    lat = sup_search.coarse_lattice(q, tl.SearchConfig(coarse_grid=grid))
+    recounted = []
+    count = tl.PiecewiseConstant.left_sums
+
+    def recording(self, t, s, n):
+        recounted.append(len(t))
+        return count(self, t, s, n)
+
+    monkeypatch.setattr(tl.PiecewiseConstant, "left_sums", recording)
+    sums, slop = q.lattice_sums(lat, n)
+    monkeypatch.undo()
+    assert len(recounted) == 1 and 0 < recounted[0] < len(lat.ts)
+    assert slop == 0
     assert sums.tobytes() == kernel(q, lat.ts, lat.ss, n).tobytes()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trotter_lab as tl
+from trotter_lab import sup_search
 
 # Exact survivor measures of the truncated fat-Cantor construction,
 # cross-derived by independent rational interval merging.
@@ -459,7 +460,11 @@ def test_no_binary_search_after_construction(monkeypatch):
     for steps in (q, cantor):
         for n in (1, 4, 64):
             tl.Potential.left_sums(steps, t, s, n)
-        steps.piece_count_left_sums(t, s, [2048, 4096])
+        # at n = 4096 the piece count of cantor (K = 1320) and its lattice
+        # count, and q's sampled kernel (K = 70000) and its fine grid
+        tl.left_darboux_sums(steps, t, s, 4096)
+        steps.lattice_sums(sup_search.coarse_lattice(
+            steps, tl.SearchConfig(coarse_grid=8)), 4096)
         tl.left_darboux_sums(steps, t, s, 8)
 
 

@@ -276,7 +276,7 @@ def test_refinement_rounds_probe_each_point_once(zoo, monkeypatch):
             # a slop (Weierstrass, tents) add the recompute of the windows
             # near the top cells, which the lattice's charge covers
             _, slop = q.lattice_sums(
-                sup_search.coarse_lattice(q, [n], SMALL), n)
+                sup_search.coarse_lattice(q, SMALL), n)
             probes = [calls[0], *calls[1 + (slop > 0):]]
             assert len(probes) == 1 + SMALL.refine_levels, (name, n)
             assert rep.method.evals == windows + sum(map(len, probes)), (
@@ -338,7 +338,7 @@ def test_sweep_reports_equal_single_searches(zoo):
     # exactly summed windows gives
     ns = [1, 2, 3, 4, 6, 12, 16, 64]
     for name, q in zoo:
-        lattice = cache(partial(sup_search.coarse_lattice, q, ns, SMALL))
+        lattice = cache(partial(sup_search.coarse_lattice, q, SMALL))
         sweep = [tl.sup_riemann_error(q, n, SMALL, lattice=lattice)
                  for n in ns]
         sweep += [tl.sup_symbol(q, n, SMALL, lattice=lattice) for n in ns]
@@ -363,7 +363,7 @@ def test_tent_lattice_searches_equal_exact_ones(data, grid):
                             unique=True))
     q = tl.TentTrain(amps)
     cfg = tl.SearchConfig(coarse_grid=grid, refine_levels=1)
-    lattice = cache(partial(sup_search.coarse_lattice, q, ns, cfg))
+    lattice = cache(partial(sup_search.coarse_lattice, q, cfg))
     for n in ns:
         for search in (tl.sup_riemann_error, tl.sup_symbol):
             got = search(q, n, cfg, lattice=lattice)
@@ -390,7 +390,7 @@ def test_weierstrass_lattice_kernel_keeps_every_report(monkeypatch):
         return hook(self, lattice, n)
 
     def reports(cfg):
-        lattice = cache(partial(sup_search.coarse_lattice, q, ns, cfg))
+        lattice = cache(partial(sup_search.coarse_lattice, q, cfg))
         out = []
         for n in ns:
             for search in (tl.sup_riemann_error, tl.sup_symbol):
